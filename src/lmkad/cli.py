@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .dataset import load_csv, load_features_csv, plan_folds
+from .dataset import iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvResult, cross_validate
 from .models import (
+    BLOCK_ROWS,
     LmkadConfig,
     LmkadModel,
     load_model,
-    predict_batch,
     decision_values,
     resolve_kernels,
     save_model,
@@ -91,18 +91,31 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Score ``--data`` block by block into a temp file, renamed to ``--out`` on success."""
     model = load_model(args.model)
     label_column = _parse_label_column(args.label_column) if args.label_column else None
-    X = load_features_csv(args.data, has_header=args.header, label_column=label_column)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "decision_value", "label"])
-        if X.size:
-            values = decision_values(model, X)
-            labels = np.where(values >= 0.0, 1, -1)
-            for i, (v, lab) in enumerate(zip(values, labels)):
-                writer.writerow([i, f"{v:.12g}", int(lab)])
-    print(f"wrote {0 if not X.size else X.shape[0]} predictions to {args.out}")
+    blocks = iter_feature_blocks(
+        args.data, BLOCK_ROWS, has_header=args.header, label_column=label_column
+    )
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    n = 0
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["index", "decision_value", "label"])
+            for X in blocks:
+                values = decision_values(model, X)
+                writer.writerows(
+                    (n + i, f"{v:.12g}", 1 if v >= 0.0 else -1)
+                    for i, v in enumerate(values.tolist())
+                )
+                n += len(values)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    print(f"wrote {n} predictions to {args.out}")
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -82,6 +83,73 @@ def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
     return (X - norm.means) / norm.stddevs
 
 
+def _label_index(path, label_column, header, width: int) -> int | None:
+    """Resolve ``label_column`` (index, negative index or header name) to 0..width-1."""
+    if label_column is None:
+        return None
+    if isinstance(label_column, str):
+        if header is None:
+            raise ValueError("label column given by name but the file has no header")
+        try:
+            idx = [c.strip() for c in header].index(label_column)
+        except ValueError:
+            raise ValueError(f"{path}: no column named {label_column!r} in header") from None
+    else:
+        idx = int(label_column)
+    if not -width <= idx < width:
+        raise ValueError(f"{path}: label column {idx} out of range for {width} columns")
+    return idx % width
+
+
+def _non_numeric(path, r: int, feats: list[str], label_idx: int | None) -> ValueError:
+    """The error for the first unparsable cell of a row whose label cell was removed."""
+    for k, cell in enumerate(feats):
+        try:
+            float(cell)
+        except ValueError:
+            c = k + (label_idx is not None and k >= label_idx)
+            return ValueError(f"{path}: non-numeric value {cell.strip()!r} at row {r}, column {c}")
+    raise AssertionError("no unparsable cell")
+
+
+def _read_rows(path, has_header: bool, label_column, require_rows: bool = False):
+    """Yield ``(label, features)`` for each data row of a delimited numeric file.
+
+    The one parser behind ``load_csv``, ``load_features_csv`` and
+    ``iter_feature_blocks``.  Blank rows are skipped; with ``has_header``
+    the first remaining row is the header.  ``label_column`` is a 0-based
+    index (negative counts from the end), a header name, or ``None``; the
+    label cell is yielded stripped (``None`` without a label column) and
+    every other cell is converted with ``float``.  Every row must be as
+    wide as the first data row.  Errors number data rows from 0.  A file
+    without data rows yields nothing, or raises if ``require_rows``.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such data file: {path}") from None
+    with fh:
+        rows = (row for row in csv.reader(fh) if "".join(row).strip())
+        header = next(rows, None) if has_header else None
+        first = next(rows, None)
+        if first is None:
+            if require_rows:
+                what = "only a header row" if header is not None else "no data rows"
+                raise ValueError(f"{path}: file contains {what}")
+            return
+        width = len(first)
+        label_idx = _label_index(path, label_column, header, width)
+        for r, row in enumerate(chain((first,), rows)):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            label = None if label_idx is None else row.pop(label_idx).strip()
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                raise _non_numeric(path, r, row, label_idx) from None
+            yield label, values
+
+
 def load_csv(
     path,
     label_column,
@@ -93,57 +161,14 @@ def load_csv(
 
     ``label_column`` is a 0-based column index, or a column name when
     ``has_header`` is set.  Rows whose label cell equals ``target_label``
-    (string comparison on the raw token) become +1, everything else -1.
+    (string comparison on the stripped token) become +1, everything else -1.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such data file: {path}") from None
-    with fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: file contains no data rows")
-
-    header = None
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: file contains only a header row")
-
-    if isinstance(label_column, str):
-        if header is None:
-            raise ValueError("label column given by name but the file has no header")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"{path}: no column named {label_column!r} in header") from None
-    else:
-        label_idx = int(label_column)
-
-    width = len(rows[0])
-    if not -width <= label_idx < width:
-        raise ValueError(f"{path}: label column {label_idx} out of range for {width} columns")
-    label_idx %= width
-
     target = str(target_label).strip()
-    features = []
     labels = []
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        cells = [c.strip() for c in row]
-        labels.append(1 if cells[label_idx] == target else -1)
-        feat_row = []
-        for c, cell in enumerate(cells):
-            if c == label_idx:
-                continue
-            try:
-                feat_row.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
-        features.append(feat_row)
-
+    features = []
+    for label, values in _read_rows(path, has_header, label_column, require_rows=True):
+        labels.append(1 if label == target else -1)
+        features.append(values)
     labels = np.asarray(labels)
     if not np.any(labels == 1):
         raise ValueError(f"{path}: target label {target!r} never occurs in the label column")
@@ -157,43 +182,19 @@ def load_features_csv(path, has_header: bool = False, label_column=None) -> np.n
 
     Returns an (N, d) array; N may be zero for an empty file.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such data file: {path}") from None
-    with fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    header = None
-    if has_header and rows:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        return np.empty((0, 0))
+    features = [values for _, values in _read_rows(path, has_header, label_column)]
+    return np.asarray(features, dtype=float) if features else np.empty((0, 0))
 
-    width = len(rows[0])
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise ValueError("label column given by name but the file has no header")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column) % width
 
-    features = []
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        feat_row = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                feat_row.append(float(cell.strip()))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
-        features.append(feat_row)
-    return np.asarray(features, dtype=float)
+def iter_feature_blocks(path, block_rows: int, has_header: bool = False, label_column=None):
+    """Yield ``load_features_csv``'s matrix as consecutive blocks of ``block_rows`` rows.
+
+    Rows are parsed as the blocks are consumed, so memory holds one block,
+    and an error in a later row is raised only after the earlier blocks.
+    """
+    rows = (values for _, values in _read_rows(path, has_header, label_column))
+    while block := list(islice(rows, block_rows)):
+        yield np.asarray(block, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .solver import DualProblem, DualSolution, solve_dual
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
 
+#: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
+BLOCK_ROWS = 8192
+
 #: named kernel combinations exposed on the CLI
 KERNEL_PRESETS = {
     "gpl": ("gauss:auto", "poly:q=2", "linear"),
@@ -324,10 +327,7 @@ def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Lmka
     )
 
 
-def decision_values(model, X: np.ndarray) -> np.ndarray:
-    """Decision function on raw inputs (normalization applied internally)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xn = apply_normalizer(model.normalizer, X)
+def _decision_block(model, Xn: np.ndarray) -> np.ndarray:
     if isinstance(model, OcsvmModel):
         return gram(model.kernel, Xn, model.sv_features) @ model.sv_alpha - model.rho
     if isinstance(model, MkadModel):
@@ -340,6 +340,23 @@ def decision_values(model, X: np.ndarray) -> np.ndarray:
         )
         return K @ model.sv_alpha - model.rho
     raise TypeError(f"not a trained model: {type(model)!r}")
+
+
+def decision_values(model, X: np.ndarray) -> np.ndarray:
+    """Decision function on raw inputs (normalization applied internally).
+
+    Rows are scored in consecutive blocks of ``BLOCK_ROWS`` starting at
+    row 0, so scoring memory is bounded by one block's rows x SVs Grams,
+    whatever the number of rows.  The block grid is fixed: a caller that
+    slices its input at multiples of ``BLOCK_ROWS`` gets the same values
+    bit for bit as one call on the whole input.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Xn = apply_normalizer(model.normalizer, X)
+    out = np.empty(Xn.shape[0])
+    for start in range(0, Xn.shape[0], BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = _decision_block(model, Xn[start : start + BLOCK_ROWS])
+    return out
 
 
 def decision_value(model, x: np.ndarray) -> float:
@@ -409,6 +426,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a ``save_model`` file; fields of mismatched shape or non-finite values raise."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
@@ -431,18 +449,50 @@ def load_model(path):
     )
     family = doc["family"]
     if family == "ocsvm":
-        return OcsvmModel(kernel=parse_kernel_spec(doc["kernel"]), **common)
-    if family == "mkad":
-        return MkadModel(
+        model = OcsvmModel(kernel=parse_kernel_spec(doc["kernel"]), **common)
+    elif family == "mkad":
+        model = MkadModel(
             kernels=tuple(parse_kernel_spec(t) for t in doc["kernels"]),
             weights=np.asarray(doc["weights"], dtype=float),
             **common,
         )
-    if family == "lmkad":
-        return LmkadModel(
+    elif family == "lmkad":
+        model = LmkadModel(
             kernels=tuple(parse_kernel_spec(t) for t in doc["kernels"]),
             gating=_gating_from_dict(doc["gating"]),
             sv_eta=np.asarray(doc["sv_eta"], dtype=float),
             **common,
         )
-    raise ValueError(f"{path}: unknown model family {family!r}")
+    else:
+        raise ValueError(f"{path}: unknown model family {family!r}")
+    _check_loaded(model, path)
+    return model
+
+
+def _check_loaded(model, path) -> None:
+    """Reject a model whose arrays disagree in shape or hold non-finite values."""
+    if model.sv_features.ndim != 2:
+        shape = model.sv_features.shape
+        raise ValueError(f"{path}: sv_features has shape {shape}, expected (n_sv, d)")
+    n_sv, d = model.sv_features.shape
+    fields = {
+        "rho": (np.float64(model.rho), ()),
+        "sv_features": (model.sv_features, (n_sv, d)),
+        "sv_alpha": (model.sv_alpha, (n_sv,)),
+        "normalizer.means": (model.normalizer.means, (d,)),
+        "normalizer.stddevs": (model.normalizer.stddevs, (d,)),
+    }
+    if isinstance(model, MkadModel):
+        fields["weights"] = (model.weights, (len(model.kernels),))
+    if isinstance(model, LmkadModel):
+        p = len(model.kernels)
+        fields["sv_eta"] = (model.sv_eta, (n_sv, p))
+        g = model.gating
+        matrix, vector = ("centers", "spreads") if g.kind == "rbf" else ("v", "v0")
+        fields[f"gating.{matrix}"] = (getattr(g, matrix), (p, d))
+        fields[f"gating.{vector}"] = (getattr(g, vector), (p,))
+    for name, (value, shape) in fields.items():
+        if value.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {value.shape}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{path}: {name} holds a non-finite value")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lmkad.cli import main
-from lmkad.models import load_model, predict_batch
+from lmkad.models import BLOCK_ROWS, decision_values, load_model, predict_batch
 
 
 def run(argv):
@@ -86,11 +86,54 @@ def test_predict_empty_file(tmp_path, fitted_model):
     assert out.read_text() == "index,decision_value,label\n"
 
 
+def assert_failed_predict_leaves_out_alone(tmp_path, model, data, capsys, message):
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
+    assert run(["predict", "--model", model, "--data", data, "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []  # no output, no leftover temp file
+
+    out.write_bytes(b"earlier predictions\r\n")
+    assert run(["predict", "--model", model, "--data", data, "--out", out]) == 1
+    assert out.read_bytes() == b"earlier predictions\r\n"
+    assert list(out.parent.iterdir()) == [out]
+
+
 def test_predict_wrong_width(tmp_path, fitted_model, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,4\n")
-    assert run(["predict", "--model", fitted_model, "--data", bad, "--out", tmp_path / "p.csv"]) == 1
-    assert "columns" in capsys.readouterr().err
+    assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, bad, capsys, "columns")
+
+
+def test_predict_bad_row_in_second_block(tmp_path, fitted_model, capsys):
+    bad_row = BLOCK_ROWS + 5
+    lines = ["5.1,3.5,1.4,0.2"] * (BLOCK_ROWS + 10)
+    lines[bad_row] = "5.1,3.5,x,0.2"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"non-numeric value 'x' at row {bad_row}, column 2"
+    assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, bad, capsys, message)
+
+
+def test_predict_streams_in_blocks(tmp_path, fitted_model, capsys):
+    # ~2.4 blocks with a header and the label in a middle column
+    rows = np.random.default_rng(5).normal(loc=4.0, scale=2.0, size=(20_000, 4))
+    data = tmp_path / "rows.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "species", "c", "d"])
+        writer.writerows([*r[:2], "setosa", *r[2:]] for r in rows.tolist())
+    out = tmp_path / "preds.csv"
+    assert run(["predict", "--model", fitted_model, "--data", data, "--header",
+                "--label-column", "species", "--out", out]) == 0
+    assert f"wrote 20000 predictions to {out}" in capsys.readouterr().out
+    expected = decision_values(load_model(fitted_model), rows)
+    with open(out, newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == ["index", "decision_value", "label"]
+    assert [r[0] for r in written[1:]] == [str(i) for i in range(20_000)]
+    assert [r[1] for r in written[1:]] == [f"{v:.12g}" for v in expected]
+    assert [r[2] for r in written[1:]] == ["1" if v >= 0 else "-1" for v in expected]
 
 
 def benchmark_config(tmp_path, iris_path, classifiers, n_runs=1, grid=(0.1, 0.3)):

@@ -6,7 +6,9 @@ from lmkad.dataset import (
     Dataset,
     apply_normalizer,
     fit_normalizer,
+    iter_feature_blocks,
     load_csv,
+    load_features_csv,
     plan_folds,
     split_for_occ,
     Normalizer,
@@ -68,6 +70,64 @@ def test_load_name_without_header(tmp_path):
     p = write(tmp_path, "1,2,pos\n")
     with pytest.raises(ValueError, match="no header"):
         load_csv(p, label_column="cls", target_label="pos")
+
+
+def test_load_non_numeric_column_counts_label(tmp_path):
+    # the reported column is the file's, not the index among feature cells
+    p = write(tmp_path, "a,1,2\nb,3,oops\n")
+    with pytest.raises(ValueError, match=r"'oops' at row 1, column 2"):
+        load_csv(p, label_column=0, target_label="a")
+
+
+def test_load_header_only(tmp_path):
+    p = write(tmp_path, "f1,cls\n\n")
+    with pytest.raises(ValueError, match="only a header row"):
+        load_csv(p, label_column="cls", target_label="pos", has_header=True)
+    with pytest.raises(ValueError, match="no data rows"):
+        load_csv(write(tmp_path, " , \n", "blank.csv"), label_column=0, target_label="x")
+
+
+def test_load_features_drops_label_column(tmp_path):
+    p = write(tmp_path, "0,1,2,3,4\n\n 5 ,6,7,8,9\n")
+    assert load_features_csv(p).tolist() == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert load_features_csv(p, label_column=4).tolist() == [[0, 1, 2, 3], [5, 6, 7, 8]]
+    assert load_features_csv(p, label_column=-5).tolist() == [[1, 2, 3, 4], [6, 7, 8, 9]]
+    assert load_features_csv(write(tmp_path, "\n", "empty.csv")).shape == (0, 0)
+
+
+def test_load_features_label_column_out_of_range(tmp_path):
+    p = write(tmp_path, "0,1,2,3,4\n5,6,7,8,9\n")
+    for column in (5, 7, -6, -7):
+        with pytest.raises(ValueError, match=f"label column {column} out of range for 5 columns"):
+            load_features_csv(p, label_column=column)
+
+
+def test_load_features_missing_header_name(tmp_path):
+    p = write(tmp_path, "f1,f2,cls\n1,2,pos\n")
+    assert load_features_csv(p, has_header=True, label_column="cls").tolist() == [[1, 2]]
+    with pytest.raises(ValueError, match=r"no column named 'nope' in header"):
+        load_features_csv(p, has_header=True, label_column="nope")
+    with pytest.raises(ValueError, match="no header"):
+        load_features_csv(p, label_column="cls")
+
+
+def test_iter_feature_blocks_matches_load(tmp_path):
+    rows = np.arange(21.0).reshape(7, 3)
+    p = tmp_path / "rows.csv"
+    np.savetxt(p, rows, fmt="%g", delimiter=",", header="a,b,c", comments="")
+    blocks = list(iter_feature_blocks(p, 3, has_header=True, label_column="b"))
+    assert [b.shape for b in blocks] == [(3, 2), (3, 2), (1, 2)]
+    assert np.array_equal(np.concatenate(blocks), load_features_csv(p, True, "b"))
+    assert np.array_equal(np.concatenate(blocks), rows[:, [0, 2]])
+    assert list(iter_feature_blocks(write(tmp_path, "", "empty.csv"), 3)) == []
+
+
+def test_iter_feature_blocks_raises_at_the_bad_block(tmp_path):
+    p = write(tmp_path, "1,2\n3,4\n5,6\n7\n")
+    blocks = iter_feature_blocks(p, 2)
+    assert next(blocks).tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError, match="row 3 has 1 cells, expected 2"):
+        next(blocks)
 
 
 def test_dataset_invariants():

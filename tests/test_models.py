@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lmkad.dataset import apply_normalizer, split_for_occ
 from lmkad.gating import GatingParams, gate_eval_batch
 from lmkad.kernels import KernelSpec, gram
 from lmkad.models import (
+    BLOCK_ROWS,
     KERNEL_PRESETS,
     LmkadConfig,
     composite_gram_fixed,
@@ -21,6 +24,7 @@ from lmkad.models import (
     train_mkad,
     train_ocsvm,
 )
+from lmkad import models as models_module
 from lmkad.evaluation import sv_fraction
 from lmkad.solver import kkt_violation
 
@@ -250,6 +254,67 @@ def test_serialization_round_trip(tmp_path):
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert np.array_equal(decision_values(loaded, grid), decision_values(model, grid))
+
+
+def _train(family, X, nu):
+    if family == "ocsvm":
+        return train_ocsvm(X, GAUSS1, nu=nu)
+    if family == "mkad":
+        return train_mkad(X, "gpl", nu=nu)
+    return train_lmkad(X, "gpl", LmkadConfig(nu=nu, seed=3, max_outer=5))
+
+
+@pytest.mark.parametrize("family", ["ocsvm", "mkad", "lmkad"])
+def test_decision_values_independent_of_block_slicing(family, monkeypatch):
+    model = _train(family, blob(29, 25), nu=0.2)
+    rows = np.random.default_rng(30).normal(loc=2.0, scale=2.0, size=(BLOCK_ROWS * 5 // 2, 3))
+    gram_rows = []
+
+    def spy(kernel, X, Y):
+        gram_rows.append(X.shape[0])
+        return gram(kernel, X, Y)
+
+    monkeypatch.setattr(models_module, "gram", spy)
+    whole = decision_values(model, rows)
+    assert set(gram_rows) == {BLOCK_ROWS, BLOCK_ROWS // 2}  # one block's Gram at a time
+    starts = range(0, len(rows), BLOCK_ROWS)
+    per_block = [decision_values(model, rows[s : s + BLOCK_ROWS]) for s in starts]
+    assert [len(b) for b in per_block] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]
+    assert np.array_equal(whole, np.concatenate(per_block))
+
+
+def _drop_last_column(rows):
+    for row in rows:
+        row.pop()
+
+
+def _poison(values, x):
+    values[0] = x
+
+
+@pytest.mark.parametrize(
+    "family, corrupt, message",
+    [
+        ("ocsvm", lambda doc: doc["sv_alpha"].pop(), r"sv_alpha has shape"),
+        ("lmkad", lambda doc: doc["sv_eta"].pop(), r"sv_eta has shape"),
+        ("lmkad", lambda doc: _drop_last_column(doc["sv_eta"]), r"sv_eta has shape \(\d+, 2\)"),
+        ("ocsvm", lambda doc: doc["normalizer"]["means"].pop(), r"normalizer.means has shape"),
+        ("ocsvm", lambda doc: doc["normalizer"]["stddevs"].append(1.0), r"normalizer.stddevs"),
+        ("mkad", lambda doc: doc["weights"].append(0.0), r"weights has shape \(4,\), expected"),
+        ("lmkad", lambda doc: _drop_last_column(doc["gating"]["v"]), r"gating.v has shape \(3, 2\)"),
+        ("ocsvm", lambda doc: _poison(doc["sv_alpha"], float("nan")), r"sv_alpha holds a non-finite"),
+        ("ocsvm", lambda doc: doc.update(rho=float("inf")), r"rho holds a non-finite value"),
+        ("lmkad", lambda doc: _poison(doc["sv_features"][0], -float("inf")), r"sv_features holds"),
+    ],
+)
+def test_load_rejects_inconsistent_model(tmp_path, family, corrupt, message):
+    path = tmp_path / "model.json"
+    save_model(_train(family, blob(31, 20), nu=0.3), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 def test_load_rejects_non_model(tmp_path):
