@@ -30,15 +30,11 @@ from .solver import DualProblem, DualSolution, compute_rho, kkt_violation, solve
 from .models import (
     KERNEL_PRESETS,
     LmkadConfig,
-    LmkadModel,
-    MkadModel,
-    OcsvmModel,
+    Model,
     composite_gram_fixed,
     composite_gram_localized,
-    decision_value,
     decision_values,
     load_model,
-    predict,
     predict_batch,
     resolve_kernels,
     save_model,

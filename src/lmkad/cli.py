@@ -20,19 +20,7 @@ import numpy as np
 from . import evaluation
 from .dataset import iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvResult, cross_validate
-from .models import (
-    BLOCK_ROWS,
-    LmkadConfig,
-    LmkadModel,
-    load_model,
-    decision_values,
-    resolve_kernels,
-    save_model,
-    sv_count,
-    train_lmkad,
-    train_mkad,
-    train_ocsvm,
-)
+from .models import BLOCK_ROWS, decision_values, load_model, save_model, sv_count
 
 
 def _default_seed() -> int | None:
@@ -56,32 +44,25 @@ def cmd_fit(args) -> int:
     )
     train_targets = data.features[data.labels == 1]
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
-    kernels = resolve_kernels(args.kernels)
-    if args.family == "ocsvm":
-        if len(kernels) != 1:
-            raise ValueError("ocsvm takes exactly one kernel")
-        model = train_ocsvm(train_targets, kernels[0], args.nu, rho_mode=args.rho_mode)
-    elif args.family == "mkad":
-        model = train_mkad(train_targets, kernels, args.nu, rho_mode=args.rho_mode)
-    else:
-        config = LmkadConfig(
-            nu=args.nu,
-            gating_kind=args.gating,
-            learning_rate=args.learning_rate,
-            lr_decay=args.lr_decay,
-            outer_tol=args.outer_tol,
-            max_outer=args.max_outer,
-            seed=seed,
-            rho_mode=args.rho_mode,
-        )
-        model = train_lmkad(train_targets, kernels, config)
+    config = ClassifierConfig(
+        name=args.family,
+        family=args.family,
+        kernels=args.kernels,
+        gating=args.gating,
+        learning_rate=args.learning_rate,
+        lr_decay=args.lr_decay,
+        outer_tol=args.outer_tol,
+        max_outer=args.max_outer,
+        rho_mode=args.rho_mode,
+    )
+    model = evaluation.train_for_config(config, train_targets, args.nu, seed)
     save_model(model, args.out)
 
     report = model.report
     print(f"trained {args.family} on {train_targets.shape[0]} target rows "
           f"({data.name}), nu={args.nu}")
     print(f"support vectors: {sv_count(model)} ({evaluation.sv_fraction(model):.2f}%)")
-    if isinstance(model, LmkadModel):
+    if model.gating is not None:
         trace = report.objective_trace
         print(f"outer iterations: {report.iterations} (converged={report.converged})")
         print(f"dual objective: first={trace[0]:.6g} last={trace[-1]:.6g}")
@@ -138,6 +119,12 @@ def _load_experiment_config(path) -> dict:
     return config
 
 
+#: optional classifier keys of a benchmark config; absent ones take ClassifierConfig's defaults
+_CLASSIFIER_SETTINGS = (
+    "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
+)
+
+
 def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
     kernels = spec.get("kernels", "gauss:auto")
     if isinstance(kernels, list):
@@ -146,13 +133,7 @@ def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
         name=spec.get("name") or f"{spec['family']}({kernels})",
         family=spec["family"],
         kernels=kernels,
-        gating=spec.get("gating", "sigmoid"),
-        learning_rate=spec.get("learning_rate", 20.0),
-        lr_decay=spec.get("lr_decay", 0.95),
-        outer_tol=spec.get("outer_tol", 1e-4),
-        max_outer=spec.get("max_outer", 100),
-        inner_tol=spec.get("inner_tol", 1e-6),
-        rho_mode=spec.get("rho_mode", "margin"),
+        **{key: spec[key] for key in _CLASSIFIER_SETTINGS if key in spec},
     )
     grid = [float(v) for v in spec.get("nu_grid", evaluation.DEFAULT_NU_GRID)]
     return config, grid

@@ -18,7 +18,9 @@ from scipy import stats as _sps
 
 from .dataset import Dataset, FoldPlan, split_for_occ
 from .models import (
+    FAMILIES,
     LmkadConfig,
+    Model,
     predict_batch,
     resolve_kernels,
     sv_count,
@@ -26,6 +28,7 @@ from .models import (
     train_mkad,
     train_ocsvm,
 )
+from .solver import infeasible_nu
 
 DEFAULT_NU_GRID = (0.02, 0.05, 0.1, 0.2, 0.3)
 
@@ -89,16 +92,16 @@ class ClassifierConfig:
     rho_mode: str = "margin"
 
     def __post_init__(self):
-        if self.family not in ("ocsvm", "mkad", "lmkad"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
+        if self.family == "ocsvm" and len(resolve_kernels(self.kernels)) != 1:
+            raise ValueError("ocsvm takes exactly one kernel")
 
 
-def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int):
-    """Train one model of the configured family at a given nu."""
+def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int) -> Model:
+    """Train one model of the configured family at a given nu (``lmkad fit`` uses it too)."""
     kernels = resolve_kernels(config.kernels)
     if config.family == "ocsvm":
-        if len(kernels) != 1:
-            raise ValueError("ocsvm takes exactly one kernel")
         return train_ocsvm(train_targets, kernels[0], nu, tol=config.inner_tol, rho_mode=config.rho_mode)
     if config.family == "mkad":
         return train_mkad(train_targets, kernels, nu, tol=config.inner_tol, rho_mode=config.rho_mode)
@@ -163,10 +166,10 @@ def cross_validate(
 ) -> CvResult:
     """Run the full repeated-CV grid-search protocol for one classifier.
 
-    Grid candidates that cannot be trained on a fold (e.g. nu*N < 1) are
-    skipped for that fold; ties on validation Gmean keep the first grid
-    point.  Folds where every candidate fails are flagged and excluded
-    from the aggregate.
+    Grid candidates with an infeasible nu on a fold (nu*N < 1) are skipped
+    for that fold; any other training error propagates.  Ties on
+    validation Gmean keep the first grid point.  Folds where every
+    candidate is skipped are flagged and excluded from the aggregate.
     """
     nu_grid = list(nu_grid)
     if not nu_grid:
@@ -189,14 +192,14 @@ def cross_validate(
             best = None
             fold_errors = []
             for gi, nu in enumerate(nu_grid):
-                try:
-                    model = train_for_config(
-                        config, train_targets, nu, seed=_derived_seed(base_seed, run, fold, gi)
-                    )
-                except (ValueError, RuntimeError) as exc:
-                    fold_errors.append(f"nu={nu}: {exc}")
+                reason = infeasible_nu(nu, train_targets.shape[0])
+                if reason is not None:
+                    fold_errors.append(f"nu={nu}: {reason}")
                     skipped_candidates[nu] = skipped_candidates.get(nu, 0) + 1
                     continue
+                model = train_for_config(
+                    config, train_targets, nu, seed=_derived_seed(base_seed, run, fold, gi)
+                )
                 score = _score(model, validation)
                 if best is None or score > best[0]:
                     best = (score, nu, model)

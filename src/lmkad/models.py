@@ -1,10 +1,10 @@
-"""The three model families: OCSVM, MKAD, and LMKAD.
+"""One model for the three detectors: a one-class SVM over weighted kernels.
 
-All trainers fit a z-score normalizer on the training targets, resolve
-auto Gaussian bandwidths on the normalized data, solve the dual QP, and
-keep only support vectors.  LMKAD alternates between solving the dual on
-the locally combined kernel and taking one gradient step on the gating
-parameters, with a decaying step size.
+A ``Model`` combines p base kernels with per-kernel weights that are
+either fixed (``weights``: OCSVM is one kernel with weight 1, MKAD uses
+1/p each) or computed per row by a gating function (``gating``: LMKAD,
+k(x, y) = sum_m eta_m(x) K_m(x, y) eta_m(y)).  ``family`` is a label.
+One trainer core serves all three families.
 
 Trained models are immutable; ``decision_values``/``predict_batch``
 normalize raw inputs internally.  ``save_model``/``load_model`` round-trip
@@ -20,10 +20,11 @@ import numpy as np
 from .dataset import Normalizer, fit_normalizer, apply_normalizer
 from .gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_gating
 from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
-from .solver import DualProblem, DualSolution, solve_dual
+from .solver import DualProblem, solve_dual
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
+FAMILIES = ("ocsvm", "mkad", "lmkad")
 
 #: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
 BLOCK_ROWS = 8192
@@ -55,53 +56,27 @@ class TrainingReport:
 
 
 @dataclass(frozen=True)
-class OcsvmModel:
-    sv_features: np.ndarray
-    sv_alpha: np.ndarray
-    kernel: KernelSpec
-    rho: float
-    normalizer: Normalizer
-    nu: float
-    n_train: int
-    report: TrainingReport = field(repr=False, default=None)
+class Model:
+    """A trained detector with fixed ``weights`` or a ``gating`` whose
+    support-vector gate rows are cached in ``sv_eta``; never both."""
 
-    family = "ocsvm"
-
-
-@dataclass(frozen=True)
-class MkadModel:
-    sv_features: np.ndarray
-    sv_alpha: np.ndarray
+    family: str
     kernels: tuple[KernelSpec, ...]
-    weights: np.ndarray
-    rho: float
-    normalizer: Normalizer
-    nu: float
-    n_train: int
-    report: TrainingReport = field(repr=False, default=None)
-
-    family = "mkad"
-
-
-@dataclass(frozen=True)
-class LmkadModel:
     sv_features: np.ndarray
     sv_alpha: np.ndarray
-    sv_eta: np.ndarray
-    kernels: tuple[KernelSpec, ...]
-    gating: GatingParams
     rho: float
     normalizer: Normalizer
     nu: float
     n_train: int
+    weights: np.ndarray | None = None
+    gating: GatingParams | None = None
+    sv_eta: np.ndarray | None = None
     report: TrainingReport = field(repr=False, default=None)
-
-    family = "lmkad"
 
 
 @dataclass(frozen=True)
 class LmkadConfig:
-    """Knobs of the alternating trainer.
+    """Knobs of the trainer; fixed-weight fits use only the nu and inner-solver ones.
 
     The step size at outer iteration t is ``learning_rate * lr_decay**t``;
     the loop stops when the relative change of the dual objective falls
@@ -132,47 +107,21 @@ class LmkadConfig:
             raise ValueError("max_outer must be >= 1")
 
 
-def _prepare(train_targets: np.ndarray):
-    X = np.atleast_2d(np.asarray(train_targets, dtype=float))
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training row")
-    norm = fit_normalizer(X)
-    return apply_normalizer(norm, X), norm
+def _combine(grams, weights, H_X, H_Y) -> np.ndarray:
+    """sum_m w_m K_m with fixed ``weights``; with ``weights=None``, entry (i,j)
+    is sum_m eta_m(x_i) K_m(i,j) eta_m(y_j) for gate matrices ``H_X``, ``H_Y``."""
+    out = None
+    for m, K in enumerate(grams):
+        if weights is not None:
+            term = weights[m] * K
+        else:
+            term = H_X[:, m : m + 1] * np.asarray(K) * H_Y[:, m][None, :]
+        out = term if out is None else out + term
+    return out
 
 
-def _report_from(sol: DualSolution, trace=None, converged=None) -> TrainingReport:
-    return TrainingReport(
-        iterations=len(trace) if trace is not None else 1,
-        objective_trace=list(trace) if trace is not None else [-sol.objective],
-        converged=sol.converged if converged is None else converged,
-        final_violation=sol.final_violation,
-        inner_iterations=sol.iterations,
-    )
-
-
-def train_ocsvm(
-    train_targets: np.ndarray,
-    kernel: KernelSpec,
-    nu: float,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    rho_mode: str = "margin",
-) -> OcsvmModel:
-    """Fit a single-kernel one-class SVM on target-class rows."""
-    Xn, norm = _prepare(train_targets)
-    kernel = kernel.resolved(Xn)
-    sol = solve_dual(DualProblem(gram(kernel, Xn, Xn), nu), tol=tol, max_iter=max_iter, rho_mode=rho_mode)
-    sv = sol.support_indices
-    return OcsvmModel(
-        sv_features=Xn[sv],
-        sv_alpha=sol.alpha[sv],
-        kernel=kernel,
-        rho=sol.rho,
-        normalizer=norm,
-        nu=nu,
-        n_train=Xn.shape[0],
-        report=_report_from(sol),
-    )
+def _on_simplex(weights: np.ndarray) -> bool:
+    return not np.any(weights < 0) and abs(weights.sum() - 1.0) <= 1e-9
 
 
 def composite_gram_fixed(kernels, weights, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -180,49 +129,9 @@ def composite_gram_fixed(kernels, weights, X: np.ndarray, Y: np.ndarray) -> np.n
     weights = np.asarray(weights, dtype=float).ravel()
     if len(kernels) != weights.shape[0]:
         raise ValueError("one weight per kernel required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+    if not _on_simplex(weights):
         raise ValueError("weights must be nonnegative and sum to 1")
-    out = None
-    for w, k in zip(weights, kernels):
-        term = w * gram(k, X, Y)
-        out = term if out is None else out + term
-    return out
-
-
-def train_mkad(
-    train_targets: np.ndarray,
-    kernels,
-    nu: float,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    rho_mode: str = "margin",
-) -> MkadModel:
-    """One-class SVM over the uniform fixed-weight kernel combination."""
-    Xn, norm = _prepare(train_targets)
-    kernels = tuple(k.resolved(Xn) for k in resolve_kernels(kernels))
-    weights = np.full(len(kernels), 1.0 / len(kernels))
-    Q = composite_gram_fixed(kernels, weights, Xn, Xn)
-    sol = solve_dual(DualProblem(Q, nu), tol=tol, max_iter=max_iter, rho_mode=rho_mode)
-    sv = sol.support_indices
-    return MkadModel(
-        sv_features=Xn[sv],
-        sv_alpha=sol.alpha[sv],
-        kernels=kernels,
-        weights=weights,
-        rho=sol.rho,
-        normalizer=norm,
-        nu=nu,
-        n_train=Xn.shape[0],
-        report=_report_from(sol),
-    )
-
-
-def _combine_localized(grams, H_X: np.ndarray, H_Y: np.ndarray) -> np.ndarray:
-    out = None
-    for m, K in enumerate(grams):
-        term = H_X[:, m : m + 1] * np.asarray(K) * H_Y[:, m][None, :]
-        out = term if out is None else out + term
-    return out
+    return _combine([gram(k, X, Y) for k in kernels], weights, None, None)
 
 
 def composite_gram_localized(
@@ -245,41 +154,46 @@ def composite_gram_localized(
     p = len(kernels)
     if H_X.shape != (X.shape[0], p) or H_Y.shape != (Y.shape[0], p):
         raise ValueError("gate matrices do not match the data/kernel shapes")
-    grams = [gram(k, X, Y) for k in kernels]
-    return _combine_localized(grams, H_X, H_Y)
+    return _combine([gram(k, X, Y) for k in kernels], None, H_X, H_Y)
 
 
-def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> LmkadModel:
-    """Alternating optimization of the dual and the gating parameters.
+def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig) -> Model:
+    """The trainer core: z-score the targets, resolve auto bandwidths, solve the dual.
 
-    Each outer iteration evaluates the gates, solves the one-class dual on
-    the locally combined kernel (warm-started from the previous
-    multipliers), then moves the gating parameters one step down the
-    gradient of the dual objective.  The stored model keeps the gating
-    that produced the final solve, so multipliers and gates stay
-    consistent.
+    Fixed weights take one solve.  Gates alternate: each outer iteration
+    evaluates them, solves the dual on the locally combined kernel
+    (warm-started), then steps the gating parameters down the gradient of
+    the dual objective.  The model keeps the gating of the final solve.
     """
-    Xn, norm = _prepare(train_targets)
+    X = np.atleast_2d(np.asarray(train_targets, dtype=float))
+    if X.shape[0] < 1:
+        raise ValueError("need at least one training row")
+    norm = fit_normalizer(X)
+    Xn = apply_normalizer(norm, X)
     kernels = tuple(k.resolved(Xn) for k in resolve_kernels(kernels))
     p = len(kernels)
     grams = [gram(k, Xn, Xn) for k in kernels]
 
-    if config.initial_gating is not None:
+    weights = gating = H = None
+    if family != "lmkad":
+        weights = np.full(p, 1.0 / p)
+    elif config.initial_gating is not None:
         gating = config.initial_gating
         if gating.p != p or gating.d != Xn.shape[1]:
             raise ValueError("initial_gating shape does not match kernels/data")
     else:
         gating = init_gating(config.gating_kind, p, Xn.shape[1], Xn, config.seed)
 
+    max_outer = config.max_outer if gating is not None else 1
     alpha_prev = None
     trace: list[float] = []
     converged = False
-    sol = None
-    H = None
     inner_total = 0
-    for t in range(config.max_outer):
-        H = gate_eval_batch(gating, Xn)
-        Q = _combine_localized(grams, H, H)
+    for t in range(max_outer):
+        if gating is not None:
+            H = gate_eval_batch(gating, Xn)
+        # keep Q until the next is built: freeing it per solve re-faults N x N pages (~10 % slower)
+        Q = _combine(grams, weights, H, H)
         sol = solve_dual(
             DualProblem(Q, config.nu),
             tol=config.inner_tol,
@@ -294,7 +208,7 @@ def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Lmka
             if change <= config.outer_tol:
                 converged = True
                 break
-        if t == config.max_outer - 1:
+        if t == max_outer - 1:
             break
         grad = gate_gradient(gating, sol.alpha, Xn, grams, H)
         if not grad.is_finite():
@@ -309,40 +223,64 @@ def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Lmka
     report = TrainingReport(
         iterations=len(trace),
         objective_trace=trace,
-        converged=converged,
+        converged=converged if gating is not None else sol.converged,
         final_violation=sol.final_violation,
         inner_iterations=inner_total,
     )
-    return LmkadModel(
+    return Model(
+        family=family,
+        kernels=kernels,
         sv_features=Xn[sv],
         sv_alpha=sol.alpha[sv],
-        sv_eta=H[sv],
-        kernels=kernels,
-        gating=gating,
         rho=sol.rho,
         normalizer=norm,
         nu=config.nu,
         n_train=Xn.shape[0],
+        weights=weights,
+        gating=gating,
+        sv_eta=None if H is None else H[sv],
         report=report,
     )
 
 
-def _decision_block(model, Xn: np.ndarray) -> np.ndarray:
-    if isinstance(model, OcsvmModel):
-        return gram(model.kernel, Xn, model.sv_features) @ model.sv_alpha - model.rho
-    if isinstance(model, MkadModel):
-        K = composite_gram_fixed(model.kernels, model.weights, Xn, model.sv_features)
-        return K @ model.sv_alpha - model.rho
-    if isinstance(model, LmkadModel):
-        H = gate_eval_batch(model.gating, Xn)
-        K = composite_gram_localized(
-            model.kernels, model.gating, Xn, model.sv_features, H_X=H, H_Y=model.sv_eta
-        )
-        return K @ model.sv_alpha - model.rho
-    raise TypeError(f"not a trained model: {type(model)!r}")
+def train_ocsvm(
+    train_targets: np.ndarray,
+    kernel: KernelSpec,
+    nu: float,
+    tol: float = 1e-6,
+    max_iter: int | None = None,
+    rho_mode: str = "margin",
+) -> Model:
+    """Fit a single-kernel one-class SVM on target-class rows."""
+    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
+    return _fit("ocsvm", train_targets, (kernel,), config)
 
 
-def decision_values(model, X: np.ndarray) -> np.ndarray:
+def train_mkad(
+    train_targets: np.ndarray,
+    kernels,
+    nu: float,
+    tol: float = 1e-6,
+    max_iter: int | None = None,
+    rho_mode: str = "margin",
+) -> Model:
+    """One-class SVM over the uniform fixed-weight kernel combination."""
+    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
+    return _fit("mkad", train_targets, kernels, config)
+
+
+def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Model:
+    """Alternating optimization of the dual and the gating parameters (see ``_fit``)."""
+    return _fit("lmkad", train_targets, kernels, config)
+
+
+def _decision_block(model: Model, Xn: np.ndarray) -> np.ndarray:
+    H = None if model.gating is None else gate_eval_batch(model.gating, Xn)
+    K = _combine([gram(k, Xn, model.sv_features) for k in model.kernels], model.weights, H, model.sv_eta)
+    return K @ model.sv_alpha - model.rho
+
+
+def decision_values(model: Model, X: np.ndarray) -> np.ndarray:
     """Decision function on raw inputs (normalization applied internally).
 
     Rows are scored in consecutive blocks of ``BLOCK_ROWS`` starting at
@@ -359,24 +297,24 @@ def decision_values(model, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def decision_value(model, x: np.ndarray) -> float:
-    return float(decision_values(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def predict_batch(model, X: np.ndarray) -> np.ndarray:
+def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """+1 for targets, -1 for outliers; the boundary f=0 counts as target."""
     return np.where(decision_values(model, X) >= 0.0, 1, -1)
 
 
-def predict(model, x: np.ndarray) -> int:
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
-def sv_count(model) -> int:
+def sv_count(model: Model) -> int:
     return int(model.sv_alpha.shape[0])
 
 
 # --- serialization ---------------------------------------------------------
+
+
+def _array(path, name: str, value) -> np.ndarray:
+    """A model-file field as a float array, naming the field when it is ragged."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, TypeError):
+        raise ValueError(f"{path}: {name} is not a rectangular numeric array") from None
 
 
 def _gating_to_dict(g: GatingParams) -> dict:
@@ -385,13 +323,12 @@ def _gating_to_dict(g: GatingParams) -> dict:
     return {"kind": g.kind, "v": g.v.tolist(), "v0": g.v0.tolist()}
 
 
-def _gating_from_dict(d: dict) -> GatingParams:
-    if d["kind"] == "rbf":
-        return GatingParams(kind="rbf", centers=np.asarray(d["centers"]), spreads=np.asarray(d["spreads"]))
-    return GatingParams(kind=d["kind"], v=np.asarray(d["v"]), v0=np.asarray(d["v0"]))
+def _gating_from_dict(d: dict, path) -> GatingParams:
+    names = ("centers", "spreads") if d["kind"] == "rbf" else ("v", "v0")
+    return GatingParams(kind=d["kind"], **{n: _array(path, f"gating.{n}", d[n]) for n in names})
 
 
-def save_model(model, path) -> None:
+def save_model(model: Model, path) -> None:
     """Write a model as a versioned JSON document (see README for layout)."""
     doc = {
         "format": MODEL_FORMAT,
@@ -407,17 +344,16 @@ def save_model(model, path) -> None:
         "sv_features": model.sv_features.tolist(),
         "sv_alpha": model.sv_alpha.tolist(),
     }
-    if isinstance(model, OcsvmModel):
-        doc["kernel"] = format_kernel_spec(model.kernel)
-    elif isinstance(model, MkadModel):
-        doc["kernels"] = [format_kernel_spec(k) for k in model.kernels]
+    tokens = [format_kernel_spec(k) for k in model.kernels]
+    if model.family == "ocsvm":  # one kernel, implied weight 1
+        doc["kernel"] = tokens[0]
+    else:
+        doc["kernels"] = tokens
+    if model.family == "mkad":
         doc["weights"] = model.weights.tolist()
-    elif isinstance(model, LmkadModel):
-        doc["kernels"] = [format_kernel_spec(k) for k in model.kernels]
+    if model.gating is not None:
         doc["gating"] = _gating_to_dict(model.gating)
         doc["sv_eta"] = model.sv_eta.tolist()
-    else:
-        raise TypeError(f"not a trained model: {type(model)!r}")
     if model.report is not None:
         doc["report"] = asdict(model.report)
     with open(path, "w", encoding="utf-8") as fh:
@@ -425,56 +361,48 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
-def load_model(path):
-    """Read a ``save_model`` file; fields of mismatched shape or non-finite values raise."""
+def load_model(path) -> Model:
+    """Read a ``save_model`` file; ragged, mismatched or non-finite fields raise."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    norm = Normalizer(
-        means=np.asarray(doc["normalizer"]["means"], dtype=float),
-        stddevs=np.asarray(doc["normalizer"]["stddevs"], dtype=float),
-    )
-    report = TrainingReport(**doc["report"]) if "report" in doc else None
-    common = dict(
-        sv_features=np.asarray(doc["sv_features"], dtype=float),
-        sv_alpha=np.asarray(doc["sv_alpha"], dtype=float),
+    family = doc["family"]
+    if family not in FAMILIES:
+        raise ValueError(f"{path}: unknown model family {family!r}")
+    gated = family == "lmkad"
+    tokens = [doc["kernel"]] if family == "ocsvm" else doc["kernels"]
+    weights = doc["weights"] if family == "mkad" else [1.0]
+    model = Model(
+        family=family,
+        kernels=tuple(parse_kernel_spec(t) for t in tokens),
+        sv_features=_array(path, "sv_features", doc["sv_features"]),
+        sv_alpha=_array(path, "sv_alpha", doc["sv_alpha"]),
         rho=float(doc["rho"]),
-        normalizer=norm,
+        normalizer=Normalizer(
+            means=_array(path, "normalizer.means", doc["normalizer"]["means"]),
+            stddevs=_array(path, "normalizer.stddevs", doc["normalizer"]["stddevs"]),
+        ),
         nu=float(doc["nu"]),
         n_train=int(doc["n_train"]),
-        report=report,
+        weights=None if gated else _array(path, "weights", weights),
+        gating=_gating_from_dict(doc["gating"], path) if gated else None,
+        sv_eta=_array(path, "sv_eta", doc["sv_eta"]) if gated else None,
+        report=TrainingReport(**doc["report"]) if "report" in doc else None,
     )
-    family = doc["family"]
-    if family == "ocsvm":
-        model = OcsvmModel(kernel=parse_kernel_spec(doc["kernel"]), **common)
-    elif family == "mkad":
-        model = MkadModel(
-            kernels=tuple(parse_kernel_spec(t) for t in doc["kernels"]),
-            weights=np.asarray(doc["weights"], dtype=float),
-            **common,
-        )
-    elif family == "lmkad":
-        model = LmkadModel(
-            kernels=tuple(parse_kernel_spec(t) for t in doc["kernels"]),
-            gating=_gating_from_dict(doc["gating"]),
-            sv_eta=np.asarray(doc["sv_eta"], dtype=float),
-            **common,
-        )
-    else:
-        raise ValueError(f"{path}: unknown model family {family!r}")
     _check_loaded(model, path)
     return model
 
 
-def _check_loaded(model, path) -> None:
+def _check_loaded(model: Model, path) -> None:
     """Reject a model whose arrays disagree in shape or hold non-finite values."""
     if model.sv_features.ndim != 2:
         shape = model.sv_features.shape
         raise ValueError(f"{path}: sv_features has shape {shape}, expected (n_sv, d)")
     n_sv, d = model.sv_features.shape
+    p = len(model.kernels)
     fields = {
         "rho": (np.float64(model.rho), ()),
         "sv_features": (model.sv_features, (n_sv, d)),
@@ -482,10 +410,9 @@ def _check_loaded(model, path) -> None:
         "normalizer.means": (model.normalizer.means, (d,)),
         "normalizer.stddevs": (model.normalizer.stddevs, (d,)),
     }
-    if isinstance(model, MkadModel):
-        fields["weights"] = (model.weights, (len(model.kernels),))
-    if isinstance(model, LmkadModel):
-        p = len(model.kernels)
+    if model.weights is not None:
+        fields["weights"] = (model.weights, (p,))
+    if model.gating is not None:
         fields["sv_eta"] = (model.sv_eta, (n_sv, p))
         g = model.gating
         matrix, vector = ("centers", "spreads") if g.kind == "rbf" else ("v", "v0")
@@ -496,3 +423,5 @@ def _check_loaded(model, path) -> None:
             raise ValueError(f"{path}: {name} has shape {value.shape}, expected {shape}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: {name} holds a non-finite value")
+    if model.weights is not None and not _on_simplex(model.weights):
+        raise ValueError(f"{path}: weights must be nonnegative and sum to 1")

@@ -19,6 +19,16 @@ DEFAULT_TOL = 1e-6
 RHO_MODES = ("margin", "mean-all-train")
 
 
+def infeasible_nu(nu: float, n: int) -> str | None:
+    """Why ``nu`` is infeasible on ``n`` rows (box 1/(nu*N) < 1/N), or None."""
+    if nu * n < 1.0 - 1e-9:
+        return (
+            f"infeasible nu: nu*N = {nu * n:.6g} < 1, "
+            "the simplex constraint cannot be met under the box bound"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class DualProblem:
     """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N)."""
@@ -39,11 +49,9 @@ class DualProblem:
         n = Q.shape[0]
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"infeasible nu: {self.nu} not in (0, 1]")
-        if self.nu * n < 1.0 - 1e-9:
-            raise ValueError(
-                f"infeasible nu: nu*N = {self.nu * n:.6g} < 1, "
-                "the simplex constraint cannot be met under the box bound"
-            )
+        reason = infeasible_nu(self.nu, n)
+        if reason is not None:
+            raise ValueError(reason)
         object.__setattr__(self, "q", Q)
 
     @property
@@ -136,19 +144,7 @@ def solve_dual(
 
     g = Q @ alpha  # refresh: incremental updates accumulate rounding
     objective = 0.5 * float(alpha @ g)
-    eps_sv = EPS_SV_FACTOR * upper
-    support = np.flatnonzero(alpha > eps_sv)
-    margin = np.flatnonzero((alpha > eps_sv) & (alpha < upper - eps_sv))
-    if support.size == 0:
-        raise RuntimeError("no support vectors although sum(alpha)=1; Q is corrupt")
-
-    if rho_mode == "mean-all-train":
-        rho = float(g.mean())
-    elif margin.size > 0:
-        rho = float(g[margin].mean())
-    else:
-        rho = float(g[support].mean())
-
+    support, margin, rho = _support_and_rho(alpha, g, upper, rho_mode)
     return DualSolution(
         alpha=alpha,
         objective=objective,
@@ -162,28 +158,34 @@ def solve_dual(
     )
 
 
-def compute_rho(alpha: np.ndarray, Q: np.ndarray, upper: float, rho_mode: str = "margin") -> float:
-    """Bias from a solved multiplier vector.
+def _support_and_rho(alpha: np.ndarray, g: np.ndarray, upper: float, rho_mode: str):
+    """Support and margin indices of ``alpha``, and rho from ``g = Q @ alpha``.
 
-    Default is the mean decision value over margin support vectors (the
+    Default rho is the mean decision value over margin support vectors (the
     KKT-consistent estimator), falling back to all support vectors when no
     multiplier is strictly inside the box.  ``mean-all-train`` instead
     centers the decision values over every training row.
     """
+    eps_sv = EPS_SV_FACTOR * upper
+    support = np.flatnonzero(alpha > eps_sv)
+    margin = np.flatnonzero((alpha > eps_sv) & (alpha < upper - eps_sv))
+    if support.size == 0:
+        raise RuntimeError("cannot compute rho: no support vectors")
+    if rho_mode == "mean-all-train":
+        rho = g.mean()
+    elif margin.size > 0:
+        rho = g[margin].mean()
+    else:
+        rho = g[support].mean()
+    return support, margin, float(rho)
+
+
+def compute_rho(alpha: np.ndarray, Q: np.ndarray, upper: float, rho_mode: str = "margin") -> float:
+    """Bias from a solved multiplier vector, as ``solve_dual`` computes it."""
     if rho_mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {rho_mode!r}")
     alpha = np.asarray(alpha, dtype=float)
-    g = np.asarray(Q, dtype=float) @ alpha
-    if rho_mode == "mean-all-train":
-        return float(g.mean())
-    eps_sv = EPS_SV_FACTOR * upper
-    margin = np.flatnonzero((alpha > eps_sv) & (alpha < upper - eps_sv))
-    if margin.size > 0:
-        return float(g[margin].mean())
-    support = np.flatnonzero(alpha > eps_sv)
-    if support.size == 0:
-        raise RuntimeError("cannot compute rho: no support vectors")
-    return float(g[support].mean())
+    return _support_and_rho(alpha, np.asarray(Q, dtype=float) @ alpha, upper, rho_mode)[2]
 
 
 def kkt_violation(alpha: np.ndarray, Q: np.ndarray, upper: float) -> float:

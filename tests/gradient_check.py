@@ -8,7 +8,7 @@ import numpy as np
 
 from lmkad.gating import GatingParams, gate_eval_batch, gate_gradient
 from lmkad.kernels import KernelSpec, gram
-from lmkad.models import _combine_localized
+from lmkad.models import _combine
 
 
 def make_instance(kind, rng, n=7, p=3, d=4):
@@ -35,7 +35,7 @@ def make_instance(kind, rng, n=7, p=3, d=4):
 
 def fixed_alpha_objective(params, alpha, X, grams):
     H = gate_eval_batch(params, X)
-    Q = _combine_localized(grams, H, H)
+    Q = _combine(grams, None, H, H)
     return -0.5 * float(alpha @ Q @ alpha)
 
 

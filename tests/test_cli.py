@@ -67,7 +67,8 @@ def test_predict_training_set(tmp_path, iris_path, fitted_model):
     code = run(["predict", "--model", fitted_model, "--data", iris_path,
                 "--header", "--label-column", "species", "--out", preds])
     assert code == 0
-    rows = list(csv.DictReader(open(preds)))
+    with open(preds, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 150
     labels = np.array([int(r["label"]) for r in rows])
     values = np.array([float(r["decision_value"]) for r in rows])
@@ -154,7 +155,8 @@ def benchmark_config(tmp_path, iris_path, classifiers, n_runs=1, grid=(0.1, 0.3)
 
 
 def read_results(path):
-    return list(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_benchmark_single_cell(tmp_path, iris_path):
@@ -191,11 +193,20 @@ def test_benchmark_pool_matches_serial(tmp_path, iris_path):
 
 
 def test_benchmark_all_cells_fail(tmp_path, iris_path, capsys):
-    # two kernels under family=ocsvm is invalid in every fold
+    # nu*N < 1 on every fold (40 training targets), so every candidate is skipped
+    clfs = [{"name": "broken", "family": "ocsvm", "kernels": "gauss:auto"}]
+    config = benchmark_config(tmp_path, iris_path, clfs, grid=(0.001,))
+    assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
+    assert "failed" in capsys.readouterr().err
+
+
+def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
+    # two kernels under family=ocsvm is a config error, not a skipped candidate
     clfs = [{"name": "broken", "family": "ocsvm", "kernels": "gpl"}]
     config = benchmark_config(tmp_path, iris_path, clfs)
     assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
-    assert "failed" in capsys.readouterr().err
+    assert "ocsvm takes exactly one kernel" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "results.csv").exists()
 
 
 def test_benchmark_requires_seed(tmp_path, iris_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmkad import evaluation
 from lmkad.dataset import Dataset, plan_folds
 from lmkad.evaluation import (
     ClassifierConfig,
@@ -122,6 +123,18 @@ def test_cross_validate_skips_infeasible_candidates():
     assert math.isnan(failed.mean_gmean)
     assert all(o.error is not None for o in failed.folds)
     assert failed.warnings
+
+
+def test_cross_validate_training_error_propagates(monkeypatch):
+    # only an infeasible nu skips a candidate; any other failure is loud
+    def broken(config, train_targets, nu, seed):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(evaluation, "train_for_config", broken)
+    ds = tiny_dataset()
+    plan = plan_folds(ds, 5, 1, seed=3)
+    with pytest.raises(RuntimeError, match="solver blew up"):
+        cross_validate(ds, OCSVM_G, [0.001, 0.5], plan, base_seed=1)
 
 
 def test_cross_validate_empty_grid():

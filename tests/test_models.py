@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from lmkad.models import (
     LmkadConfig,
     composite_gram_fixed,
     composite_gram_localized,
-    decision_value,
     decision_values,
     load_model,
-    predict,
     predict_batch,
     resolve_kernels,
     save_model,
@@ -53,15 +52,15 @@ def test_single_point_model():
     model = train_ocsvm(X, GAUSS1, nu=1.0)
     assert np.array_equal(model.sv_alpha, [1.0])
     assert model.rho == 1.0  # K(x, x) after normalization
-    assert decision_value(model, X[0]) == 0.0
-    assert predict(model, X[0]) == 1  # boundary counts as target
+    assert decision_values(model, X[:1])[0] == 0.0
+    assert predict_batch(model, X[:1])[0] == 1  # boundary counts as target
 
 
 def test_two_identical_points():
     X = np.array([[1.0, 2.0], [1.0, 2.0]])
     model = train_ocsvm(X, GAUSS1, nu=1.0)
-    assert decision_value(model, X[0]) == pytest.approx(0.0, abs=1e-12)
-    assert predict(model, X[0]) == 1
+    assert decision_values(model, X[:1])[0] == pytest.approx(0.0, abs=1e-12)
+    assert predict_batch(model, X[:1])[0] == 1
 
 
 def test_ocsvm_nu_property_iris(iris, iris_plan):
@@ -298,6 +297,7 @@ def _poison(values, x):
         ("ocsvm", lambda doc: doc["sv_alpha"].pop(), r"sv_alpha has shape"),
         ("lmkad", lambda doc: doc["sv_eta"].pop(), r"sv_eta has shape"),
         ("lmkad", lambda doc: _drop_last_column(doc["sv_eta"]), r"sv_eta has shape \(\d+, 2\)"),
+        ("lmkad", lambda doc: doc["sv_eta"][0].pop(), r"model.json: sv_eta is not a rectangular"),
         ("ocsvm", lambda doc: doc["normalizer"]["means"].pop(), r"normalizer.means has shape"),
         ("ocsvm", lambda doc: doc["normalizer"]["stddevs"].append(1.0), r"normalizer.stddevs"),
         ("mkad", lambda doc: doc["weights"].append(0.0), r"weights has shape \(4,\), expected"),
@@ -315,6 +315,22 @@ def test_load_rejects_inconsistent_model(tmp_path, family, corrupt, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+V1_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("family", ["ocsvm", "mkad", "lmkad"])
+def test_v1_model_files_still_load(tmp_path, family):
+    # v1_<family>.json and their decision values on five fixed rows were
+    # written by the format's first implementation (one class per family)
+    expected = json.loads((V1_DIR / "v1_decision_values.json").read_text())
+    path = V1_DIR / f"v1_{family}.json"
+    model = load_model(path)
+    assert model.family == family
+    assert decision_values(model, np.array(expected["rows"])).tolist() == expected[family]
+    save_model(model, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_non_model(tmp_path):
