@@ -105,6 +105,8 @@ class LmkadConfig:
             raise ValueError("outer_tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.inner_max_iter is not None and self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be >= 1")
 
 
 def _combine(grams, weights, H_X, H_Y) -> np.ndarray:
@@ -309,12 +311,16 @@ def sv_count(model: Model) -> int:
 # --- serialization ---------------------------------------------------------
 
 
-def _array(path, name: str, value) -> np.ndarray:
-    """A model-file field as a float array, naming the field when it is ragged."""
+def _field(path, name: str, value, convert, expected: str):
+    """``convert(value)`` for a model-file field, naming the file and field when it fails."""
     try:
-        return np.asarray(value, dtype=float)
+        return convert(value)
     except (ValueError, TypeError):
-        raise ValueError(f"{path}: {name} is not a rectangular numeric array") from None
+        raise ValueError(f"{path}: {name} is not {expected}") from None
+
+
+def _array(path, name: str, value) -> np.ndarray:
+    return _field(path, name, value, lambda v: np.asarray(v, dtype=float), "a rectangular numeric array")
 
 
 def _gating_to_dict(g: GatingParams) -> dict:
@@ -380,17 +386,21 @@ def load_model(path) -> Model:
         kernels=tuple(parse_kernel_spec(t) for t in tokens),
         sv_features=_array(path, "sv_features", doc["sv_features"]),
         sv_alpha=_array(path, "sv_alpha", doc["sv_alpha"]),
-        rho=float(doc["rho"]),
+        rho=_field(path, "rho", doc["rho"], float, "a number"),
         normalizer=Normalizer(
             means=_array(path, "normalizer.means", doc["normalizer"]["means"]),
             stddevs=_array(path, "normalizer.stddevs", doc["normalizer"]["stddevs"]),
         ),
-        nu=float(doc["nu"]),
-        n_train=int(doc["n_train"]),
+        nu=_field(path, "nu", doc["nu"], float, "a number"),
+        n_train=_field(path, "n_train", doc["n_train"], int, "an integer"),
         weights=None if gated else _array(path, "weights", weights),
         gating=_gating_from_dict(doc["gating"], path) if gated else None,
         sv_eta=_array(path, "sv_eta", doc["sv_eta"]) if gated else None,
-        report=TrainingReport(**doc["report"]) if "report" in doc else None,
+        report=(
+            _field(path, "report", doc["report"], lambda d: TrainingReport(**d), "a training report")
+            if "report" in doc
+            else None
+        ),
     )
     _check_loaded(model, path)
     return model

@@ -5,9 +5,23 @@ Minimizes ``0.5 * a' Q a`` subject to ``0 <= a_i <= 1/(nu*N)`` and
 precomputed Gram matrix.  Each pair step solves the two-variable
 subproblem exactly and preserves the simplex constraint, so the objective
 never increases and every iterate stays feasible.
+
+The loop's cost is numpy call overhead, not arithmetic (duals here are
+often N~40), so it makes few numpy calls per step.  The bound masks are
+kept incrementally as additive penalty vectors (-inf where ``alpha == 0``,
++inf where ``alpha == upper``) that change only at the two updated rows;
+``g + penalty`` goes into a preallocated buffer and the ndarray
+``argmax``/``argmin`` methods pick the pair with numpy's first-index tie
+rule.  Multipliers and the diagonal are Python floats inside the loop,
+and the gradient update ``g += step * (Q[:, j] - Q[:, i])`` runs in a
+scratch buffer with the same three roundings per entry.  Every iterate
+is therefore bit for bit that of the plain loop kept in
+``tests/smo_reference.py``.  Columns, not rows, are read: a localized Q
+is symmetric only up to rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +118,11 @@ def solve_dual(
     ``alpha0`` warm-starts the iteration (it is projected back into the
     feasible set first).  If ``max_iter`` pair updates elapse before
     convergence the best-so-far solution is returned with
-    ``converged=False``; the default cap is ``100 * N**2``.
+    ``converged=False``; the default cap is ``100 * N**2`` and a cap below
+    1 is rejected.  The bound masks are kept incrementally (see the module
+    docstring), but the pair rule, the step and its floating-point
+    operations are those of the plain loop that rebuilds both masks every
+    step, so the iterates, step count and violation trace equal its own.
     """
     if rho_mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {rho_mode!r}")
@@ -113,35 +131,60 @@ def solve_dual(
     upper = problem.upper_bound
     if max_iter is None:
         max_iter = 100 * n * n
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    alpha = _feasible_start(n, upper, alpha0)
-    g = Q @ alpha
+    start = _feasible_start(n, upper, alpha0)
+    g = Q @ start
     trace: list[float] = []
+
+    # loop state (see the module docstring): Python floats, penalty masks, buffers
+    upper = float(upper)
+    alpha = start.tolist()
+    diag = Q.diagonal().tolist()
+    cols = Q.T  # cols[j] is the column Q[:, j], not the row Q[j]
+    pen_dec = np.where(start > 0.0, 0.0, -np.inf)
+    pen_inc = np.where(start < upper, 0.0, np.inf)
+    g_dec = np.empty(n)
+    g_inc = np.empty(n)
+    d = np.empty(n)
 
     converged = False
     iterations = 0
-    gap = np.inf
+    gap = math.inf
     while iterations < max_iter:
-        g_dec = np.where(alpha > 0.0, g, -np.inf)
-        g_inc = np.where(alpha < upper, g, np.inf)
-        i = int(np.argmax(g_dec))
-        j = int(np.argmin(g_inc))
-        gap = g_dec[i] - g_inc[j]
+        np.add(g, pen_dec, out=g_dec)
+        np.add(g, pen_inc, out=g_inc)
+        i = g_dec.argmax()
+        j = g_inc.argmin()
+        gap = float(g_dec[i]) - float(g_inc[j])
         if record_violations:
-            trace.append(max(0.0, gap if np.isfinite(gap) else 0.0))
+            trace.append(max(0.0, gap if math.isfinite(gap) else 0.0))
         if gap <= tol:
             converged = True
             break
         # exact minimizer of the 2-variable subproblem, then box clipping
-        curvature = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+        col_i = cols[i]
+        col_j = cols[j]
+        curvature = diag[i] + diag[j] - 2.0 * float(col_j[i])
         if curvature <= 1e-12:
             curvature = 1e-12
         step = min(gap / curvature, alpha[i], upper - alpha[j])
         alpha[i] -= step
         alpha[j] += step
-        g += step * (Q[:, j] - Q[:, i])
+        a_i = alpha[i]
+        a_j = alpha[j]
+        pen_dec[i] = 0.0 if a_i > 0.0 else -math.inf
+        pen_inc[i] = 0.0 if a_i < upper else math.inf
+        pen_dec[j] = 0.0 if a_j > 0.0 else -math.inf
+        pen_inc[j] = 0.0 if a_j < upper else math.inf
+        # g += step * (Q[:, j] - Q[:, i]) with the same three roundings
+        np.subtract(col_j, col_i, out=d)
+        d *= step
+        g += d
         iterations += 1
 
+    alpha = np.array(alpha)
     g = Q @ alpha  # refresh: incremental updates accumulate rounding
     objective = 0.5 * float(alpha @ g)
     support, margin, rho = _support_and_rho(alpha, g, upper, rho_mode)

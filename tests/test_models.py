@@ -305,6 +305,8 @@ def _poison(values, x):
         ("ocsvm", lambda doc: _poison(doc["sv_alpha"], float("nan")), r"sv_alpha holds a non-finite"),
         ("ocsvm", lambda doc: doc.update(rho=float("inf")), r"rho holds a non-finite value"),
         ("lmkad", lambda doc: _poison(doc["sv_features"][0], -float("inf")), r"sv_features holds"),
+        ("ocsvm", lambda doc: doc.update(rho=[1.0]), r"model.json: rho is not a number"),
+        ("mkad", lambda doc: doc["report"].pop("converged"), r"model.json: report is not a training report"),
     ],
 )
 def test_load_rejects_inconsistent_model(tmp_path, family, corrupt, message):
@@ -381,6 +383,10 @@ def test_lmkad_config_validation():
         LmkadConfig(nu=0.5, outer_tol=0.0)
     with pytest.raises(ValueError):
         LmkadConfig(nu=0.5, max_outer=0)
+    with pytest.raises(ValueError, match="inner_max_iter must be >= 1"):
+        LmkadConfig(nu=0.5, inner_max_iter=0)
+    with pytest.raises(ValueError, match="inner_max_iter must be >= 1"):
+        train_mkad(blob(29, 10), "gpl", 0.5, max_iter=-5)
 
 
 def test_warm_start_matches_cold_objective():

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmkad.dataset import apply_normalizer, fit_normalizer
+from lmkad.gating import gate_eval_batch, init_gating
+from lmkad.models import composite_gram_fixed, composite_gram_localized, resolve_kernels
 from lmkad.solver import DualProblem, compute_rho, kkt_violation, solve_dual
 from qp_oracle import brute_force_qp, random_psd_gram
+from smo_reference import reference_solve_dual
 
 
 def sym2(k):
@@ -66,6 +70,12 @@ def test_max_iter_exhaustion_flagged():
     assert sol.iterations == 1
     # best-so-far output is still feasible
     assert abs(sol.alpha.sum() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_max_iter_below_one_rejected(cap):
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_dual(DualProblem(np.eye(3), nu=1.0), max_iter=cap)
 
 
 def test_kkt_violation_solved_case():
@@ -178,3 +188,69 @@ def test_feasibility_properties(seed, nu):
     assert sol.alpha.min() >= 0.0
     assert sol.alpha.max() <= problem.upper_bound + 1e-10
     assert sol.converged
+
+
+def _psd(n, nu):
+    return DualProblem(random_psd_gram(np.random.default_rng(100 + n), n), nu)
+
+
+def _iris_gpl(iris):
+    """Z-scored first 40 setosa rows and their resolved gpl kernels."""
+    X = iris.features[:40]
+    Xn = apply_normalizer(fit_normalizer(X), X)
+    return Xn, tuple(k.resolved(Xn) for k in resolve_kernels("gpl"))
+
+
+def _mkad_gpl(iris, nu):
+    # the MKAD Gram (diagonal 0.9-75); at nu=0.05 the run takes ~1,800 steps
+    Xn, kernels = _iris_gpl(iris)
+    return DualProblem(composite_gram_fixed(kernels, np.full(3, 1 / 3), Xn, Xn), nu)
+
+
+def _lmkad(iris, kind):
+    Xn, kernels = _iris_gpl(iris)
+    gating = init_gating(kind, 3, Xn.shape[1], Xn, seed=5)
+    H = gate_eval_batch(gating, Xn)
+    Q = composite_gram_localized(kernels, gating, Xn, Xn, H_X=H, H_Y=H)
+    assert not np.array_equal(Q, Q.T)  # symmetric only up to rounding
+    return DualProblem(Q, 0.2)
+
+
+SMO_PATH_CASES = {
+    "psd-2": lambda iris: (_psd(2, 0.6), {}),
+    "psd-8": lambda iris: (_psd(8, 0.5), {}),
+    "psd-40": lambda iris: (_psd(40, 0.3), {}),
+    "psd-200": lambda iris: (_psd(200, 0.3), {}),
+    "mkad-gpl-iris": lambda iris: (_mkad_gpl(iris, 0.05), {}),
+    "lmkad-sigmoid": lambda iris: (_lmkad(iris, "sigmoid"), {}),
+    "lmkad-softmax": lambda iris: (_lmkad(iris, "softmax"), {}),
+    # warm starts with every multiplier at the upper bound 1/(nu*N) or at 0
+    "warm-psd-8-bounds": lambda iris: (_psd(8, 0.5), {"alpha0": np.repeat([0.25, 0.0], 4)}),
+    "warm-mkad-bounds": lambda iris: (_mkad_gpl(iris, 0.1), {"alpha0": np.repeat([0.25, 0.0], [4, 36])}),
+    "nu-1": lambda iris: (_psd(6, 1.0), {}),
+    "max-iter-1": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 1}),
+    "max-iter-500": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 500}),
+    "tol-1e-9-mean-all-train": lambda iris: (_psd(40, 0.3), {"tol": 1e-9, "rho_mode": "mean-all-train"}),
+}
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("case", sorted(SMO_PATH_CASES))
+def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record):
+    # solve_dual must take exactly the steps of the plain loop in
+    # smo_reference.py: same pairs, same roundings, same stopping step
+    problem, kwargs = SMO_PATH_CASES[case](iris)
+    new = solve_dual(problem, record_violations=record, **kwargs)
+    ref = reference_solve_dual(problem, record_violations=record, **kwargs)
+    assert np.array_equal(new.alpha, ref.alpha)
+    assert new.iterations == ref.iterations
+    assert new.converged == ref.converged
+    assert new.final_violation == ref.final_violation
+    assert new.objective == ref.objective
+    assert new.rho == ref.rho
+    assert new.violation_trace == ref.violation_trace
+    assert len(new.violation_trace) == (new.iterations + new.converged if record else 0)
+    if "max_iter" in kwargs:
+        assert not new.converged and new.iterations == kwargs["max_iter"]
+    elif case == "mkad-gpl-iris":
+        assert new.iterations > 1000
