@@ -26,14 +26,16 @@ from .gating import (
     gate_gradient,
     init_gating,
 )
-from .solver import DualProblem, DualSolution, compute_rho, kkt_violation, solve_dual
+from .solver import DualProblem, DualSolution, compute_rho, kkt_violation, solve_dual, solve_duals
 from .models import (
     KERNEL_PRESETS,
+    FitJob,
     LmkadConfig,
     Model,
     composite_gram_fixed,
     composite_gram_localized,
     decision_values,
+    fit_many,
     load_model,
     predict_batch,
     resolve_kernels,

@@ -14,19 +14,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import fdtrc
 
 from .dataset import Dataset, FoldPlan, split_for_occ
 from .models import (
     FAMILIES,
+    FitJob,
     LmkadConfig,
     Model,
+    fit_many,
     predict_batch,
     resolve_kernels,
     sv_count,
-    train_lmkad,
-    train_mkad,
-    train_ocsvm,
 )
 from .solver import infeasible_nu
 
@@ -98,14 +97,13 @@ class ClassifierConfig:
             raise ValueError("ocsvm takes exactly one kernel")
 
 
-def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int) -> Model:
-    """Train one model of the configured family at a given nu (``lmkad fit`` uses it too)."""
+def _fit_job(config: ClassifierConfig, train_targets, nu: float, seed: int) -> FitJob:
+    """The training job of one model of the configured family at a given nu."""
     kernels = resolve_kernels(config.kernels)
-    if config.family == "ocsvm":
-        return train_ocsvm(train_targets, kernels[0], nu, tol=config.inner_tol, rho_mode=config.rho_mode)
-    if config.family == "mkad":
-        return train_mkad(train_targets, kernels, nu, tol=config.inner_tol, rho_mode=config.rho_mode)
-    lmkad_cfg = LmkadConfig(
+    if config.family != "lmkad":
+        trainer = LmkadConfig(nu=nu, inner_tol=config.inner_tol, rho_mode=config.rho_mode)
+        return FitJob(config.family, train_targets, kernels, trainer)
+    trainer = LmkadConfig(
         nu=nu,
         gating_kind=config.gating,
         learning_rate=config.learning_rate,
@@ -116,7 +114,12 @@ def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: i
         seed=seed,
         rho_mode=config.rho_mode,
     )
-    return train_lmkad(train_targets, kernels, lmkad_cfg)
+    return FitJob("lmkad", train_targets, kernels, trainer)
+
+
+def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int) -> Model:
+    """Train one model of the configured family at a given nu (``lmkad fit`` uses it)."""
+    return fit_many([_fit_job(config, train_targets, nu, seed)])[0]
 
 
 def _derived_seed(base_seed: int, run: int, fold: int, grid_index: int) -> int:
@@ -175,51 +178,59 @@ def cross_validate(
     if not nu_grid:
         raise ValueError("empty hyperparameter grid")
 
+    # train every feasible candidate of the cell at once, then select per fold
+    folds = []
+    jobs: list[FitJob] = []
+    for run in range(plan.n_runs):
+        for fold in range(plan.n_folds):
+            train_targets, validation, test = split_for_occ(dataset, plan, run, fold)
+            candidates, fold_errors = [], []
+            for gi, nu in enumerate(nu_grid):
+                reason = infeasible_nu(nu, train_targets.shape[0])
+                if reason is not None:
+                    fold_errors.append((nu, f"nu={nu}: {reason}"))
+                    continue
+                candidates.append((nu, len(jobs)))
+                jobs.append(_fit_job(config, train_targets, nu, _derived_seed(base_seed, run, fold, gi)))
+            folds.append((run, fold, validation, test, candidates, fold_errors))
+    models = fit_many(jobs)
+
     outcomes: list[FoldOutcome] = []
     warnings: list[str] = []
     warned_single_class = False
     skipped_candidates: dict[float, int] = {}
-    for run in range(plan.n_runs):
-        for fold in range(plan.n_folds):
-            train_targets, validation, test = split_for_occ(dataset, plan, run, fold)
-            if not warned_single_class and np.all(validation.labels == 1):
-                warnings.append(
-                    f"validation folds contain no outlier rows; "
-                    f"candidate scoring degrades to recall only ({dataset.name})"
-                )
-                warned_single_class = True
-
-            best = None
-            fold_errors = []
-            for gi, nu in enumerate(nu_grid):
-                reason = infeasible_nu(nu, train_targets.shape[0])
-                if reason is not None:
-                    fold_errors.append(f"nu={nu}: {reason}")
-                    skipped_candidates[nu] = skipped_candidates.get(nu, 0) + 1
-                    continue
-                model = train_for_config(
-                    config, train_targets, nu, seed=_derived_seed(base_seed, run, fold, gi)
-                )
-                score = _score(model, validation)
-                if best is None or score > best[0]:
-                    best = (score, nu, model)
-
-            if best is None:
-                msg = "; ".join(fold_errors) or "no candidate trained"
-                outcomes.append(FoldOutcome(run, fold, None, None, None, None, error=msg))
-                warnings.append(f"run {run} fold {fold} skipped: {msg}")
-                continue
-            val_score, chosen_nu, model = best
-            outcomes.append(
-                FoldOutcome(
-                    run=run,
-                    fold=fold,
-                    chosen_nu=chosen_nu,
-                    validation_gmean=val_score,
-                    test_gmean=_score(model, test),
-                    sv_pct=sv_fraction(model),
-                )
+    for run, fold, validation, test, candidates, fold_errors in folds:
+        if not warned_single_class and np.all(validation.labels == 1):
+            warnings.append(
+                f"validation folds contain no outlier rows; "
+                f"candidate scoring degrades to recall only ({dataset.name})"
             )
+            warned_single_class = True
+
+        for nu, _ in fold_errors:
+            skipped_candidates[nu] = skipped_candidates.get(nu, 0) + 1
+        best = None
+        for nu, k in candidates:
+            score = _score(models[k], validation)
+            if best is None or score > best[0]:
+                best = (score, nu, models[k])
+
+        if best is None:
+            msg = "; ".join(error for _, error in fold_errors) or "no candidate trained"
+            outcomes.append(FoldOutcome(run, fold, None, None, None, None, error=msg))
+            warnings.append(f"run {run} fold {fold} skipped: {msg}")
+            continue
+        val_score, chosen_nu, model = best
+        outcomes.append(
+            FoldOutcome(
+                run=run,
+                fold=fold,
+                chosen_nu=chosen_nu,
+                validation_gmean=val_score,
+                test_gmean=_score(model, test),
+                sv_pct=sv_fraction(model),
+            )
+        )
 
     n_cells = plan.n_runs * plan.n_folds
     for nu, count in sorted(skipped_candidates.items()):
@@ -304,8 +315,21 @@ def friedman_statistics(avg_ranks, n_datasets: int) -> FriedmanReport:
     if denom <= 1e-12:
         return FriedmanReport(ranks, chi_sq, float("inf"), 0.0, n, k, df1, df2, degenerate=True)
     f_stat = (n - 1) * chi_sq / denom
-    p_value = float(_sps.f.sf(f_stat, df1, df2))
+    # the F survival function as scipy.stats.f.sf computes it, 1 at and below 0
+    p_value = float(fdtrc(df1, df2, f_stat)) if f_stat > 0 else 1.0
     return FriedmanReport(ranks, chi_sq, f_stat, p_value, n, k, df1, df2)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n in ascending order; a tie group at sorted positions a..b-1
+    gets (a + b + 1) / 2, as ``scipy.stats.rankdata(method="average")``."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.shape[0]]
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def friedman_test(matrix) -> FriedmanReport:
@@ -320,7 +344,7 @@ def friedman_test(matrix) -> FriedmanReport:
         raise ValueError("need >= 2 classifiers")
     if n < 2:
         raise ValueError("need >= 2 datasets")
-    ranks = np.vstack([_sps.rankdata(-row, method="average") for row in M])
+    ranks = np.vstack([_average_ranks(-row) for row in M])
     return friedman_statistics(ranks.mean(axis=0), n)
 
 

@@ -6,6 +6,14 @@ either fixed (``weights``: OCSVM is one kernel with weight 1, MKAD uses
 k(x, y) = sum_m eta_m(x) K_m(x, y) eta_m(y)).  ``family`` is a label.
 One trainer core serves all three families.
 
+The trainer core (``_fit``) is a generator that yields each dual it needs
+and resumes with the solution.  ``fit_many`` drives many fits at once: each
+round, every fit runs to its next dual, and the pending duals go to one
+``solver.solve_duals`` call, which advances equal-size duals in lockstep
+and hands the last few to the scalar loop.  Every fit keeps the iterates,
+and so the model, it gets when trained alone; ``train_ocsvm``,
+``train_mkad`` and ``train_lmkad`` are one-fit calls of ``fit_many``.
+
 Trained models are immutable; ``decision_values``/``predict_batch``
 normalize raw inputs internally.  ``save_model``/``load_model`` round-trip
 models through a versioned JSON container (exact float round-trip).
@@ -14,13 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Normalizer, fit_normalizer, apply_normalizer
 from .gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_gating
 from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
-from .solver import DualProblem, solve_dual
+from .solver import DualProblem, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -28,6 +37,10 @@ FAMILIES = ("ocsvm", "mkad", "lmkad")
 
 #: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
 BLOCK_ROWS = 8192
+
+#: estimated bytes of N x N training state that ``fit_many`` trains at once: the
+#: 100 feasible fits of an iris cell (N=40) form one batch, a gpl fit at N=1000 one alone
+BATCH_BYTES = 32 * 2**20
 
 #: named kernel combinations exposed on the CLI
 KERNEL_PRESETS = {
@@ -159,13 +172,25 @@ def composite_gram_localized(
     return _combine([gram(k, X, Y) for k in kernels], None, H_X, H_Y)
 
 
-def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig) -> Model:
+class FitJob(NamedTuple):
+    """One model to train: its family, target rows, kernels and trainer knobs."""
+
+    family: str
+    train_targets: np.ndarray
+    kernels: object
+    config: LmkadConfig
+
+
+def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig):
     """The trainer core: z-score the targets, resolve auto bandwidths, solve the dual.
 
-    Fixed weights take one solve.  Gates alternate: each outer iteration
-    evaluates them, solves the dual on the locally combined kernel
-    (warm-started), then steps the gating parameters down the gradient of
-    the dual objective.  The model keeps the gating of the final solve.
+    A generator driven by ``fit_many``: it yields each dual it needs as
+    ``(DualProblem, alpha0)``, is sent the ``DualSolution`` back, and
+    returns the ``Model``.  Fixed weights take one solve.  Gates
+    alternate: each outer iteration evaluates them, solves the dual on
+    the locally combined kernel (warm-started), then steps the gating
+    parameters down the gradient of the dual objective.  The model keeps
+    the gating of the final solve.
     """
     X = np.atleast_2d(np.asarray(train_targets, dtype=float))
     if X.shape[0] < 1:
@@ -196,13 +221,7 @@ def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig) -
             H = gate_eval_batch(gating, Xn)
         # keep Q until the next is built: freeing it per solve re-faults N x N pages (~10 % slower)
         Q = _combine(grams, weights, H, H)
-        sol = solve_dual(
-            DualProblem(Q, config.nu),
-            tol=config.inner_tol,
-            max_iter=config.inner_max_iter,
-            alpha0=alpha_prev,
-            rho_mode=config.rho_mode,
-        )
+        sol = yield DualProblem(Q, config.nu), alpha_prev
         inner_total += sol.iterations
         trace.append(-sol.objective)  # dual objective J(eta)
         if len(trace) >= 2:
@@ -245,6 +264,63 @@ def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig) -
     )
 
 
+def _batches(jobs: list[FitJob]):
+    """Consecutive runs of job indices whose estimated N x N state fits ``BATCH_BYTES``."""
+    batch: list[int] = []
+    used = 0
+    for k, job in enumerate(jobs):
+        n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
+        # the base Grams, the combined Gram and its transposed copy in the lockstep stack
+        size = (len(resolve_kernels(job.kernels)) + 2) * n * n * 8
+        if batch and used + size > BATCH_BYTES:
+            yield batch
+            batch, used = [], 0
+        batch.append(k)
+        used += size
+    if batch:
+        yield batch
+
+
+def fit_many(jobs) -> list[Model]:
+    """Train every ``FitJob``; each model equals the one it would get alone.
+
+    Jobs are admitted in consecutive batches under ``BATCH_BYTES`` of
+    live N x N state.  Within a batch every fit runs its trainer core up
+    to its next dual, and the pending duals of a round that share solver
+    settings go to one ``solve_duals`` call, which keeps every iterate of
+    a lone solve.  Gates, kernel combination, validation and the
+    gradient stay per fit.  The first training error propagates.
+    """
+    jobs = list(jobs)
+    models: list[Model | None] = [None] * len(jobs)
+    for batch in _batches(jobs):
+        pending = {}
+        for k in batch:
+            fit = _fit(*jobs[k])
+            pending[k] = (fit, next(fit))
+        while pending:
+            rounds: dict[tuple, list[int]] = {}
+            for k in pending:
+                c = jobs[k].config
+                rounds.setdefault((c.inner_tol, c.inner_max_iter, c.rho_mode), []).append(k)
+            for (tol, max_iter, rho_mode), keys in rounds.items():
+                solutions = solve_duals(
+                    [pending[k][1][0] for k in keys],
+                    [pending[k][1][1] for k in keys],
+                    tol=tol,
+                    max_iter=max_iter,
+                    rho_mode=rho_mode,
+                )
+                for k, sol in zip(keys, solutions):
+                    fit = pending[k][0]
+                    try:
+                        pending[k] = (fit, fit.send(sol))
+                    except StopIteration as done:
+                        models[k] = done.value
+                        del pending[k]
+    return models
+
+
 def train_ocsvm(
     train_targets: np.ndarray,
     kernel: KernelSpec,
@@ -255,7 +331,7 @@ def train_ocsvm(
 ) -> Model:
     """Fit a single-kernel one-class SVM on target-class rows."""
     config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
-    return _fit("ocsvm", train_targets, (kernel,), config)
+    return fit_many([FitJob("ocsvm", train_targets, (kernel,), config)])[0]
 
 
 def train_mkad(
@@ -268,12 +344,12 @@ def train_mkad(
 ) -> Model:
     """One-class SVM over the uniform fixed-weight kernel combination."""
     config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
-    return _fit("mkad", train_targets, kernels, config)
+    return fit_many([FitJob("mkad", train_targets, kernels, config)])[0]
 
 
 def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Model:
     """Alternating optimization of the dual and the gating parameters (see ``_fit``)."""
-    return _fit("lmkad", train_targets, kernels, config)
+    return fit_many([FitJob("lmkad", train_targets, kernels, config)])[0]
 
 
 def _decision_block(model: Model, Xn: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Reference SMO loop for bit-for-bit checks of ``lmkad.solver.solve_dual``.
+"""Reference SMO loop for bit-for-bit checks of ``lmkad.solver.solve_duals``.
 
 The plain numpy-per-step SMO loop, kept verbatim as an oracle: it
 rebuilds both bound masks with ``np.where`` at every step, picks the
 maximal violating pair with ``np.argmax``/``np.argmin`` and updates the
-gradient with ``g += step * (Q[:, j] - Q[:, i])``.  ``solve_dual`` must
-reproduce every iterate of it exactly, so the comparison uses
+gradient with ``g += step * (Q[:, j] - Q[:, i])``.  Both loop forms of
+``solve_duals`` (the scalar loop behind ``solve_dual`` and the lockstep
+batch) must reproduce every iterate of it exactly, so the comparison uses
 ``np.array_equal`` and ``==``, never a tolerance.  The feasible start and
 the rho computation are shared with the solver; only the loop is copied.
 """

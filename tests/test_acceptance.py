@@ -2,15 +2,19 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 
-Criterion 6 carries a known-failing threshold: under leakage-free per-fold
-z-scoring (statistics fit on training targets only), iris outliers land at
-z ~ +10..+30 where the polynomial/linear kernels dwarf the margin, and the
-smallest feasible nu in the prescribed grid caps mean test recall near 0.81
-(verified identical to LIBSVM on the same precomputed kernels).  That bounds
-the attainable mean Gmean near 0.90 for any gating, so the >= 0.95 target
-for the sigmoid variant is not reachable; the assertion is kept as written
-rather than weakened.  The directional clauses (LMKAD beats MKAD on Gmean,
-and uses fewer support vectors) do hold and are asserted.
+Criterion 6 carries a known-failing threshold: LMKAD(S_gpl) measures a
+mean Gmean of 0.4815 on the iris-setosa protocol (MKAD(gpl): 0.4751), and
+the >= 0.95 assertion is kept as written rather than weakened.  Measured
+causes (ROADMAP item 4): the gates saturate (mean gate value 0.95-1.0 on
+targets for the gaussian and poly(2) kernels, because training sees
+targets only and larger gates lower the dual objective); with z-scores
+fit on the training targets only, iris outliers land at z ~ +10..+30 and
+the poly(2) kernel accepts every one of them; and the normalization
+contract, not the gating, moves the result: LMKAD(S_gpl) stays within
+0.012 of MKAD(gpl) in all 15 measured cells, while normalization alone
+moves MKAD(gpl) by up to 0.45 without leakage.  The directional clauses
+(LMKAD beats MKAD on Gmean on the same folds, criterion 6, and uses fewer
+support vectors, criterion 9) do hold and are asserted.
 
 There is deliberately no test reproducing the full published 25-dataset
 result tables; the bundled reference matrix covers the statistics path

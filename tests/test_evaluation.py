@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmkad import evaluation
-from lmkad.dataset import Dataset, plan_folds
+from lmkad import evaluation, models
+from lmkad.dataset import Dataset, plan_folds, split_for_occ
 from lmkad.evaluation import (
     ClassifierConfig,
     ConfusionCounts,
+    FoldOutcome,
     cross_validate,
     friedman_statistics,
     friedman_test,
@@ -19,6 +21,7 @@ from lmkad.evaluation import (
     read_gmean_matrix_csv,
     sv_fraction,
 )
+from lmkad.solver import infeasible_nu
 
 #: average ranks of the bundled 25x14 reference Gmean matrix, as published
 REFERENCE_RANKS = {
@@ -127,14 +130,96 @@ def test_cross_validate_skips_infeasible_candidates():
 
 def test_cross_validate_training_error_propagates(monkeypatch):
     # only an infeasible nu skips a candidate; any other failure is loud
-    def broken(config, train_targets, nu, seed):
+    def broken(jobs):
         raise RuntimeError("solver blew up")
 
-    monkeypatch.setattr(evaluation, "train_for_config", broken)
+    monkeypatch.setattr(evaluation, "fit_many", broken)
     ds = tiny_dataset()
     plan = plan_folds(ds, 5, 1, seed=3)
     with pytest.raises(RuntimeError, match="solver blew up"):
         cross_validate(ds, OCSVM_G, [0.001, 0.5], plan, base_seed=1)
+
+
+PIN_CONFIGS = {
+    "ocsvm": ClassifierConfig(name="OCSVM(g)", family="ocsvm", kernels="gauss:auto"),
+    "mkad": ClassifierConfig(name="MKAD(gpl)", family="mkad", kernels="gpl"),
+    "lmkad-sigmoid": ClassifierConfig(name="S", family="lmkad", kernels="gpl", gating="sigmoid"),
+    "lmkad-softmax": ClassifierConfig(name="So", family="lmkad", kernels="gpl", gating="softmax"),
+    "lmkad-rbf": ClassifierConfig(name="R", family="lmkad", kernels="gpp", gating="rbf"),
+}
+#: the protocol's grid; nu = 0.02 is infeasible on the 40-row setosa folds
+PIN_GRID = [0.02, 0.05, 0.1, 0.2, 0.3]
+
+
+def _per_candidate_outcomes(dataset, config, nu_grid, plan, base_seed):
+    """The protocol with one ``train_for_config`` call per feasible candidate."""
+    outcomes = []
+    for run in range(plan.n_runs):
+        for fold in range(plan.n_folds):
+            train, validation, test = split_for_occ(dataset, plan, run, fold)
+            best = None
+            for gi, nu in enumerate(nu_grid):
+                if infeasible_nu(nu, train.shape[0]) is not None:
+                    continue
+                seed = evaluation._derived_seed(base_seed, run, fold, gi)
+                model = evaluation.train_for_config(config, train, nu, seed)
+                score = evaluation._score(model, validation)
+                if best is None or score > best[0]:
+                    best = (score, nu, model)
+            score, nu, model = best
+            outcomes.append(
+                FoldOutcome(run, fold, nu, score, evaluation._score(model, test), sv_fraction(model))
+            )
+    return outcomes
+
+
+@pytest.mark.parametrize("budget", ["one-batch", "several-batches"])
+@pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+def test_cross_validate_matches_per_candidate_training(iris, monkeypatch, name, budget):
+    # training a cell's candidates together must select and score exactly as
+    # training each candidate alone, also when the cell is split into batches
+    batches = []
+    split = models._batches
+
+    def spy(jobs):
+        for batch in split(jobs):
+            batches.append(batch)
+            yield batch
+
+    monkeypatch.setattr(models, "_batches", spy)
+    if budget == "several-batches":
+        monkeypatch.setattr(models, "BATCH_BYTES", 500_000)  # 7-13 fits at N = 40
+    config = PIN_CONFIGS[name]
+    plan = plan_folds(iris, 5, 1, seed=11)
+    result = cross_validate(iris, config, PIN_GRID, plan, base_seed=4)
+    sizes = [len(batch) for batch in batches]  # 5 folds x 4 feasible candidates
+    if budget == "one-batch":
+        assert sizes == [20]
+    else:
+        assert sum(sizes) == 20 and len(sizes) > 1 and min(sizes) > 1
+    expected = _per_candidate_outcomes(iris, config, PIN_GRID, plan, base_seed=4)
+    assert result.folds == expected
+
+
+def test_cross_validate_nonfinite_gradient_mid_round_propagates(iris, monkeypatch):
+    # the third LMKAD fit of the first round fails mid-round; its error propagates unchanged
+    calls = []
+    gradient = models.gate_gradient
+
+    def failing_third(gating, alpha, Xn, grams, H):
+        calls.append(alpha.shape)
+        grad = gradient(gating, alpha, Xn, grams, H)
+        if len(calls) == 3:
+            return dataclasses.replace(grad, v0=np.full_like(grad.v0, np.nan))
+        return grad
+
+    monkeypatch.setattr(models, "gate_gradient", failing_third)
+    config = PIN_CONFIGS["lmkad-sigmoid"]
+    plan = plan_folds(iris, 5, 1, seed=11)
+    message = r"^non-finite gating gradient at outer iteration 0 \(kind=sigmoid, nu=0\.2\)$"
+    with pytest.raises(RuntimeError, match=message):
+        cross_validate(iris, config, PIN_GRID, plan, base_seed=4)
+    assert len(calls) == 3
 
 
 def test_cross_validate_empty_grid():

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from lmkad.dataset import apply_normalizer, fit_normalizer
 from lmkad.gating import gate_eval_batch, init_gating
 from lmkad.models import composite_gram_fixed, composite_gram_localized, resolve_kernels
-from lmkad.solver import DualProblem, compute_rho, kkt_violation, solve_dual
+from lmkad import solver
+from lmkad.solver import DualProblem, compute_rho, kkt_violation, solve_dual, solve_duals
 from qp_oracle import brute_force_qp, random_psd_gram
 from smo_reference import reference_solve_dual
 
@@ -234,13 +235,28 @@ SMO_PATH_CASES = {
 }
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
-@pytest.mark.parametrize("case", sorted(SMO_PATH_CASES))
-def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record):
-    # solve_dual must take exactly the steps of the plain loop in
-    # smo_reference.py: same pairs, same roundings, same stopping step
-    problem, kwargs = SMO_PATH_CASES[case](iris)
-    new = solve_dual(problem, record_violations=record, **kwargs)
+@pytest.fixture
+def loop_spy(monkeypatch):
+    """Records the step count of each dual entering the scalar loop, and
+    the batch size of every lockstep call."""
+    entries, lockstep_rows = [], []
+    scalar_loop, lockstep = solver._scalar_loop, solver._lockstep
+
+    def spy_scalar(dual, tol):
+        entries.append(dual.iterations)
+        scalar_loop(dual, tol)
+
+    def spy_lockstep(duals, tol):
+        lockstep_rows.append(len(duals))
+        lockstep(duals, tol)
+
+    monkeypatch.setattr(solver, "_scalar_loop", spy_scalar)
+    monkeypatch.setattr(solver, "_lockstep", spy_lockstep)
+    return entries, lockstep_rows
+
+
+def _assert_reference_path(new, problem, kwargs, record):
+    """``new`` equals the plain loop's solution of ``problem`` in every field."""
     ref = reference_solve_dual(problem, record_violations=record, **kwargs)
     assert np.array_equal(new.alpha, ref.alpha)
     assert new.iterations == ref.iterations
@@ -250,7 +266,116 @@ def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record):
     assert new.rho == ref.rho
     assert new.violation_trace == ref.violation_trace
     assert len(new.violation_trace) == (new.iterations + new.converged if record else 0)
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("case", sorted(SMO_PATH_CASES))
+def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record, loop_spy):
+    # solve_dual (the scalar loop) and a lockstep batch of LOCKSTEP_MIN_ROWS
+    # copies must each take exactly the steps of the plain loop in
+    # smo_reference.py: same pairs, same roundings, same stopping step
+    problem, kwargs = SMO_PATH_CASES[case](iris)
+    new = solve_dual(problem, record_violations=record, **kwargs)
+    _assert_reference_path(new, problem, kwargs, record)
     if "max_iter" in kwargs:
         assert not new.converged and new.iterations == kwargs["max_iter"]
     elif case == "mkad-gpl-iris":
         assert new.iterations > 1000
+
+    rows = solver.LOCKSTEP_MIN_ROWS
+    solver_kwargs = {k: v for k, v in kwargs.items() if k != "alpha0"}
+    alpha0s = [kwargs.get("alpha0")] * rows
+    batch = solve_duals([problem] * rows, alpha0s, record_violations=record, **solver_kwargs)
+    assert loop_spy[1] == [rows]
+    for sol in batch:
+        _assert_reference_path(sol, problem, kwargs, record)
+
+
+def _psd_nus(n, nus, seed=0):
+    rng = np.random.default_rng(seed)
+    return [DualProblem(random_psd_gram(rng, n), nu) for nu in nus]
+
+
+def _mixed(iris):
+    # N = 40 (a lockstep group: PSD, MKAD and both localized Grams), N = 8
+    # (a group too small for lockstep) and N = 41 (one problem)
+    problems = _psd_nus(40, (0.1, 0.2, 0.3, 0.5)) + [
+        _mkad_gpl(iris, 0.1),
+        _lmkad(iris, "sigmoid"),
+        _lmkad(iris, "softmax"),
+    ]
+    problems += _psd_nus(8, (0.25, 0.5, 1.0)) + _psd_nus(41, (0.2,))
+    return problems, [None] * len(problems), {}
+
+
+def _finish_apart(iris):
+    # steps differ per row, so rows finish on different turns and the last
+    # LOCKSTEP_MIN_ROWS - 1 are handed to the scalar loop mid-solve
+    problems = _psd_nus(40, (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)) + [_mkad_gpl(iris, 0.05)]
+    return problems, [None] * len(problems), {}
+
+
+def _below_threshold(iris):
+    problems = _psd_nus(40, np.linspace(0.1, 0.9, solver.LOCKSTEP_MIN_ROWS - 1))
+    return problems, [None] * len(problems), {}
+
+
+def _warm_bounds(iris):
+    # N = 8 rows: cold, warm at 0 and at the bound 1/(nu*N), nu = 1 (uniform is optimal)
+    problems = _psd_nus(8, (0.5, 0.5, 0.5, 1.0, 0.25, 0.75, 0.5))
+    at_bounds = np.repeat([0.25, 0.0], 4)
+    alpha0s = [None, at_bounds, at_bounds[::-1].copy(), None, None, np.full(8, 0.125), at_bounds]
+    return problems, alpha0s, {}
+
+
+def _cap(max_iter):
+    def build(iris):
+        problems, alpha0s, _ = _finish_apart(iris)
+        return problems, alpha0s, {"max_iter": max_iter}
+
+    return build
+
+
+BATCH_CASES = {
+    "mixed-n": _mixed,
+    "finish-apart": _finish_apart,
+    "below-threshold": _below_threshold,
+    "warm-bounds": _warm_bounds,
+    "max-iter-1": _cap(1),
+    "max-iter-cut": _cap(150),
+    "tol-1e-9-mean-all-train": lambda iris: (*_finish_apart(iris)[:2], {"tol": 1e-9, "rho_mode": "mean-all-train"}),
+}
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, record, loop_spy):
+    problems, alpha0s, kwargs = BATCH_CASES[case](iris)
+    sols = solve_duals(problems, alpha0s, record_violations=record, **kwargs)
+    assert len(sols) == len(problems)
+    for problem, alpha0, sol in zip(problems, alpha0s, sols):
+        _assert_reference_path(sol, problem, {**kwargs, "alpha0": alpha0}, record)
+
+    entries, lockstep_rows = loop_spy
+    steps = [sol.iterations for sol in sols]
+    if case == "below-threshold":
+        assert lockstep_rows == [] and entries == [0] * len(problems)
+    elif case == "mixed-n":
+        assert lockstep_rows == [7]  # only the N = 40 group
+    elif case in ("finish-apart", "tol-1e-9-mean-all-train"):
+        assert lockstep_rows == [len(problems)]
+        assert len(set(steps)) == len(steps)  # every row finishes on its own turn
+        assert len(entries) == solver.LOCKSTEP_MIN_ROWS - 1 and min(entries) > 0
+    elif case == "warm-bounds":
+        assert lockstep_rows == [len(problems)] and steps[3] == 0
+    elif "max_iter" in kwargs:
+        cap = kwargs["max_iter"]
+        assert max(steps) == cap and sum(not s.converged for s in sols) >= 1
+        if cap > 1:
+            assert min(steps) < cap  # some rows converge before the cap cuts the rest
+
+
+def test_solve_duals_rejects_mismatched_warm_starts():
+    problems = _psd_nus(8, (0.5, 0.5))
+    with pytest.raises(ValueError, match="warm starts"):
+        solve_duals(problems, [None])
