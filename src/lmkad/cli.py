@@ -8,7 +8,6 @@ All commands are deterministic given their flags and seed; the env var
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -72,7 +71,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Score ``--data`` block by block into a temp file, renamed to ``--out`` on success."""
+    """Score ``--data`` block by block into a temp file, renamed to ``--out`` on success.
+
+    Each block of ``BLOCK_ROWS`` rows is read (``iter_feature_blocks``),
+    scored and written with one ``write`` call.  The written lines are
+    ``index,decision_value,label``, the bytes ``csv.writer`` would give:
+    no field can hold a comma, quote or line break.
+    """
     model = load_model(args.model)
     label_column = _parse_label_column(args.label_column) if args.label_column else None
     blocks = iter_feature_blocks(
@@ -83,14 +88,13 @@ def cmd_predict(args) -> int:
     n = 0
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "decision_value", "label"])
+            fh.write("index,decision_value,label\n")
             for X in blocks:
-                values = decision_values(model, X)
-                writer.writerows(
-                    (n + i, f"{v:.12g}", 1 if v >= 0.0 else -1)
-                    for i, v in enumerate(values.tolist())
-                )
+                values = decision_values(model, X).tolist()
+                fh.write("".join([
+                    f"{i},{v:.12g},1\n" if v >= 0.0 else f"{i},{v:.12g},-1\n"
+                    for i, v in enumerate(values, n)
+                ]))
                 n += len(values)
         os.replace(tmp, out)
     except BaseException:

@@ -4,6 +4,10 @@ A dataset is a plain feature matrix with +1 (target) / -1 (outlier)
 labels.  Cross-validation folds are planned once per experiment, stratified
 by class, and reused for every classifier so all models see identical
 splits.
+
+Delimited files are read by one row parser (``_read_rows``).  Feature-only
+reads (``iter_feature_blocks``, behind ``lmkad predict``) convert whole
+blocks with ``np.loadtxt`` wherever that gives the row parser's values.
 """
 from __future__ import annotations
 
@@ -112,42 +116,97 @@ def _non_numeric(path, r: int, feats: list[str], label_idx: int | None) -> Value
     raise AssertionError("no unparsable cell")
 
 
+def _data_rows(lines):
+    """``csv.reader`` rows of ``lines``, skipping blank ones (no cells, or only
+    whitespace and commas)."""
+    return (row for row in csv.reader(lines) if "".join(row).strip())
+
+
+def _open(path):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such data file: {path}") from None
+
+
+def _head(path, rows, has_header: bool, label_column, require_rows: bool):
+    """``(first data row, width, label index)`` from the head of ``rows``,
+    or ``None`` for a file without data rows (an error if ``require_rows``)."""
+    header = next(rows, None) if has_header else None
+    first = next(rows, None)
+    if first is None:
+        if require_rows:
+            what = "only a header row" if header is not None else "no data rows"
+            raise ValueError(f"{path}: file contains {what}")
+        return None
+    width = len(first)
+    return first, width, _label_index(path, label_column, header, width)
+
+
+def _parse_rows(path, rows, width: int, label_idx: int | None, start: int):
+    """Yield ``(label, features)`` per row; ``start`` numbers the first row in errors."""
+    for r, row in enumerate(rows, start):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        label = None if label_idx is None else row.pop(label_idx).strip()
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            raise _non_numeric(path, r, row, label_idx) from None
+        yield label, values
+
+
 def _read_rows(path, has_header: bool, label_column, require_rows: bool = False):
     """Yield ``(label, features)`` for each data row of a delimited numeric file.
 
-    The one parser behind ``load_csv``, ``load_features_csv`` and
-    ``iter_feature_blocks``.  Blank rows are skipped; with ``has_header``
-    the first remaining row is the header.  ``label_column`` is a 0-based
-    index (negative counts from the end), a header name, or ``None``; the
+    The row parser behind ``load_csv``, whose values and errors
+    ``iter_feature_blocks`` reproduces.  Blank rows are skipped; with
+    ``has_header`` the first remaining row is the header.  ``label_column``
+    is a 0-based index (negative counts from the end), a header name, or ``None``; the
     label cell is yielded stripped (``None`` without a label column) and
     every other cell is converted with ``float``.  Every row must be as
     wide as the first data row.  Errors number data rows from 0.  A file
     without data rows yields nothing, or raises if ``require_rows``.
     """
+    with _open(path) as fh:
+        rows = _data_rows(fh)
+        head = _head(path, rows, has_header, label_column, require_rows)
+        if head is not None:
+            first, width, label_idx = head
+            yield from _parse_rows(path, chain((first,), rows), width, label_idx, 0)
+
+
+#: a quote, and the ASCII separators \x1c-\x1f, which loadtxt strips around a number and float rejects
+_DECLINED = '"\x1c\x1d\x1e\x1f'
+
+
+def _convert_lines(lines: list[str], width: int, cols: list[int]) -> np.ndarray | None:
+    """The feature columns ``cols`` of ``lines`` in one ``np.loadtxt`` call, or
+    ``None`` where that could differ from ``_parse_rows``.
+
+    Accepted only when the text has no character of ``_DECLINED``, every
+    line holds ``width`` cells and none is longer than ``csv``'s field
+    limit, loadtxt raises nothing and it returns one row per line (it
+    skips empty lines, which would shift the block grid).  Then loadtxt
+    accepts a cell only where ``float`` does, with the same value; it also
+    rejects ``1_0`` and non-ASCII digits, which then take the row parser.
+    With ``usecols`` loadtxt accepts rows wider than the last used column,
+    so the comma count must be ``width - 1`` per line: in total when the
+    last column is used (no row can have fewer), else line by line.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _DECLINED) or text.isspace():  # all blank: loadtxt would warn
+        return None
+    if text.count(",") != (width - 1) * len(lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if cols[-1] != width - 1 and any(line.count(",") != width - 1 for line in lines):
+        return None
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such data file: {path}") from None
-    with fh:
-        rows = (row for row in csv.reader(fh) if "".join(row).strip())
-        header = next(rows, None) if has_header else None
-        first = next(rows, None)
-        if first is None:
-            if require_rows:
-                what = "only a header row" if header is not None else "no data rows"
-                raise ValueError(f"{path}: file contains {what}")
-            return
-        width = len(first)
-        label_idx = _label_index(path, label_column, header, width)
-        for r, row in enumerate(chain((first,), rows)):
-            if len(row) != width:
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-            label = None if label_idx is None else row.pop(label_idx).strip()
-            try:
-                values = list(map(float, row))
-            except ValueError:
-                raise _non_numeric(path, r, row, label_idx) from None
-            yield label, values
+        X = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, quotechar=None,
+                       ndmin=2, usecols=cols)
+    except ValueError:
+        return None
+    return X if X.shape[0] == len(lines) else None
 
 
 def load_csv(
@@ -177,24 +236,64 @@ def load_csv(
     return Dataset(features=np.asarray(features, dtype=float), labels=labels, name=name)
 
 
+#: rows per block when ``load_features_csv`` reads a whole file
+_LOAD_BLOCK_ROWS = 8192
+
+
 def load_features_csv(path, has_header: bool = False, label_column=None) -> np.ndarray:
     """Load a feature-only matrix; optionally drop one label column.
 
-    Returns an (N, d) array; N may be zero for an empty file.
+    Returns an (N, d) array, the concatenated blocks of ``iter_feature_blocks``;
+    N and d are zero for a file without data rows.
     """
-    features = [values for _, values in _read_rows(path, has_header, label_column)]
-    return np.asarray(features, dtype=float) if features else np.empty((0, 0))
+    blocks = list(iter_feature_blocks(path, _LOAD_BLOCK_ROWS, has_header, label_column))
+    return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
 
 def iter_feature_blocks(path, block_rows: int, has_header: bool = False, label_column=None):
-    """Yield ``load_features_csv``'s matrix as consecutive blocks of ``block_rows`` rows.
+    """Yield the feature rows of a delimited file as blocks of ``block_rows`` rows.
 
-    Rows are parsed as the blocks are consumed, so memory holds one block,
-    and an error in a later row is raised only after the earlier blocks.
+    Block k holds data rows k * block_rows to (k + 1) * block_rows - 1, with
+    the values and error texts of ``_read_rows``.  The header and the first
+    data row go through the row parser, which fixes the width and the label
+    column; each later block's lines go through ``_convert_lines`` (one
+    ``np.loadtxt`` call).  From the first block it declines, the row parser
+    reads the rest of the file.  Memory holds one block, and an error in a
+    later row is raised only after the earlier blocks.
     """
-    rows = (values for _, values in _read_rows(path, has_header, label_column))
-    while block := list(islice(rows, block_rows)):
-        yield np.asarray(block, dtype=float)
+    with _open(path) as fh:
+        rows = _data_rows(fh)
+        head = _head(path, rows, has_header, label_column, False)
+        if head is None:
+            return
+        first, width, label_idx = head
+        cols = [c for c in range(width) if c != label_idx]
+        block = [values for _, values in _parse_rows(path, (first,), width, label_idx, 0)]
+        n_read = 1
+        if block_rows == 1:
+            yield np.asarray(block, dtype=float)
+            block = []
+        while cols:
+            # csv.reader reads no line ahead, so fh is at the row after the last parsed one
+            lines = list(islice(fh, block_rows - len(block)))
+            if not lines:
+                break
+            X = _convert_lines(lines, width, cols)
+            if X is None:
+                rows = _data_rows(chain(lines, fh))
+                break
+            if block:
+                X = np.concatenate((np.asarray(block, dtype=float), X))
+                block = []
+            n_read += len(lines)
+            yield X
+        for _, values in _parse_rows(path, rows, width, label_idx, n_read):
+            block.append(values)
+            if len(block) == block_rows:
+                yield np.asarray(block, dtype=float)
+                block = []
+        if block:
+            yield np.asarray(block, dtype=float)
 
 
 @dataclass(frozen=True)

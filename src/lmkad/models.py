@@ -124,14 +124,24 @@ class LmkadConfig:
 
 def _combine(grams, weights, H_X, H_Y) -> np.ndarray:
     """sum_m w_m K_m with fixed ``weights``; with ``weights=None``, entry (i,j)
-    is sum_m eta_m(x_i) K_m(i,j) eta_m(y_j) for gate matrices ``H_X``, ``H_Y``."""
-    out = None
+    is sum_m eta_m(x_i) K_m(i,j) eta_m(y_j) for gate matrices ``H_X``, ``H_Y``.
+
+    Each term is ``w_m * K_m`` or ``(H_X[:, m] * K_m) * H_Y[:, m]`` and the
+    terms are summed left to right, built in place in a fresh output and
+    one scratch buffer; the Grams are only read.
+    """
+    out = np.empty(np.shape(grams[0]))
+    term = out
     for m, K in enumerate(grams):
+        if m == 1:
+            term = np.empty_like(out)
         if weights is not None:
-            term = weights[m] * K
+            np.multiply(weights[m], K, out=term)
         else:
-            term = H_X[:, m : m + 1] * np.asarray(K) * H_Y[:, m][None, :]
-        out = term if out is None else out + term
+            np.multiply(H_X[:, m : m + 1], K, out=term)
+            term *= H_Y[:, m]
+        if m:
+            out += term
     return out
 
 

@@ -320,9 +320,10 @@ def _lockstep(duals: list[_Dual], tol: float) -> None:
             g_dec = np.empty_like(g)
             g_inc = np.empty_like(g)
             # positions of (r, i_r) then (r, j_r) in a flattened (B, N) array
-            offsets = np.tile(np.arange(b) * n, 2)
-            live2 = np.tile(live, 2)
-            upper2 = np.tile(upper, 2)
+            offsets = np.arange(b) * n
+            offsets = np.concatenate((offsets, offsets))
+            live2 = np.concatenate((live, live))
+            upper2 = np.concatenate((upper, upper))
             compacted = False
         np.add(g, pen_dec, out=g_dec)
         np.add(g, pen_inc, out=g_inc)

@@ -1,10 +1,13 @@
+import io
 import json
 import csv
 
 import numpy as np
 import pytest
 
+from lmkad import cli
 from lmkad.cli import main
+from lmkad.dataset import load_features_csv
 from lmkad.models import BLOCK_ROWS, decision_values, load_model, predict_batch
 
 
@@ -135,6 +138,40 @@ def test_predict_streams_in_blocks(tmp_path, fitted_model, capsys):
     assert [r[0] for r in written[1:]] == [str(i) for i in range(20_000)]
     assert [r[1] for r in written[1:]] == [f"{v:.12g}" for v in expected]
     assert [r[2] for r in written[1:]] == ["1" if v >= 0 else "-1" for v in expected]
+
+
+def csv_writer_predictions(values):
+    """The bytes of the ``csv.writer`` formulation of predict's output."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "decision_value", "label"])
+    writer.writerows((i, f"{v:.12g}", 1 if v >= 0.0 else -1) for i, v in enumerate(values))
+    return buf.getvalue().encode()
+
+
+SPECIAL_VALUES = [-0.0, 0.0, float("nan"), 1e-300, 1e300, -1e300, float("inf"), float("-inf"),
+                  5e-324, -2.5, 0.1 + 0.2, 123456789.123456789]
+
+
+def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model, monkeypatch):
+    rows = np.random.default_rng(8).normal(loc=4.0, scale=2.0, size=(BLOCK_ROWS + 40, 4))
+    data = tmp_path / "rows.csv"
+    np.savetxt(data, rows, fmt="%.9g", delimiter=",")
+    out = tmp_path / "preds.csv"
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
+    expected = decision_values(load_model(fitted_model), load_features_csv(data))
+    assert out.read_bytes() == csv_writer_predictions(expected.tolist())
+
+    scored = []
+
+    def special(model, X):
+        scored.append(np.resize(SPECIAL_VALUES, len(X)))
+        return scored[-1]
+
+    monkeypatch.setattr(cli, "decision_values", special)
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
+    assert [len(v) for v in scored] == [BLOCK_ROWS, 40]
+    assert out.read_bytes() == csv_writer_predictions(np.concatenate(scored).tolist())
 
 
 def benchmark_config(tmp_path, iris_path, classifiers, n_runs=1, grid=(0.1, 0.3)):

@@ -1,9 +1,13 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmkad import dataset as dataset_module
 from lmkad.dataset import (
     Dataset,
+    _read_rows,
     apply_normalizer,
     fit_normalizer,
     iter_feature_blocks,
@@ -128,6 +132,165 @@ def test_iter_feature_blocks_raises_at_the_bad_block(tmp_path):
     assert next(blocks).tolist() == [[1, 2], [3, 4]]
     with pytest.raises(ValueError, match="row 3 has 1 cells, expected 2"):
         next(blocks)
+
+
+def _blocks_then_error(blocks):
+    """The blocks an iterator yields, then the type and text of the error it ends with."""
+    out = []
+    try:
+        for block in blocks:
+            out.append(block)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _reference_blocks(path, block_rows, has_header, label_column):
+    """Consecutive ``block_rows``-row blocks of the plain row parser."""
+    rows = (values for _, values in _read_rows(path, has_header, label_column))
+    while block := list(islice(rows, block_rows)):
+        yield np.asarray(block, dtype=float)
+
+
+def assert_same_blocks(path, block_rows, has_header=False, label_column=None):
+    """``iter_feature_blocks`` gives the row parser's blocks byte for byte, or its error."""
+    expected, error = _blocks_then_error(
+        _reference_blocks(path, block_rows, has_header, label_column))
+    got, got_error = _blocks_then_error(
+        iter_feature_blocks(path, block_rows, has_header, label_column))
+    assert got_error == error
+    assert [b.shape for b in got] == [b.shape for b in expected]
+    assert all(g.dtype == e.dtype and g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+    if error is None:
+        whole = load_features_csv(path, has_header, label_column)
+        joined = np.concatenate(expected) if expected else np.empty((0, 0))
+        assert whole.shape == joined.shape and whole.tobytes() == joined.tobytes()
+    return error
+
+
+READER_CASES = {
+    "header, label by name": ("a,b,species\n1,2,setosa\n3,4,virginica\n5,6,setosa\n7,8,x\n",
+                              True, "species"),
+    "label by index": ("1,a,2\n3,b,4\n5,c,6\n7,d,8\n9,e,10\n", False, 1),
+    "label by negative index": ("1,2,a\n3,4,b\n5,6,c\n7,8,d\n9,10,e\n", False, -1),
+    "blank rows": ("1,2\n3,4\n\n   \n5,6\n,\n 7 , 8 \n9,10\n", False, None),
+    "comma-only rows": ("1,2,3\n4,5,6\n,,\n7,8,9\n , ,\n", False, None),
+    "quoted cells": ('1,2\n3,"4"\n"5",6\n7,8\n', False, None),
+    "quoted newline across a block": ('1,2\n3,4\n5,"6\n"\n7,"8\n\n"\n9,10\n', False, None),
+    "quoted label": ('1,2,a\n3,4,"b,c"\n5,6,"d\ne"\n7,8,f\n', False, 2),
+    "underscore digits": ("1,2\n3,4\n1_0,6\n7,8\n", False, None),
+    "non-ASCII digits": ("1,2\n3,4\n١٢,6\n7,২\n", False, None),
+    "non-finite": ("nan,1\n-Infinity,+inf\n1e500,-1e-400\n-0,NaN\n", False, None),
+    "ASCII separators": ("1,2\n3,4\n\x1c5,6\n7,8\x1f\n", False, None),
+    "CRLF, no final newline": ("1,2\r\n3,4\r\n5,6\r\n7,8", False, None),
+    "CR only": ("1,2\r3,4\r5,6\r7,8\r", False, None),
+    "row one cell wider": ("1,2\n3,4\n5,6,7\n8,9\n", False, None),
+    "row one cell wider, label last": ("1,2,a\n3,4,b\n5,6,c,d\n7,8,e\n", False, -1),
+    "wider and narrower rows, label last": ("1,2,a\n3,4,b\n5,6,c,d\n7,8\n9,1,e\n", False, 2),
+    "narrow row": ("1,2,3\n4,5,6\n7,8\n", False, None),
+    "bad cell in a later block": ("1,2\n3,4\n5,6\n7,8\n9,10\n11,12\n13,14\n15,x\n17,18\n",
+                                  False, None),
+    "one column": ("1\n2\n\n3\n4\n5\n", False, None),
+    "one column, blank rows only after the first": ("1\n\n\n \n", False, None),
+    "one column that is the label": ("a\nb\nc\n", False, 0),
+    "header only": ("a,b\n\n", True, None),
+    "empty": ("", False, None),
+}
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on an all-blank block
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", READER_CASES)
+def test_iter_feature_blocks_matches_row_parser(tmp_path, case, block_rows):
+    text, has_header, label_column = READER_CASES[case]
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode())
+    assert_same_blocks(p, block_rows, has_header, label_column)
+
+
+def test_iter_feature_blocks_numbers_rows_from_the_start_of_the_file(tmp_path):
+    p = write(tmp_path, "a,b\n" + "1,2\n" * 9 + "3,?\n" + "5,6\n" * 3)
+    error = assert_same_blocks(p, 4, has_header=True)
+    assert error == (ValueError, f"{p}: non-numeric value '?' at row 9, column 1")
+
+
+def test_iter_feature_blocks_converts_clean_blocks_in_one_call(tmp_path, monkeypatch):
+    converted = []
+    convert = dataset_module._convert_lines
+
+    def spy(lines, width, cols):
+        X = convert(lines, width, cols)
+        converted.append(None if X is None else X.shape)
+        return X
+
+    monkeypatch.setattr(dataset_module, "_convert_lines", spy)
+    p = write(tmp_path, "f,species,g\n" + "1.5,setosa,2\n" * 10)
+    assert [b.shape for b in iter_feature_blocks(p, 4, True, "species")] == [(4, 2), (4, 2), (2, 2)]
+    assert converted == [(3, 2), (4, 2), (2, 2)]  # the first row goes through the row parser
+    converted.clear()
+    p = write(tmp_path, "1,2\n3,4\n5,6\n7,8\n\n9,10\n11,12\n")
+    assert len(list(iter_feature_blocks(p, 2))) == 3
+    assert converted == [(1, 2), (2, 2), None]  # the row parser reads on from the declined block
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.9g}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["nan", "-Infinity", "+inf", "1e500", "-1e-400", " 7 ", "\t8", ".5", "5."]),
+)
+ODD_CELLS = st.sampled_from(["1_0", "١٢", "x", "", " ", '"3"', '"5,6"', "\x1c1", "1\x1f", "\x1e2"])
+ODD_ROWS = ("blank", "spaces", "commas", "wider", "narrower", "shifted", "odd cell",
+            "quoted newline")
+
+
+@st.composite
+def csv_files(draw):
+    """(text, has_header, label_column): numeric rows with up to two odd ones among them."""
+    width = draw(st.integers(1, 4))
+    rows = [[draw(NUMBERS) for _ in range(width)] for _ in range(draw(st.integers(1, 12)))]
+    how = draw(st.sampled_from(["none", "index", "negative", "name"]))
+    has_header = how == "name" or draw(st.booleans())
+    label_column = idx = None
+    if how != "none":
+        # loadtxt with usecols cannot see a missing last cell, so the last column comes up most
+        idx = draw(st.sampled_from([width - 1, 0, width // 2]))
+        label_column = {"index": idx, "negative": idx - width, "name": "label"}[how]
+        for row in rows:
+            row[idx] = draw(st.sampled_from(["setosa", " b ", "1", ""]))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(ODD_ROWS))
+        # mostly after the first data row: that one always goes through the row parser
+        at = draw(st.integers(0, len(rows) - 1) | st.integers(1, len(rows) - 1)) if len(rows) > 1 else 0
+        row = rows[at]
+        if kind in ("blank", "spaces", "commas"):
+            rows.insert(at, {"blank": [], "spaces": ["  "], "commas": [""] * max(width, 2)}[kind])
+        elif kind == "wider":
+            row.append(draw(NUMBERS))
+        elif kind == "narrower" and row:
+            row.pop()
+        elif kind == "shifted" and at + 1 < len(rows) and rows[at + 1]:
+            row.append(rows[at + 1].pop())  # the same number of commas in all
+        elif kind in ("odd cell", "quoted newline") and row:
+            k = draw(st.sampled_from([c for c in range(len(row)) if c != idx] or [0]))
+            row[k] = draw(ODD_CELLS) if kind == "odd cell" else f'"{row[k]}\n"'
+    header = [f"c{k}" for k in range(width)]
+    if how == "name":
+        header[idx] = "label"
+    lines = [",".join(row) for row in ([header] if has_header else []) + rows]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, has_header, label_column
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on an all-blank block
+@settings(max_examples=500, deadline=None)
+@given(file=csv_files(), block_rows=st.integers(1, 4))
+def test_iter_feature_blocks_matches_row_parser_property(tmp_path_factory, file, block_rows):
+    text, has_header, label_column = file
+    p = tmp_path_factory.mktemp("reader") / "data.csv"
+    p.write_bytes(text.encode())
+    assert_same_blocks(p, block_rows, has_header, label_column)
 
 
 def test_dataset_invariants():

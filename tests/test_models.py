@@ -26,6 +26,7 @@ from lmkad.models import (
 from lmkad import models as models_module
 from lmkad.evaluation import sv_fraction
 from lmkad.solver import kkt_violation
+from combine_reference import reference_combine
 
 GAUSS1 = KernelSpec("gaussian", sigma_sq=1.0)
 
@@ -280,6 +281,50 @@ def test_decision_values_independent_of_block_slicing(family, monkeypatch):
     per_block = [decision_values(model, rows[s : s + BLOCK_ROWS]) for s in starts]
     assert [len(b) for b in per_block] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]
     assert np.array_equal(whole, np.concatenate(per_block))
+
+
+def _gates(rng, n, p):
+    H = rng.random((n, p))
+    return H / H.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("rows, cols", [(7, 7), (9, 4), (1, 5)])
+def test_combine_matches_reference_bit_for_bit(p, rows, cols):
+    rng = np.random.default_rng(100 * p + rows)
+    X, Y = rng.normal(size=(rows, 3)), rng.normal(size=(cols, 3))
+    if rows == cols:
+        Y = X  # a training Gram: square, the same gates on both sides
+    kernels = [k.resolved(np.vstack((X, Y))) for k in resolve_kernels("gpp")[:p]]
+    grams = [gram(k, X, Y) for k in kernels]
+    grams[0][0, -1] = -0.0
+    copies = [K.copy() for K in grams]
+    H_X = _gates(rng, rows, p)
+    H_Y = H_X if Y is X else _gates(rng, cols, p)
+    cases = [(np.full(p, 1.0 / p), None, None), (rng.dirichlet(np.ones(p)), None, None),
+             (None, H_X, H_Y)]
+    for weights, hx, hy in cases:
+        got = models_module._combine(grams, weights, hx, hy)
+        want = reference_combine(grams, weights, hx, hy)
+        assert got.shape == want.shape == (rows, cols) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert all(K.tobytes() == C.tobytes() for K, C in zip(grams, copies))
+
+
+@pytest.mark.parametrize("family", ["mkad", "lmkad"])
+def test_training_and_scoring_leave_base_grams_alone(family, monkeypatch):
+    built = []
+
+    def spy(kernel, X, Y):
+        K = gram(kernel, X, Y)
+        built.append((K, K.copy()))
+        return K
+
+    monkeypatch.setattr(models_module, "gram", spy)
+    model = _train(family, blob(31, 20), nu=0.2)
+    decision_values(model, blob(32, 11))
+    assert len(built) == 2 * len(model.kernels)
+    assert all(np.array_equal(K, copy) for K, copy in built)
 
 
 def _drop_last_column(rows):
