@@ -15,18 +15,16 @@ from .kernels import (
     format_kernel_spec,
     gaussian_bandwidth,
     gram,
-    kernel_eval,
     parse_kernel_spec,
 )
 from .gating import (
     GateGradient,
     GatingParams,
-    gate_eval,
     gate_eval_batch,
     gate_gradient,
     init_gating,
 )
-from .solver import DualProblem, DualSolution, compute_rho, kkt_violation, solve_dual, solve_duals
+from .solver import DualProblem, DualSolution, solve_dual, solve_duals
 from .models import (
     KERNEL_PRESETS,
     FitJob,

@@ -8,6 +8,7 @@ All commands are deterministic given their flags and seed; the env var
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, OSError, RuntimeError, KeyError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

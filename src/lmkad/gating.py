@@ -9,6 +9,15 @@ A gating function maps an input x to a nonnegative weight per kernel:
 Nonnegativity keeps the locally combined kernel a Mercer kernel.  The
 gradient here is of the dual objective J = -0.5 * a' Q(eta) a with the
 multipliers held fixed, which is what the alternating trainer descends.
+
+Each formula is written once, on parameter arrays with any number of
+leading stack axes: ``gate_stack``, ``gradient_stack`` and ``step_stack``
+take a gating family's two arrays, ``(v, v0)`` or ``(centers,
+spreads)`` (``GatingParams.pair``), stacked as (..., p, d) and (..., p).
+The trainer calls them on a (B, ...) stack of fits; ``gate_eval_batch``,
+``gate_gradient`` and ``step_gating`` are the one-model case.  Every
+reduction runs along the axis and in the memory order of the one-model
+case, so a stacked row equals its one-model result bit for bit.
 """
 from __future__ import annotations
 
@@ -20,6 +29,9 @@ from scipy.special import expit
 from .kernels import gaussian_bandwidth
 
 GATING_KINDS = ("softmax", "sigmoid", "rbf")
+
+#: the (p, d) and (p,) parameter fields of each gating kind
+PAIR_FIELDS = {"softmax": ("v", "v0"), "sigmoid": ("v", "v0"), "rbf": ("centers", "spreads")}
 
 #: random init range for softmax/sigmoid weights; small enough that the
 #: initial gates stay near uniform on standardized data
@@ -70,6 +82,15 @@ class GatingParams:
             raise ValueError("need at least one gate")
 
     @property
+    def pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(centers, spreads)`` for rbf, ``(v, v0)`` otherwise."""
+        return (self.centers, self.spreads) if self.kind == "rbf" else (self.v, self.v0)
+
+    @classmethod
+    def from_pair(cls, kind: str, matrix, vector) -> "GatingParams":
+        return cls(kind, **dict(zip(PAIR_FIELDS[kind], (matrix, vector))))
+
+    @property
     def p(self) -> int:
         return (self.centers if self.kind == "rbf" else self.v).shape[0]
 
@@ -88,6 +109,8 @@ class GateGradient:
     centers: np.ndarray | None = None
     spreads: np.ndarray | None = None
 
+    pair = GatingParams.pair
+
     def is_finite(self) -> bool:
         parts = [p for p in (self.v, self.v0, self.centers, self.spreads) if p is not None]
         return all(np.isfinite(p).all() for p in parts)
@@ -95,20 +118,30 @@ class GateGradient:
 
 def _normalized_exp(logits: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp() in range for unnormalized inputs
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _row_logits(X: np.ndarray, v: np.ndarray, v0: np.ndarray) -> np.ndarray:
     # broadcast-reduce instead of BLAS so each row's result is independent
     # of the batch size (batch evaluation == per-row evaluation, bitwise)
-    return (X[:, None, :] * v[None, :, :]).sum(axis=2) + v0
+    return (X[..., :, None, :] * v[..., None, :, :]).sum(axis=-1) + v0[..., None, :]
 
 
 def _row_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+    diff = X[..., :, None, :] - centers[..., None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def gate_stack(kind: str, X: np.ndarray, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Gate weights (..., N, p) of the rows X (..., N, d) under the pair
+    ``(matrix, vector)`` of shapes (..., p, d) and (..., p)."""
+    if kind == "softmax":
+        return _normalized_exp(_row_logits(X, matrix, vector))
+    if kind == "sigmoid":
+        return expit(_row_logits(X, matrix, vector))
+    return _normalized_exp(-_row_sq_dists(X, matrix) / (vector**2)[..., None, :])
 
 
 def gate_eval_batch(params: GatingParams, X: np.ndarray) -> np.ndarray:
@@ -116,17 +149,39 @@ def gate_eval_batch(params: GatingParams, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.d:
         raise ValueError(f"gating expects {params.d} features, got {X.shape[1]}")
-    if params.kind == "softmax":
-        return _normalized_exp(_row_logits(X, params.v, params.v0))
-    if params.kind == "sigmoid":
-        return expit(_row_logits(X, params.v, params.v0))
-    return _normalized_exp(-_row_sq_dists(X, params.centers) / params.spreads**2)
+    return gate_stack(params.kind, X, *params.pair)
 
 
-def gate_eval(params: GatingParams, x: np.ndarray) -> np.ndarray:
-    """Gate weights for a single input vector; returns a length-p vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    return gate_eval_batch(params, x[None, :])[0]
+def gradient_stack(kind, matrix, vector, alpha, X, grams, H) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of J = -0.5 * a' Q(eta) a w.r.t. the pair ``(matrix, vector)``.
+
+    Shapes, with the same leading stack axes throughout: pair (..., p, d)
+    and (..., p), ``alpha`` (..., N), rows ``X`` (..., N, d), the base
+    Grams ``grams`` (..., p, N, N) and the gate matrix ``H`` (..., N, p).
+    Returns the gradient as a pair of the same shapes.  The multipliers
+    are constants; pairs where either multiplier is zero contribute
+    nothing, so the double sum collapses to support-vector rows.
+    """
+    # U[m] = alpha * eta_m, contiguous so K_m @ U[m] is one BLAS matrix-vector product
+    U = np.swapaxes(H * alpha[..., :, None], -1, -2).copy()
+    # W[i, m] = sum_j alpha_i alpha_j eta_m(x_i) K_m(i, j) eta_m(x_j), kept (..., N, p)
+    # in C order so that sums over i run in the one-model order
+    W = np.swapaxes(U * np.matmul(grams, U[..., None])[..., 0], -1, -2).copy()
+
+    if kind == "sigmoid":
+        T = W * (1.0 - H)
+        return -(np.swapaxes(T, -1, -2) @ X), -T.sum(axis=-2)
+
+    # softmax-type coupling: sum_k W[i,k] * (delta_mk - eta_m(x_i))
+    T = W - H * W.sum(axis=-1, keepdims=True)
+    if kind == "softmax":
+        return -(np.swapaxes(T, -1, -2) @ X), -T.sum(axis=-2)
+
+    col = T.sum(axis=-2)
+    grad_centers = -(2.0 / vector**2)[..., :, None] * (np.swapaxes(T, -1, -2) @ X - col[..., :, None] * matrix)
+    d2 = _row_sq_dists(X, matrix)
+    grad_spreads = -(2.0 / vector**3) * np.sum(T * d2, axis=-2)
+    return grad_centers, grad_spreads
 
 
 def gate_gradient(
@@ -139,9 +194,7 @@ def gate_gradient(
     """Gradient of J = -0.5 * a' Q(eta) a w.r.t. the gating parameters.
 
     ``per_kernel_grams`` are the p training Gram matrices K_m and ``H`` the
-    (N, p) gate matrix for the same rows; the multipliers ``alpha`` are
-    treated as constants.  Pairs where either multiplier is zero contribute
-    nothing, so the double sum collapses to support-vector rows.
+    (N, p) gate matrix for the same rows (see ``gradient_stack``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     alpha = np.asarray(alpha, dtype=float).ravel()
@@ -151,27 +204,9 @@ def gate_gradient(
         raise ValueError("alpha, X and H row counts disagree")
     if len(per_kernel_grams) != p or X.shape[1] != params.d or p != params.p:
         raise ValueError("per-kernel grams / gate matrix / params shapes disagree")
-
-    # W[i, m] = sum_j alpha_i alpha_j eta_m(x_i) K_m(i, j) eta_m(x_j)
-    W = np.empty((n, p))
-    for m, K in enumerate(per_kernel_grams):
-        u = alpha * H[:, m]
-        W[:, m] = u * (np.asarray(K) @ u)
-
-    if params.kind == "sigmoid":
-        T = W * (1.0 - H)
-        return GateGradient(kind="sigmoid", v=-(T.T @ X), v0=-T.sum(axis=0))
-
-    # softmax-type coupling: sum_k W[i,k] * (delta_mk - eta_m(x_i))
-    T = W - H * W.sum(axis=1, keepdims=True)
-    if params.kind == "softmax":
-        return GateGradient(kind="softmax", v=-(T.T @ X), v0=-T.sum(axis=0))
-
-    col = T.sum(axis=0)
-    grad_centers = -(2.0 / params.spreads**2)[:, None] * (T.T @ X - col[:, None] * params.centers)
-    d2 = _row_sq_dists(X, params.centers)
-    grad_spreads = -(2.0 / params.spreads**3) * np.sum(T * d2, axis=0)
-    return GateGradient(kind="rbf", centers=grad_centers, spreads=grad_spreads)
+    grams = np.asarray(per_kernel_grams, dtype=float)
+    pair = gradient_stack(params.kind, *params.pair, alpha, X, grams, H)
+    return GateGradient(params.kind, **dict(zip(PAIR_FIELDS[params.kind], pair)))
 
 
 def init_gating(kind: str, p: int, d: int, X_train: np.ndarray, seed) -> GatingParams:
@@ -200,11 +235,17 @@ def init_gating(kind: str, p: int, d: int, X_train: np.ndarray, seed) -> GatingP
     return GatingParams(kind="rbf", centers=X[picks], spreads=np.full(p, spread))
 
 
+def step_stack(kind, matrix, vector, grad_matrix, grad_vector, mu: float):
+    """One gradient-descent update of a pair (any leading stack axes); rbf spreads are clamped positive."""
+    matrix = matrix - mu * grad_matrix
+    vector = vector - mu * grad_vector
+    if kind == "rbf":
+        vector = np.maximum(vector, MIN_SPREAD)
+    return matrix, vector
+
+
 def step_gating(params: GatingParams, grad: GateGradient, mu: float) -> GatingParams:
     """One gradient-descent update; rbf spreads are clamped positive."""
     if grad.kind != params.kind:
         raise ValueError("gradient/params kind mismatch")
-    if params.kind == "rbf":
-        spreads = np.maximum(params.spreads - mu * grad.spreads, MIN_SPREAD)
-        return GatingParams(kind="rbf", centers=params.centers - mu * grad.centers, spreads=spreads)
-    return GatingParams(kind=params.kind, v=params.v - mu * grad.v, v0=params.v0 - mu * grad.v0)
+    return GatingParams.from_pair(params.kind, *step_stack(params.kind, *params.pair, *grad.pair, mu))

@@ -94,21 +94,6 @@ def _check_resolved(spec: KernelSpec):
         raise ValueError("gaussian bandwidth is unresolved; call spec.resolved(X) first")
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate one kernel on a pair of vectors."""
-    _check_resolved(spec)
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == "linear":
-        return float(x @ y)
-    if spec.kind == "polynomial":
-        return float((x @ y + 1.0) ** spec.q)
-    diff = x - y
-    return float(np.exp(-(diff @ diff) / spec.sigma_sq))
-
-
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at zero."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -4,15 +4,19 @@ A ``Model`` combines p base kernels with per-kernel weights that are
 either fixed (``weights``: OCSVM is one kernel with weight 1, MKAD uses
 1/p each) or computed per row by a gating function (``gating``: LMKAD,
 k(x, y) = sum_m eta_m(x) K_m(x, y) eta_m(y)).  ``family`` is a label.
-One trainer core serves all three families.
+One trainer serves all three families.
 
-The trainer core (``_fit``) is a generator that yields each dual it needs
-and resumes with the solution.  ``fit_many`` drives many fits at once: each
-round, every fit runs to its next dual, and the pending duals go to one
-``solver.solve_duals`` call, which advances equal-size duals in lockstep
-and hands the last few to the scalar loop.  Every fit keeps the iterates,
-and so the model, it gets when trained alone; ``train_ocsvm``,
-``train_mkad`` and ``train_lmkad`` are one-fit calls of ``fit_many``.
+The trainer (``fit_many``) trains many fits as one array program.  Fits
+that share family, kernel specs, size and trainer knobs form a stack, and
+each outer iteration of a stack is a fixed sequence of numpy calls on
+(B, ...) arrays, however many fits it holds: stacked gates and kernel
+combination, one validation pass (``solver.check_duals``), one
+``solver.solve_duals`` call (lockstep SMO with a scalar tail), the
+per-fit stopping test, and the stacked gating gradient and step.  Every
+fit keeps the iterates, and so the model, it gets when trained alone;
+``tests/fit_reference.py`` keeps the one-fit loop that pins this.
+``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
+``fit_many``.
 
 Trained models are immutable; ``decision_values``/``predict_batch``
 normalize raw inputs internally.  ``save_model``/``load_model`` round-trip
@@ -21,15 +25,15 @@ models through a versioned JSON container (exact float round-trip).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Normalizer, fit_normalizer, apply_normalizer
-from .gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_gating
+from .gating import GatingParams, gate_eval_batch, gate_stack, gradient_stack, init_gating, step_stack
 from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
-from .solver import DualProblem, solve_duals
+from .solver import check_duals, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -38,8 +42,11 @@ FAMILIES = ("ocsvm", "mkad", "lmkad")
 #: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
 BLOCK_ROWS = 8192
 
-#: estimated bytes of N x N training state that ``fit_many`` trains at once: the
-#: 100 feasible fits of an iris cell (N=40) form one batch, a gpl fit at N=1000 one alone
+#: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
+#: fit holds (p + 3) N x N float64 arrays: its p base Grams, its Q, the scratch
+#: that composition and the symmetry check share, and the lockstep's transposed
+#: copy of Q.  The 100 feasible fits of an iris cell (N=40, p=3: 7.7 MB) form
+#: one batch, and a gpl fit at N=1000 (48 MB) runs alone.
 BATCH_BYTES = 32 * 2**20
 
 #: named kernel combinations exposed on the CLI
@@ -122,24 +129,26 @@ class LmkadConfig:
             raise ValueError("inner_max_iter must be >= 1")
 
 
-def _combine(grams, weights, H_X, H_Y) -> np.ndarray:
+def _combine(grams, weights, H_X, H_Y, out=None, scratch=None) -> np.ndarray:
     """sum_m w_m K_m with fixed ``weights``; with ``weights=None``, entry (i,j)
     is sum_m eta_m(x_i) K_m(i,j) eta_m(y_j) for gate matrices ``H_X``, ``H_Y``.
 
-    Each term is ``w_m * K_m`` or ``(H_X[:, m] * K_m) * H_Y[:, m]`` and the
-    terms are summed left to right, built in place in a fresh output and
-    one scratch buffer; the Grams are only read.
+    ``grams[m]`` is K_m, of shape (..., R, S) with any leading stack
+    axes shared by ``H_X`` (..., R, p) and ``H_Y`` (..., S, p).  Each term
+    is ``w_m * K_m`` or ``(H_X[:, m] * K_m) * H_Y[:, m]`` and the terms are
+    summed left to right, built in place in ``out`` and one ``scratch``
+    buffer (fresh ones when not given); the Grams are only read.
     """
-    out = np.empty(np.shape(grams[0]))
+    out = np.empty(np.shape(grams[0])) if out is None else out
     term = out
     for m, K in enumerate(grams):
         if m == 1:
-            term = np.empty_like(out)
+            term = np.empty_like(out) if scratch is None else scratch
         if weights is not None:
             np.multiply(weights[m], K, out=term)
         else:
-            np.multiply(H_X[:, m : m + 1], K, out=term)
-            term *= H_Y[:, m]
+            np.multiply(H_X[..., :, m : m + 1], K, out=term)
+            term *= H_Y[..., None, :, m]
         if m:
             out += term
     return out
@@ -191,87 +200,191 @@ class FitJob(NamedTuple):
     config: LmkadConfig
 
 
-def _fit(family: str, train_targets: np.ndarray, kernels, config: LmkadConfig):
-    """The trainer core: z-score the targets, resolve auto bandwidths, solve the dual.
+#: the ``LmkadConfig`` fields that may differ between the fits of one stack
+PER_FIT_FIELDS = ("nu", "seed", "initial_gating")
 
-    A generator driven by ``fit_many``: it yields each dual it needs as
-    ``(DualProblem, alpha0)``, is sent the ``DualSolution`` back, and
-    returns the ``Model``.  Fixed weights take one solve.  Gates
-    alternate: each outer iteration evaluates them, solves the dual on
-    the locally combined kernel (warm-started), then steps the gating
-    parameters down the gradient of the dual objective.  The model keeps
-    the gating of the final solve.
-    """
+
+def _prepare(train_targets, specs):
+    """Z-score the target rows and resolve auto bandwidths on them."""
     X = np.atleast_2d(np.asarray(train_targets, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
     norm = fit_normalizer(X)
     Xn = apply_normalizer(norm, X)
-    kernels = tuple(k.resolved(Xn) for k in resolve_kernels(kernels))
-    p = len(kernels)
-    grams = [gram(k, Xn, Xn) for k in kernels]
+    return norm, Xn, tuple(k.resolved(Xn) for k in specs)
 
-    weights = gating = H = None
+
+def _initial_gating(family: str, config: LmkadConfig, p: int, Xn: np.ndarray) -> GatingParams | None:
+    """The gating an LMKAD fit starts from; None for the fixed-weight families."""
     if family != "lmkad":
-        weights = np.full(p, 1.0 / p)
-    elif config.initial_gating is not None:
-        gating = config.initial_gating
-        if gating.p != p or gating.d != Xn.shape[1]:
-            raise ValueError("initial_gating shape does not match kernels/data")
-    else:
-        gating = init_gating(config.gating_kind, p, Xn.shape[1], Xn, config.seed)
+        return None
+    if config.initial_gating is None:
+        return init_gating(config.gating_kind, p, Xn.shape[1], Xn, config.seed)
+    if config.initial_gating.p != p or config.initial_gating.d != Xn.shape[1]:
+        raise ValueError("initial_gating shape does not match kernels/data")
+    return config.initial_gating
 
-    max_outer = config.max_outer if gating is not None else 1
-    alpha_prev = None
-    trace: list[float] = []
-    converged = False
-    inner_total = 0
-    for t in range(max_outer):
-        if gating is not None:
-            H = gate_eval_batch(gating, Xn)
-        # keep Q until the next is built: freeing it per solve re-faults N x N pages (~10 % slower)
-        Q = _combine(grams, weights, H, H)
-        sol = yield DualProblem(Q, config.nu), alpha_prev
-        inner_total += sol.iterations
-        trace.append(-sol.objective)  # dual objective J(eta)
-        if len(trace) >= 2:
-            change = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            if change <= config.outer_tol:
-                converged = True
-                break
-        if t == max_outer - 1:
-            break
-        grad = gate_gradient(gating, sol.alpha, Xn, grams, H)
-        if not grad.is_finite():
-            raise RuntimeError(
-                f"non-finite gating gradient at outer iteration {t} "
-                f"(kind={gating.kind}, nu={config.nu})"
-            )
-        gating = step_gating(gating, grad, config.learning_rate * config.lr_decay**t)
-        alpha_prev = sol.alpha
 
-    sv = sol.support_indices
-    report = TrainingReport(
-        iterations=len(trace),
-        objective_trace=trace,
-        converged=converged if gating is not None else sol.converged,
-        final_violation=sol.final_violation,
-        inner_iterations=inner_total,
-    )
-    return Model(
-        family=family,
-        kernels=kernels,
-        sv_features=Xn[sv],
-        sv_alpha=sol.alpha[sv],
-        rho=sol.rho,
-        normalizer=norm,
-        nu=config.nu,
-        n_train=Xn.shape[0],
-        weights=weights,
-        gating=gating,
-        sv_eta=None if H is None else H[sv],
-        report=report,
-    )
+def _compact(a: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Rows ``keep`` (ascending) of ``a`` moved to its front in place, as a view:
+    a large stack is never copied whole."""
+    for new, old in enumerate(keep):
+        if new != old:
+            a[new] = a[old]
+    return a[: len(keep)]
+
+
+class _Stack:
+    """Fits that train as one array program; row r is job ``jobs[r]``.
+
+    The fits share family, kernel specs, N, d, gating kind and every
+    ``LmkadConfig`` field but ``PER_FIT_FIELDS``, so every round is the
+    same sequence of numpy calls on (B, ...) arrays: rows ``Xn`` (B, N, d),
+    base Grams (B, p, N, N), the gating pair (B, p, d) and (B, p), gates
+    ``H`` (B, N, p), ``q`` (B, N, N) and warm starts (B, N).  ``q`` and
+    the scratch buffer shared by composition and the symmetry check are
+    allocated once; fits that stop are compacted out of every array.
+    """
+
+    def __init__(self, jobs, members, prepared):
+        self.jobs = [k for k, _, _ in members]
+        first = jobs[self.jobs[0]]
+        self.family = first.family
+        self.config = first.config
+        self.nus = [jobs[k].config.nu for k in self.jobs]
+        self.norms = [prepared[key][0] for _, key, _ in members]
+        self.kernels = [prepared[key][2] for _, key, _ in members]
+        b = len(members)
+        n, d = prepared[members[0][1]][1].shape
+        p = len(self.kernels[0])
+        self.Xn = np.empty((b, n, d))
+        self.grams = np.empty((b, p, n, n))
+        filled: dict[tuple, int] = {}  # the Grams of a training matrix are computed once
+        for r, (_, key, _) in enumerate(members):
+            Xn = prepared[key][1]
+            self.Xn[r] = Xn
+            if key in filled:
+                self.grams[r] = self.grams[filled[key]]
+                continue
+            filled[key] = r
+            for m, spec in enumerate(self.kernels[r]):
+                self.grams[r, m] = gram(spec, Xn, Xn)
+        gatings = [gating for _, _, gating in members]
+        self.kind = None if gatings[0] is None else gatings[0].kind
+        self.weights = np.full(p, 1.0 / p) if self.kind is None else None
+        self.pair = None if self.kind is None else tuple(np.stack(a) for a in zip(*(g.pair for g in gatings)))
+        self.H = None
+        self.q = np.empty((b, n, n))
+        self.scratch = np.empty((b, n, n))
+        self.alpha = self.prev = None
+        self.inner = np.zeros(b, dtype=np.int64)
+        self.traces: list[list[float]] = [[] for _ in range(b)]
+
+    def compose(self) -> dict[int, str]:
+        """Evaluate the gates and build every fit's Q; ``check_duals``' verdict on them."""
+        if self.kind is not None:
+            self.H = gate_stack(self.kind, self.Xn, *self.pair)
+        _combine(self.grams.swapaxes(0, 1), self.weights, self.H, self.H, self.q, self.scratch)
+        return check_duals(self.q, self.nus, self.scratch)
+
+    def advance(self, t: int, models: list, failures: dict) -> None:
+        """Solve outer iteration ``t``'s duals, finish the fits that stop, step the rest."""
+        c = self.config
+        sols = solve_duals(self.q, self.nus, self.alpha, c.inner_tol, c.inner_max_iter, c.rho_mode)
+        objective = -sols.objective  # the dual objective J(eta)
+        self.inner += sols.iterations
+        for trace, value in zip(self.traces, objective.tolist()):
+            trace.append(value)
+        converged = np.zeros(len(self.jobs), dtype=bool)
+        if t:
+            change = np.abs(objective - self.prev) / np.maximum(np.abs(self.prev), 1e-12)
+            converged = change <= c.outer_tol
+        last = t == (c.max_outer if self.kind is not None else 1) - 1
+        stop = converged | last
+        for r in np.flatnonzero(stop).tolist():
+            models[self.jobs[r]] = self._model(r, sols[r], bool(converged[r]))
+        keep = np.flatnonzero(~stop).tolist()
+        self._keep(keep)
+        if not keep:
+            return
+        alpha, objective = sols.alpha[keep], objective[keep]
+        grad = gradient_stack(self.kind, *self.pair, alpha, self.Xn, self.grams, self.H)
+        finite = np.isfinite(grad[0]).all(axis=(1, 2)) & np.isfinite(grad[1]).all(axis=1)
+        if not finite.all():
+            for r in np.flatnonzero(~finite).tolist():
+                failures.setdefault(self.jobs[r], RuntimeError(
+                    f"non-finite gating gradient at outer iteration {t} "
+                    f"(kind={self.kind}, nu={self.nus[r]})"
+                ))
+            keep = np.flatnonzero(finite).tolist()
+            self._keep(keep)
+            alpha, objective, grad = alpha[keep], objective[keep], (grad[0][keep], grad[1][keep])
+        self.pair = step_stack(self.kind, *self.pair, *grad, c.learning_rate * c.lr_decay**t)
+        self.alpha, self.prev = alpha, objective
+
+    def _keep(self, keep: list[int]) -> None:
+        if len(keep) == len(self.jobs):
+            return
+        for name in ("jobs", "nus", "norms", "kernels", "traces"):
+            setattr(self, name, [getattr(self, name)[r] for r in keep])
+        self.Xn, self.grams = _compact(self.Xn, keep), _compact(self.grams, keep)
+        self.q, self.scratch = self.q[: len(keep)], self.scratch[: len(keep)]  # rebuilt each round
+        self.inner = self.inner[keep]
+        if self.kind is not None:
+            self.H = self.H[keep]
+            self.pair = (self.pair[0][keep], self.pair[1][keep])
+
+    def _model(self, r: int, sol, converged: bool) -> Model:
+        sv = sol.support_indices
+        gated = self.kind is not None
+        report = TrainingReport(
+            iterations=len(self.traces[r]),
+            objective_trace=self.traces[r],
+            converged=converged if gated else sol.converged,
+            final_violation=sol.final_violation,
+            inner_iterations=int(self.inner[r]),
+        )
+        return Model(
+            family=self.family,
+            kernels=self.kernels[r],
+            sv_features=self.Xn[r][sv],
+            sv_alpha=sol.alpha[sv],
+            rho=sol.rho,
+            normalizer=self.norms[r],
+            nu=self.nus[r],
+            n_train=self.Xn.shape[1],
+            weights=None if gated else self.weights.copy(),
+            gating=GatingParams.from_pair(self.kind, self.pair[0][r].copy(), self.pair[1][r].copy()) if gated else None,
+            sv_eta=self.H[r][sv] if gated else None,
+            report=report,
+        )
+
+
+def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack]:
+    """Set up a batch's jobs and group them into stacks, in job order.
+
+    The normalizer, the resolved kernels and the Grams are computed once
+    per distinct training matrix (the same object: a fold's candidates
+    share one).  A job whose set-up raises goes to ``failures``.
+    """
+    prepared: dict[tuple, tuple] = {}
+    groups: dict[tuple, list] = {}
+    for k in batch:
+        family, train_targets, kernels, config = jobs[k]
+        try:
+            specs = resolve_kernels(kernels)
+            key = (id(train_targets), specs)
+            if key not in prepared:
+                prepared[key] = _prepare(train_targets, specs)
+            Xn = prepared[key][1]
+            gating = _initial_gating(family, config, len(specs), Xn)
+        except Exception as exc:  # noqa: BLE001 - re-raised by fit_many in job order
+            failures.setdefault(k, exc)
+            continue
+        knobs = tuple(getattr(config, f.name) for f in fields(config) if f.name not in PER_FIT_FIELDS)
+        group = (family, specs, Xn.shape, None if gating is None else gating.kind, knobs)
+        groups.setdefault(group, []).append((k, key, gating))
+    return [_Stack(jobs, members, prepared) for members in groups.values()]
 
 
 def _batches(jobs: list[FitJob]):
@@ -280,8 +393,7 @@ def _batches(jobs: list[FitJob]):
     used = 0
     for k, job in enumerate(jobs):
         n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
-        # the base Grams, the combined Gram and its transposed copy in the lockstep stack
-        size = (len(resolve_kernels(job.kernels)) + 2) * n * n * 8
+        size = (len(resolve_kernels(job.kernels)) + 3) * n * n * 8
         if batch and used + size > BATCH_BYTES:
             yield batch
             batch, used = [], 0
@@ -294,40 +406,39 @@ def _batches(jobs: list[FitJob]):
 def fit_many(jobs) -> list[Model]:
     """Train every ``FitJob``; each model equals the one it would get alone.
 
-    Jobs are admitted in consecutive batches under ``BATCH_BYTES`` of
-    live N x N state.  Within a batch every fit runs its trainer core up
-    to its next dual, and the pending duals of a round that share solver
-    settings go to one ``solve_duals`` call, which keeps every iterate of
-    a lone solve.  Gates, kernel combination, validation and the
-    gradient stay per fit.  The first training error propagates.
+    The trainer core, for every family: z-score the targets, resolve auto
+    bandwidths, and solve the one-class dual on the combined kernel.
+    Fixed weights take one solve.  Gates alternate: each outer iteration
+    evaluates them, solves the dual on the locally combined kernel
+    (warm-started), then steps the gating parameters down the gradient of
+    the dual objective with step size ``learning_rate * lr_decay**t``.
+    The model keeps the gating of the final solve.
+
+    Jobs are admitted in consecutive batches under ``BATCH_BYTES`` and
+    grouped into stacks (``_Stack``) that run each outer iteration as one
+    array program: gates and composition, one ``check_duals`` pass, one
+    ``solve_duals`` call, the objective test, then gradient and step.  If
+    any fit fails, the error of the lowest job index in the earliest
+    failing round propagates: the error it would raise alone.
     """
     jobs = list(jobs)
     models: list[Model | None] = [None] * len(jobs)
     for batch in _batches(jobs):
-        pending = {}
-        for k in batch:
-            fit = _fit(*jobs[k])
-            pending[k] = (fit, next(fit))
-        while pending:
-            rounds: dict[tuple, list[int]] = {}
-            for k in pending:
-                c = jobs[k].config
-                rounds.setdefault((c.inner_tol, c.inner_max_iter, c.rho_mode), []).append(k)
-            for (tol, max_iter, rho_mode), keys in rounds.items():
-                solutions = solve_duals(
-                    [pending[k][1][0] for k in keys],
-                    [pending[k][1][1] for k in keys],
-                    tol=tol,
-                    max_iter=max_iter,
-                    rho_mode=rho_mode,
-                )
-                for k, sol in zip(keys, solutions):
-                    fit = pending[k][0]
-                    try:
-                        pending[k] = (fit, fit.send(sol))
-                    except StopIteration as done:
-                        models[k] = done.value
-                        del pending[k]
+        failures: dict[int, Exception] = {}
+        stacks = _stacks(jobs, batch, failures)
+        t = 0
+        while stacks:
+            for stack in stacks:
+                for r, message in stack.compose().items():
+                    failures.setdefault(stack.jobs[r], ValueError(message))
+            if failures:
+                break
+            for stack in stacks:
+                stack.advance(t, models, failures)
+            stacks = [stack for stack in stacks if stack.jobs]
+            t += 1
+        if failures:
+            raise failures[min(failures)]
     return models
 
 
@@ -358,7 +469,7 @@ def train_mkad(
 
 
 def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Model:
-    """Alternating optimization of the dual and the gating parameters (see ``_fit``)."""
+    """Alternating optimization of the dual and the gating parameters (see ``fit_many``)."""
     return fit_many([FitJob("lmkad", train_targets, kernels, config)])[0]
 
 

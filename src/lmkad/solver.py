@@ -6,6 +6,17 @@ precomputed Gram matrix.  Each pair step solves the two-variable
 subproblem exactly and preserves the simplex constraint, so the objective
 never increases and every iterate stays feasible.
 
+``solve_duals`` solves a stack of B independent duals of one size N: Q
+is a (B, N, N) array, the rejection rates and warm starts are (B,) and
+(B, N).  The set-up (feasible start, ``g = Q @ alpha``) and the finish
+(refreshed ``Q @ alpha``, objective, support and margin masks) each run
+over the whole stack in a few numpy calls: stacked ``matmul`` calls the
+same BLAS routine per dual as a 2-D ``@``, and row sums reduce each row
+as a 1-D sum does, so every row equals its one-problem result bit for
+bit.  Only rho is computed per dual (a mean over a masked subset), when
+its ``DualSolution`` is read.  ``check_duals`` validates a stack in one
+pass, and ``DualProblem`` is its one-problem case.
+
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
 kept incrementally as additive penalty vectors (-inf where ``alpha == 0``,
@@ -19,11 +30,11 @@ is therefore bit for bit that of the plain loop kept in
 ``tests/smo_reference.py``.  Columns, not rows, are read: a localized Q
 is symmetric only up to rounding.
 
-``solve_duals`` also advances independent duals of one size in
-lockstep, so one numpy call steps many duals.  A turn takes one step of
-every unfinished dual with elementwise operations on (B, N) state
-arrays: the penalty adds, row-wise ``argmax``/``argmin`` (first-index
-ties, as above), flat ``take`` of the gaps, diagonals, ``Q[i, j]`` and
+A stack of at least ``LOCKSTEP_MIN_ROWS`` duals is advanced in lockstep,
+so one numpy call steps many duals.  A turn takes one step of every
+unfinished dual with elementwise operations on (B, N) state arrays: the
+penalty adds, row-wise ``argmax``/``argmin`` (first-index ties, as
+above), flat ``take`` of the gaps, diagonals, ``Q[i, j]`` and
 multipliers, the per-row step and clipping, penalty ``put`` at i and j,
 and the same three-rounding gradient update on columns gathered from a
 stack of transposed Grams.  Converged rows are compacted out.  Step
@@ -63,9 +74,48 @@ def infeasible_nu(nu: float, n: int) -> str | None:
     return None
 
 
+def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[int, str]:
+    """Why each invalid dual of a stack is invalid: ``{row: message}``, empty if all are valid.
+
+    ``Q`` is a (B, N, N) float array and ``nu`` holds the B rejection
+    rates.  A row's message is that of its first failing check, in this
+    order: Q finite, symmetric within 1e-9, diagonal >= -1e-12, nu in
+    (0, 1], and ``infeasible_nu``.  ``|Q - Q^T|`` is built in
+    ``scratch`` (same shape as Q) when given, else in a new array.
+    """
+    b, n = Q.shape[0], Q.shape[-1]
+    finite = np.isfinite(Q).all(axis=(1, 2))
+    if finite.all():
+        asym = np.subtract(Q, Q.transpose(0, 2, 1), out=scratch)
+        np.abs(asym, out=asym)
+        asym = asym.max(axis=(1, 2)) > 1e-9
+    else:  # inf - inf would warn; only finite rows reach the symmetry check
+        asym = np.array([bool(finite[r]) and np.max(np.abs(Q[r] - Q[r].T)) > 1e-9 for r in range(b)])
+    negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
+    rates = np.asarray(nu, dtype=float)
+    out_of_range = ~((0.0 < rates) & (rates <= 1.0))
+    bad = ~finite | asym | negative | out_of_range | (rates * n < 1.0 - 1e-9)
+    errors = {}
+    for r in np.flatnonzero(bad).tolist():
+        if not finite[r]:
+            errors[r] = "Q contains non-finite entries"
+        elif asym[r]:
+            errors[r] = "Q is not symmetric within 1e-9"
+        elif negative[r]:
+            errors[r] = "Q has a negative diagonal entry"
+        elif out_of_range[r]:
+            errors[r] = f"infeasible nu: {nu[r]} not in (0, 1]"
+        else:
+            errors[r] = infeasible_nu(nu[r], n)
+    return errors
+
+
 @dataclass(frozen=True)
 class DualProblem:
-    """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N)."""
+    """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N).
+
+    Validated as the one-problem case of ``check_duals``.
+    """
 
     q: np.ndarray
     nu: float
@@ -74,18 +124,9 @@ class DualProblem:
         Q = np.asarray(self.q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
-        if not np.isfinite(Q).all():
-            raise ValueError("Q contains non-finite entries")
-        if np.max(np.abs(Q - Q.T)) > 1e-9:
-            raise ValueError("Q is not symmetric within 1e-9")
-        if np.min(np.diagonal(Q)) < -1e-12:
-            raise ValueError("Q has a negative diagonal entry")
-        n = Q.shape[0]
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"infeasible nu: {self.nu} not in (0, 1]")
-        reason = infeasible_nu(self.nu, n)
-        if reason is not None:
-            raise ValueError(reason)
+        errors = check_duals(Q[None], [self.nu])
+        if errors:
+            raise ValueError(errors[0])
         object.__setattr__(self, "q", Q)
 
     @property
@@ -110,19 +151,98 @@ class DualSolution:
     violation_trace: list[float] = field(default_factory=list, repr=False)
 
 
-def _feasible_start(n: int, upper: float, alpha0: np.ndarray | None) -> np.ndarray:
+def _matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k is ``Q[k] @ x[k]``, by the BLAS call a 2-D ``@`` makes."""
+    return np.matmul(Q, x[:, :, None])[:, :, 0]
+
+
+def _feasible_start(upper: np.ndarray, alpha0: np.ndarray | None, b: int, n: int) -> np.ndarray:
+    """Uniform multipliers, or each warm start projected back into its feasible set."""
     if alpha0 is None:
-        alpha = np.full(n, 1.0 / n)
+        alpha = np.full((b, n), 1.0 / n)
     else:
-        alpha = np.clip(np.asarray(alpha0, dtype=float).copy(), 0.0, upper)
-        if alpha.shape != (n,):
-            raise ValueError(f"warm-start alpha has shape {alpha.shape}, expected ({n},)")
-        deficit = 1.0 - alpha.sum()
-        if abs(deficit) > 1e-15:
-            alpha = np.clip(alpha + deficit / n, 0.0, upper)
-        if abs(alpha.sum() - 1.0) > 1e-9:  # badly infeasible input: start over
-            alpha = np.full(n, 1.0 / n)
-    return np.clip(alpha, 0.0, upper)
+        alpha0 = np.asarray(alpha0, dtype=float)
+        if len(alpha0) != b:
+            raise ValueError(f"{len(alpha0)} warm starts for {b} problems")
+        if alpha0.shape[1:] != (n,):
+            raise ValueError(f"warm-start alpha has shape {alpha0.shape[1:]}, expected ({n},)")
+        alpha = np.clip(alpha0, 0.0, upper[:, None])
+        deficit = 1.0 - alpha.sum(axis=1)
+        off = np.abs(deficit) > 1e-15
+        if off.any():
+            alpha[off] = np.clip(alpha[off] + (deficit[off] / n)[:, None], 0.0, upper[off, None])
+        restart = np.abs(alpha.sum(axis=1) - 1.0) > 1e-9  # badly infeasible input: start over
+        if restart.any():
+            alpha[restart] = 1.0 / n
+    return np.clip(alpha, 0.0, upper[:, None], out=alpha)
+
+
+def _violation(gap: float) -> float:
+    """The KKT gap as reported: floored at 0, and 0 when not finite."""
+    return max(0.0, gap if math.isfinite(gap) else 0.0)
+
+
+class DualStack:
+    """B duals of one size: their loop state while solving, then their solutions.
+
+    Row k of every array is dual k.  ``alpha`` and ``g = Q @ alpha`` are
+    (B, N); ``iterations``, ``gap`` and ``converged`` hold each dual's
+    step count, last KKT gap and whether it met the tolerance.  Once
+    ``solve_duals`` returns, ``g`` is refreshed and ``objective``,
+    ``support`` and ``margin`` (boolean masks) are set, and
+    ``stack[k]`` is dual k's ``DualSolution``.
+    """
+
+    def __init__(self, Q, nu, alpha0, max_iter, record_violations: bool):
+        b, n = Q.shape[0], Q.shape[-1]
+        self.q = Q
+        self.upper = 1.0 / (np.asarray(nu, dtype=float) * n)
+        self.max_iter = 100 * n * n if max_iter is None else max_iter
+        self.alpha = _feasible_start(self.upper, alpha0, b, n)
+        self.g = _matvec(Q, self.alpha)
+        self.iterations = np.zeros(b, dtype=np.int64)
+        self.gap = np.full(b, math.inf)
+        self.converged = np.zeros(b, dtype=bool)
+        self.traces = [[] for _ in range(b)] if record_violations else None
+
+    def __len__(self) -> int:
+        return self.alpha.shape[0]
+
+    def _finish(self, rho_mode: str) -> None:
+        self.g = _matvec(self.q, self.alpha)  # refresh: incremental updates accumulate rounding
+        self.objective = 0.5 * np.matmul(self.alpha[:, None, :], self.g[:, :, None])[:, 0, 0]
+        eps_sv = EPS_SV_FACTOR * self.upper[:, None]
+        self.support = self.alpha > eps_sv
+        self.margin = self.support & (self.alpha < self.upper[:, None] - eps_sv)
+        self.rho_mode = rho_mode
+
+    def __getitem__(self, k: int) -> DualSolution:
+        """Dual k's solution.  Default rho is the mean of ``g`` over margin
+        support vectors (the KKT-consistent estimator), falling back to all
+        support vectors when no multiplier is strictly inside the box;
+        ``mean-all-train`` centers the decision values over every row."""
+        g = self.g[k]
+        support = np.flatnonzero(self.support[k])
+        margin = np.flatnonzero(self.margin[k])
+        if support.size == 0:
+            raise RuntimeError("cannot compute rho: no support vectors")
+        if self.rho_mode == "mean-all-train":
+            rho = g.mean()
+        elif margin.size > 0:
+            rho = g[margin].mean()
+        else:
+            rho = g[support].mean()
+        return DualSolution(
+            alpha=self.alpha[k],
+            objective=float(self.objective[k]),
+            support_indices=support,
+            margin_indices=margin,
+            rho=float(rho),
+            converged=bool(self.converged[k]),
+            iterations=int(self.iterations[k]),
+            final_violation=_violation(float(self.gap[k])),
+            violation_trace=[] if self.traces is None else self.traces[k],
+        )
 
 
 def solve_dual(
@@ -138,118 +258,72 @@ def solve_dual(
     ``alpha0`` warm-starts the iteration.  This is the one-problem case of
     ``solve_duals`` (see there), which runs it in the scalar loop.
     """
-    return solve_duals([problem], [alpha0], tol, max_iter, rho_mode, record_violations)[0]
+    alpha0 = None if alpha0 is None else np.asarray(alpha0, dtype=float)[None]
+    stack = solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode, record_violations)
+    return stack[0]
 
 
 def solve_duals(
-    problems,
-    alpha0s=None,
+    Q: np.ndarray,
+    nu,
+    alpha0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     rho_mode: str = "margin",
     record_violations: bool = False,
-) -> list[DualSolution]:
-    """Solve independent duals; each gets the iterates it would get alone.
+) -> DualStack:
+    """Solve a stack of independent duals; each gets the iterates it would get alone.
 
-    ``alpha0s`` holds one warm start (or None) per problem; each is
-    projected back into the feasible set first.  If ``max_iter`` pair
-    updates elapse before convergence the best-so-far solution is
-    returned with ``converged=False``; the default cap is ``100 * N**2``
-    and a cap below 1 is rejected.
+    ``Q`` is (B, N, N) and ``nu`` holds B rejection rates; together they
+    must pass ``check_duals``.  ``alpha0`` is None (every dual starts at
+    uniform multipliers) or a (B, N) array of warm starts, each projected
+    back into its feasible set first.  If ``max_iter`` pair updates elapse
+    before convergence the best-so-far solution is kept with
+    ``converged=False``; the default cap is ``100 * N**2`` and a cap
+    below 1 is rejected.
 
-    Problems of equal N that number at least ``LOCKSTEP_MIN_ROWS`` are
-    advanced in lockstep, one step of every unfinished dual per turn
-    (see the module docstring); once fewer than ``LOCKSTEP_MIN_ROWS``
-    remain, each finishes in the scalar loop from its exact state.  In
-    both loop forms the pair rule, the step and its floating-point
-    operations are those of the plain loop that rebuilds both masks every
-    step, so every solution's iterates, step count and violation trace
-    equal its own.
+    A stack of at least ``LOCKSTEP_MIN_ROWS`` duals is advanced in
+    lockstep, one step of every unfinished dual per turn (see the module
+    docstring); once fewer than ``LOCKSTEP_MIN_ROWS`` remain, each
+    finishes in the scalar loop from its exact state.  In both loop forms
+    the pair rule, the step and its floating-point operations are those
+    of the plain loop that rebuilds both masks every step, so every
+    solution's iterates, step count and violation trace equal its own.
     """
     if rho_mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {rho_mode!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    problems = list(problems)
-    alpha0s = [None] * len(problems) if alpha0s is None else list(alpha0s)
-    if len(alpha0s) != len(problems):
-        raise ValueError(f"{len(alpha0s)} warm starts for {len(problems)} problems")
-    duals = [_Dual(p, a0, max_iter, record_violations) for p, a0 in zip(problems, alpha0s)]
-    by_size: dict[int, list[_Dual]] = {}
-    for dual in duals:
-        by_size.setdefault(dual.q.shape[0], []).append(dual)
-    for group in by_size.values():
-        if len(group) >= LOCKSTEP_MIN_ROWS:
-            _lockstep(group, tol)
-        for dual in group:
-            if not dual.converged:
-                _scalar_loop(dual, tol)
-    return [dual.solution(rho_mode) for dual in duals]
+    stack = DualStack(Q, nu, alpha0, max_iter, record_violations)
+    if len(stack) >= LOCKSTEP_MIN_ROWS:
+        _lockstep(stack, tol)
+    for k in np.flatnonzero(~stack.converged).tolist():
+        _scalar_loop(stack, k, tol)
+    stack._finish(rho_mode)
+    return stack
 
 
-class _Dual:
-    """The loop state of one dual: multipliers, gradient, step count, last gap.
-
-    The penalty masks are a function of the multipliers and are rebuilt
-    from them whenever a loop takes the dual over.
-    """
-
-    def __init__(self, problem: DualProblem, alpha0, max_iter, record_violations: bool):
-        self.q = Q = problem.q
-        n = problem.n
-        self.upper = upper = float(problem.upper_bound)
-        self.max_iter = 100 * n * n if max_iter is None else max_iter
-        start = _feasible_start(n, upper, alpha0)
-        self.alpha = start
-        self.g = Q @ start
-        self.iterations = 0
-        self.gap = math.inf
-        self.converged = False
-        self.trace: list[float] | None = [] if record_violations else None
-
-    def solution(self, rho_mode: str) -> DualSolution:
-        alpha = self.alpha
-        g = self.q @ alpha  # refresh: incremental updates accumulate rounding
-        support, margin, rho = _support_and_rho(alpha, g, self.upper, rho_mode)
-        return DualSolution(
-            alpha=alpha,
-            objective=0.5 * float(alpha @ g),
-            support_indices=support,
-            margin_indices=margin,
-            rho=rho,
-            converged=self.converged,
-            iterations=self.iterations,
-            final_violation=_violation(self.gap),
-            violation_trace=[] if self.trace is None else self.trace,
-        )
-
-
-def _violation(gap: float) -> float:
-    """The KKT gap as reported: floored at 0, and 0 when not finite."""
-    return max(0.0, gap if math.isfinite(gap) else 0.0)
-
-
-def _scalar_loop(dual: _Dual, tol: float) -> None:
-    """Advance one dual from its current state until it converges or hits its cap."""
-    Q = dual.q
+def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
+    """Advance dual k from its current state until it converges or hits its cap."""
+    Q = stack.q[k]
     n = Q.shape[0]
-    upper = dual.upper
-    max_iter = dual.max_iter
-    trace = dual.trace
+    upper = float(stack.upper[k])
+    max_iter = stack.max_iter
+    trace = None if stack.traces is None else stack.traces[k]
     # loop state (see the module docstring): Python floats, penalty masks, buffers
-    alpha = dual.alpha.tolist()
+    alpha = stack.alpha[k].tolist()
     diag = Q.diagonal().tolist()
     cols = Q.T  # cols[j] is the column Q[:, j], not the row Q[j]
-    g = dual.g
-    pen_dec = np.where(dual.alpha > 0.0, 0.0, -np.inf)
-    pen_inc = np.where(dual.alpha < upper, 0.0, np.inf)
+    g = stack.g[k]  # a view: updated in place
+    pen_dec = np.where(stack.alpha[k] > 0.0, 0.0, -np.inf)
+    pen_inc = np.where(stack.alpha[k] < upper, 0.0, np.inf)
     g_dec = np.empty(n)
     g_inc = np.empty(n)
     d = np.empty(n)
 
     converged = False
-    iterations = dual.iterations
-    gap = dual.gap
+    iterations = int(stack.iterations[k])
+    gap = float(stack.gap[k])
     while iterations < max_iter:
         np.add(g, pen_dec, out=g_dec)
         np.add(g, pen_inc, out=g_inc)
@@ -282,32 +356,32 @@ def _scalar_loop(dual: _Dual, tol: float) -> None:
         g += d
         iterations += 1
 
-    dual.alpha = np.array(alpha)
-    dual.iterations = iterations
-    dual.gap = gap
-    dual.converged = converged
+    stack.alpha[k] = alpha
+    stack.iterations[k] = iterations
+    stack.gap[k] = gap
+    stack.converged[k] = converged
 
 
-def _lockstep(duals: list[_Dual], tol: float) -> None:
-    """Advance duals of one size together while ``LOCKSTEP_MIN_ROWS`` are unfinished.
+def _lockstep(stack: DualStack, tol: float) -> None:
+    """Advance the stack's duals together while ``LOCKSTEP_MIN_ROWS`` are unfinished.
 
     Row r of the (B, N) state arrays is dual ``live[r]``; a turn is one
     scalar-loop step of every row, each operation applied elementwise
     along the rows.  All duals start at step 0 and share one cap, so
     every row has taken ``turn`` steps.  When rows converge they are
-    compacted out of the state arrays (the stack of transposed Grams is
-    only indexed) and the turn is redone on the rest, whose state has
-    not changed.
+    written back and compacted out of the state arrays (the stack of
+    transposed Grams is only indexed) and the turn is redone on the rest,
+    whose state has not changed.
     """
-    n = duals[0].q.shape[0]
-    max_iter = duals[0].max_iter
-    record = duals[0].trace is not None
-    cols = np.stack([dual.q.T for dual in duals])  # cols[k, j] is the column Q_k[:, j]
-    live = np.arange(len(duals))
-    alpha = np.stack([dual.alpha for dual in duals])
-    g = np.stack([dual.g for dual in duals])
-    diag = np.stack([dual.q.diagonal() for dual in duals])
-    upper = np.array([dual.upper for dual in duals])
+    n = stack.alpha.shape[1]
+    max_iter = stack.max_iter
+    traces = stack.traces
+    cols = stack.q.transpose(0, 2, 1).copy()  # cols[k, j] is the column Q_k[:, j]
+    live = np.arange(len(stack))
+    alpha = stack.alpha.copy()
+    g = stack.g.copy()
+    diag = stack.q.diagonal(axis1=1, axis2=2).copy()
+    upper = stack.upper.copy()
     pen_dec = np.where(alpha > 0.0, 0.0, -np.inf)
     pen_inc = np.where(alpha < upper[:, None], 0.0, np.inf)
     gap = np.full(live.size, math.inf)
@@ -334,22 +408,22 @@ def _lockstep(duals: list[_Dual], tol: float) -> None:
         gap = g_dec.take(fi) - g_inc.take(fj)
         if gap[gap.argmin()] <= tol:
             done = gap <= tol
-            for r in np.flatnonzero(done).tolist():
-                dual = duals[live[r]]
-                dual.alpha = alpha[r].copy()
-                dual.iterations = turn
-                dual.gap = float(gap[r])
-                dual.converged = True
-                if record:
-                    dual.trace.append(_violation(dual.gap))
+            rows = live[done]
+            stack.alpha[rows] = alpha[done]
+            stack.iterations[rows] = turn
+            stack.gap[rows] = gap[done]
+            stack.converged[rows] = True
+            if traces is not None:
+                for k, value in zip(rows.tolist(), gap[done].tolist()):
+                    traces[k].append(_violation(value))
             keep = ~done
             live, alpha, g, diag = live[keep], alpha[keep], g[keep], diag[keep]
             upper, pen_dec, pen_inc, gap = upper[keep], pen_dec[keep], pen_inc[keep], gap[keep]
             compacted = True
             continue
-        if record:
-            for r, value in zip(live.tolist(), gap.tolist()):
-                duals[r].trace.append(_violation(value))
+        if traces is not None:
+            for k, value in zip(live.tolist(), gap.tolist()):
+                traces[k].append(_violation(value))
         # exact minimizer of the 2-variable subproblem, then box clipping
         col_ij = cols[live2, ij]
         col_i = col_ij[:b]
@@ -373,54 +447,7 @@ def _lockstep(duals: list[_Dual], tol: float) -> None:
         g += col_j
         turn += 1
 
-    for r, k in enumerate(live.tolist()):
-        dual = duals[k]
-        dual.alpha = alpha[r].copy()
-        dual.g = g[r].copy()
-        dual.iterations = turn
-        dual.gap = float(gap[r])
-
-
-def _support_and_rho(alpha: np.ndarray, g: np.ndarray, upper: float, rho_mode: str):
-    """Support and margin indices of ``alpha``, and rho from ``g = Q @ alpha``.
-
-    Default rho is the mean decision value over margin support vectors (the
-    KKT-consistent estimator), falling back to all support vectors when no
-    multiplier is strictly inside the box.  ``mean-all-train`` instead
-    centers the decision values over every training row.
-    """
-    eps_sv = EPS_SV_FACTOR * upper
-    support = np.flatnonzero(alpha > eps_sv)
-    margin = np.flatnonzero((alpha > eps_sv) & (alpha < upper - eps_sv))
-    if support.size == 0:
-        raise RuntimeError("cannot compute rho: no support vectors")
-    if rho_mode == "mean-all-train":
-        rho = g.mean()
-    elif margin.size > 0:
-        rho = g[margin].mean()
-    else:
-        rho = g[support].mean()
-    return support, margin, float(rho)
-
-
-def compute_rho(alpha: np.ndarray, Q: np.ndarray, upper: float, rho_mode: str = "margin") -> float:
-    """Bias from a solved multiplier vector, as ``solve_dual`` computes it."""
-    if rho_mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {rho_mode!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    return _support_and_rho(alpha, np.asarray(Q, dtype=float) @ alpha, upper, rho_mode)[2]
-
-
-def kkt_violation(alpha: np.ndarray, Q: np.ndarray, upper: float) -> float:
-    """Max gradient over decreasable multipliers minus min over increasable.
-
-    Zero (after flooring) exactly at the dual optimum.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    g = np.asarray(Q, dtype=float) @ alpha
-    eps_sv = EPS_SV_FACTOR * upper
-    dec = alpha > eps_sv
-    inc = alpha < upper - eps_sv
-    if not dec.any() or not inc.any():
-        return 0.0
-    return max(0.0, float(g[dec].max() - g[inc].min()))
+    stack.alpha[live] = alpha
+    stack.g[live] = g
+    stack.iterations[live] = turn
+    stack.gap[live] = gap

@@ -7,11 +7,13 @@ gradient with ``g += step * (Q[:, j] - Q[:, i])``.  Both loop forms of
 ``solve_duals`` (the scalar loop behind ``solve_dual`` and the lockstep
 batch) must reproduce every iterate of it exactly, so the comparison uses
 ``np.array_equal`` and ``==``, never a tolerance.  The feasible start and
-the rho computation are shared with the solver; only the loop is copied.
+the rho computation are the one-problem forms in ``oracles.py``, so the
+solver's stacked set-up and finish are checked as well.
 """
 import numpy as np
 
-from lmkad.solver import RHO_MODES, DEFAULT_TOL, DualSolution, _feasible_start, _support_and_rho
+from lmkad.solver import RHO_MODES, DEFAULT_TOL, DualSolution
+from oracles import feasible_start, support_and_rho
 
 
 def reference_solve_dual(
@@ -30,7 +32,7 @@ def reference_solve_dual(
     if max_iter is None:
         max_iter = 100 * n * n
 
-    alpha = _feasible_start(n, upper, alpha0)
+    alpha = feasible_start(n, upper, alpha0)
     g = Q @ alpha
     trace = []
 
@@ -60,7 +62,7 @@ def reference_solve_dual(
 
     g = Q @ alpha  # refresh: incremental updates accumulate rounding
     objective = 0.5 * float(alpha @ g)
-    support, margin, rho = _support_and_rho(alpha, g, upper, rho_mode)
+    support, margin, rho = support_and_rho(alpha, g, upper, rho_mode)
     return DualSolution(
         alpha=alpha,
         objective=objective,

@@ -119,6 +119,30 @@ def test_predict_bad_row_in_second_block(tmp_path, fitted_model, capsys):
     assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, bad, capsys, message)
 
 
+def _huge_cell_file(tmp_path, header=""):
+    # a cell longer than csv.field_size_limit() (131,072 characters)
+    path = tmp_path / "huge.csv"
+    path.write_text(header + "5.1,3.5,1.4,0.2\n" + "5.1," + "1" * 200_000 + ",1.4,0.2\n")
+    return path
+
+
+def test_predict_field_over_csv_limit_fails_loudly(tmp_path, fitted_model, capsys):
+    huge = _huge_cell_file(tmp_path)
+    message = "error: field larger than field limit (131072)"
+    assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, huge, capsys, message)
+
+
+def test_fit_field_over_csv_limit_fails_loudly(tmp_path, capsys):
+    huge = _huge_cell_file(tmp_path, header="a,b,c,species\n")
+    out = tmp_path / "out" / "m.json"
+    out.parent.mkdir()
+    code = run(["fit", "--data", huge, "--label-column", "species", "--target-label", "x",
+                "--header", "--family", "ocsvm", "--nu", "0.5", "--out", out])
+    assert code == 1
+    assert "error: field larger than field limit (131072)" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_predict_streams_in_blocks(tmp_path, fitted_model, capsys):
     # ~2.4 blocks with a header and the label in a middle column
     rows = np.random.default_rng(5).normal(loc=4.0, scale=2.0, size=(20_000, 4))

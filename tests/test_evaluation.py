@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from importlib import resources
 
@@ -202,24 +201,25 @@ def test_cross_validate_matches_per_candidate_training(iris, monkeypatch, name, 
 
 
 def test_cross_validate_nonfinite_gradient_mid_round_propagates(iris, monkeypatch):
-    # the third LMKAD fit of the first round fails mid-round; its error propagates unchanged
+    # the third LMKAD fit of the first round fails mid-round: its row of the
+    # round's stacked gradient is NaN, and its error propagates unchanged
     calls = []
-    gradient = models.gate_gradient
+    gradient = models.gradient_stack
 
-    def failing_third(gating, alpha, Xn, grams, H):
+    def failing_third(kind, matrix, vector, alpha, Xn, grams, H):
         calls.append(alpha.shape)
-        grad = gradient(gating, alpha, Xn, grams, H)
-        if len(calls) == 3:
-            return dataclasses.replace(grad, v0=np.full_like(grad.v0, np.nan))
-        return grad
+        grad_matrix, grad_vector = gradient(kind, matrix, vector, alpha, Xn, grams, H)
+        if len(calls) == 1:
+            grad_vector[2] = np.nan
+        return grad_matrix, grad_vector
 
-    monkeypatch.setattr(models, "gate_gradient", failing_third)
+    monkeypatch.setattr(models, "gradient_stack", failing_third)
     config = PIN_CONFIGS["lmkad-sigmoid"]
     plan = plan_folds(iris, 5, 1, seed=11)
     message = r"^non-finite gating gradient at outer iteration 0 \(kind=sigmoid, nu=0\.2\)$"
     with pytest.raises(RuntimeError, match=message):
         cross_validate(iris, config, PIN_GRID, plan, base_seed=4)
-    assert len(calls) == 3
+    assert len(calls) == 1 and calls[0][0] > 3  # one stacked call: the whole first round
 
 
 def test_cross_validate_empty_grid():

@@ -3,14 +3,17 @@ import pytest
 
 from lmkad.gating import (
     GatingParams,
-    gate_eval,
     gate_eval_batch,
     gate_gradient,
+    gate_stack,
+    gradient_stack,
     init_gating,
     step_gating,
+    step_stack,
 )
 from lmkad.kernels import KernelSpec, gram
 from gradient_check import make_instance, max_relative_error
+from oracles import gate_eval
 
 
 def zero_softmax(p, d):
@@ -197,3 +200,27 @@ def test_step_clamps_rbf_spreads():
     stepped = step_gating(params, g, mu=1.0)
     assert stepped.spreads[0] > 0  # clamped instead of going negative
     assert stepped.spreads[1] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["softmax", "sigmoid", "rbf"])
+@pytest.mark.parametrize("n, d, p", [(1, 4, 3), (7, 13, 3), (129, 8, 2), (1001, 4, 2)])
+def test_stacked_forms_match_one_model_calls_bit_for_bit(kind, n, d, p):
+    # row b of each stacked form equals the one-model call on fit b, bytes and all
+    rng = np.random.default_rng(n + p)
+    b = 3
+    X = rng.normal(size=(b, n, d))
+    spec = KernelSpec("gaussian", sigma_sq=float(d))
+    grams = np.stack([[gram(spec, Xb, Xb) * (m + 1) for m in range(p)] for Xb in X])
+    alpha = rng.dirichlet(np.ones(n), size=b)
+    params = [make_instance(kind, rng, n=n, p=p, d=d)[0] for _ in range(b)]
+    pair = tuple(np.stack(a) for a in zip(*(q.pair for q in params)))
+
+    H = gate_stack(kind, X, *pair)
+    grad = gradient_stack(kind, *pair, alpha, X, grams, H)
+    stepped = step_stack(kind, *pair, *grad, 0.7)
+    for r, q in enumerate(params):
+        H_r = gate_eval_batch(q, X[r])
+        assert H[r].tobytes() == H_r.tobytes()
+        one = gate_gradient(q, alpha[r], X[r], list(grams[r]), H_r)
+        assert [g[r].tobytes() for g in grad] == [g.tobytes() for g in one.pair]
+        assert [s[r].tobytes() for s in stepped] == [s.tobytes() for s in step_gating(q, one, 0.7).pair]

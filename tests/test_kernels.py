@@ -9,9 +9,9 @@ from lmkad.kernels import (
     format_kernel_spec,
     gaussian_bandwidth,
     gram,
-    kernel_eval,
     parse_kernel_spec,
 )
+from oracles import kernel_eval
 
 LINEAR = KernelSpec("linear")
 POLY2 = KernelSpec("polynomial", q=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,10 +11,12 @@ from lmkad.kernels import KernelSpec, gram
 from lmkad.models import (
     BLOCK_ROWS,
     KERNEL_PRESETS,
+    FitJob,
     LmkadConfig,
     composite_gram_fixed,
     composite_gram_localized,
     decision_values,
+    fit_many,
     load_model,
     predict_batch,
     resolve_kernels,
@@ -25,8 +28,9 @@ from lmkad.models import (
 )
 from lmkad import models as models_module
 from lmkad.evaluation import sv_fraction
-from lmkad.solver import kkt_violation
 from combine_reference import reference_combine
+from fit_reference import reference_fit
+from oracles import kernel_eval, kkt_violation
 
 GAUSS1 = KernelSpec("gaussian", sigma_sq=1.0)
 
@@ -93,8 +97,6 @@ def test_composite_fixed_loop_oracle():
     for i in range(5):
         for j in range(4):
             for m, k in enumerate(kernels):
-                from lmkad.kernels import kernel_eval
-
                 expected[i, j] += w[m] * kernel_eval(k, X[i], Y[j])
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -446,3 +448,122 @@ def test_warm_start_matches_cold_objective():
     Q = composite_gram_localized(model.kernels, model.gating, Xn, Xn, H_X=H, H_Y=H)
     cold = solve_dual(DualProblem(Q, 0.4), tol=1e-6)
     assert -cold.objective == pytest.approx(model.report.objective_trace[-1], abs=1e-5)
+
+def _pin_jobs():
+    """Jobs for one ``fit_many`` call covering every path of the stacked trainer."""
+    rng = np.random.default_rng(40)
+    a = rng.normal(loc=1.0, size=(40, 4))  # shared by many jobs
+    a_copy = a.copy()  # equal rows, another matrix
+    b = rng.normal(size=(41, 13))
+    c = rng.normal(size=(40, 4))
+    two = rng.normal(size=(2, 4))
+    one = rng.normal(size=(1, 13))
+    fixed_gauss = "gauss:sigma_sq=2.0,poly:q=2,linear"
+
+    def lm(kind, nu, seed, **knobs):
+        return LmkadConfig(nu=nu, gating_kind=kind, seed=seed, max_outer=knobs.pop("max_outer", 40), **knobs)
+
+    def fixed(nu, **knobs):
+        return LmkadConfig(nu=nu, **knobs)
+
+    jobs = [
+        FitJob("ocsvm", a, (KernelSpec("gaussian"),), fixed(0.1)),
+        FitJob("mkad", a, "gpl", fixed(0.2)),
+        FitJob("mkad", b, "gpp", fixed(0.1, rho_mode="mean-all-train")),
+        FitJob("ocsvm", one, "gauss:sigma_sq=2.0", fixed(1.0)),
+        FitJob("mkad", two, "gpl", fixed(0.5)),
+    ]
+    # one sigmoid gpl stack of 9 (lockstep), over a shared matrix, its copy and other rows
+    for i, nu in enumerate((0.05, 0.1, 0.15, 0.2, 0.3, 0.5)):
+        jobs.append(FitJob("lmkad", a, "gpl", lm("sigmoid", nu, seed=i)))
+    jobs += [
+        FitJob("lmkad", a_copy, "gpl", lm("sigmoid", 0.2, seed=3)),
+        FitJob("lmkad", c, "gpl", lm("sigmoid", 0.1, seed=7)),
+        FitJob("lmkad", c, "gpl", lm("sigmoid", 0.3, seed=8)),
+    ]
+    for i, nu in enumerate((0.1, 0.2, 0.3)):
+        jobs.append(FitJob("lmkad", b, "gpp", lm("softmax", nu, seed=20 + i)))
+        jobs.append(FitJob("lmkad", b, "gpl", lm("rbf", nu, seed=30 + i, max_outer=15)))
+        jobs.append(FitJob("lmkad", a, "gpp", lm("rbf", nu, seed=40 + i, rho_mode="mean-all-train")))
+    frozen = GatingParams(kind="softmax", v=np.zeros((3, 4)), v0=np.zeros(3))
+    jobs += [
+        FitJob("lmkad", a, "gpl", lm("sigmoid", 0.2, seed=0, initial_gating=frozen, learning_rate=0.0)),
+        FitJob("lmkad", a, "gpl", lm("sigmoid", 0.1, seed=1, inner_max_iter=5)),
+        FitJob("lmkad", a, "gpl", lm("sigmoid", 0.1, seed=2, max_outer=3)),
+        FitJob("lmkad", b, (GAUSS1,), lm("softmax", 0.2, seed=4)),
+        FitJob("lmkad", two, "gpl", lm("softmax", 0.5, seed=5)),
+        FitJob("lmkad", one, fixed_gauss, lm("sigmoid", 1.0, seed=6)),
+        FitJob("lmkad", one, fixed_gauss, lm("rbf", 1.0, seed=7)),
+        FitJob("ocsvm", c, "linear", fixed(0.2)),
+    ]
+    return jobs
+
+
+def _model_bytes(model):
+    """Every field of a model, arrays as (shape, dtype, bytes) and floats by repr."""
+    arrays = {
+        "sv_features": model.sv_features,
+        "sv_alpha": model.sv_alpha,
+        "normalizer.means": model.normalizer.means,
+        "normalizer.stddevs": model.normalizer.stddevs,
+        "weights": model.weights,
+        "sv_eta": model.sv_eta,
+    }
+    if model.gating is not None:
+        arrays.update(zip(("gating.matrix", "gating.vector"), model.gating.pair))
+    fields = {name: None if a is None else (a.shape, a.dtype.str, a.tobytes()) for name, a in arrays.items()}
+    report = model.report
+    fields.update(
+        family=model.family,
+        kernels=model.kernels,
+        gating_kind=None if model.gating is None else model.gating.kind,
+        scalars=(repr(model.rho), type(model.rho), repr(model.nu), model.n_train),
+        report=json.dumps(dataclasses.asdict(report)),
+        report_types=tuple(type(getattr(report, f.name)) for f in dataclasses.fields(report)),
+    )
+    return fields
+
+
+@pytest.mark.parametrize("batch_bytes, n_batches", [(models_module.BATCH_BYTES, 1), (200_000, 13)],
+                         ids=["one-batch", "split"])
+def test_fit_many_matches_the_one_fit_loop_bit_for_bit(batch_bytes, n_batches, monkeypatch):
+    jobs = _pin_jobs()
+    monkeypatch.setattr(models_module, "BATCH_BYTES", batch_bytes)
+    assert len(list(models_module._batches(jobs))) == n_batches
+    got = fit_many(jobs)
+    reports = [m.report for m in got]
+    assert any(r.converged for r in reports) and any(not r.converged for r in reports)
+    capped = next(r for job, r in zip(jobs, reports) if job.config.inner_max_iter == 5)
+    assert capped.inner_iterations == 5 * capped.iterations  # every solve stopped at the cap
+    for job, model in zip(jobs, got):
+        assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+
+
+def test_fit_many_shares_set_up_per_training_matrix(monkeypatch):
+    built = []
+
+    def spy(kernel, X, Y):
+        built.append(kernel)
+        return gram(kernel, X, Y)
+
+    monkeypatch.setattr(models_module, "gram", spy)
+    X = blob(41, 20)
+    fit_many([FitJob("lmkad", X, "gpl", LmkadConfig(nu=nu, seed=1, max_outer=2)) for nu in (0.1, 0.2, 0.3)]
+             + [FitJob("lmkad", X.copy(), "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=2))])
+    assert len(built) == 2 * 3  # one set of Grams per distinct matrix
+
+
+def test_fit_many_raises_the_lowest_failing_job():
+    X = blob(42, 20)
+    bad_q = X.copy()
+    bad_q[3, 1] = np.nan  # no auto bandwidth: fails only at the first Q check
+    good = FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.2, max_outer=3))
+    nan_q = FitJob("lmkad", bad_q, "poly:q=2,linear", LmkadConfig(nu=0.2))
+    one_row = FitJob("lmkad", X[:1], "gpl", LmkadConfig(nu=1.0))  # no bandwidth on one row
+    with pytest.raises(ValueError, match="^Q contains non-finite entries$"):
+        fit_many([good, nan_q, good, one_row])
+    with pytest.raises(ValueError, match="^bandwidth heuristic needs at least 2 points$"):
+        fit_many([good, one_row, nan_q])
+    for job in (nan_q, one_row):
+        with pytest.raises(ValueError):
+            reference_fit(*job)

@@ -6,7 +6,8 @@ from lmkad.dataset import apply_normalizer, fit_normalizer
 from lmkad.gating import gate_eval_batch, init_gating
 from lmkad.models import composite_gram_fixed, composite_gram_localized, resolve_kernels
 from lmkad import solver
-from lmkad.solver import DualProblem, compute_rho, kkt_violation, solve_dual, solve_duals
+from lmkad.solver import DualProblem, solve_dual, solve_duals
+from oracles import compute_rho, kkt_violation
 from qp_oracle import brute_force_qp, random_psd_gram
 from smo_reference import reference_solve_dual
 
@@ -217,6 +218,8 @@ def _lmkad(iris, kind):
     return DualProblem(Q, 0.2)
 
 
+NEAR_BOUNDS = np.array([0.25 - 1e-9, 0.25 - 1e-9, 0.25, 0.125 + 1e-9, 0.125, 1e-9, 0.0, 0.0])
+
 SMO_PATH_CASES = {
     "psd-2": lambda iris: (_psd(2, 0.6), {}),
     "psd-8": lambda iris: (_psd(8, 0.5), {}),
@@ -228,6 +231,11 @@ SMO_PATH_CASES = {
     # warm starts with every multiplier at the upper bound 1/(nu*N) or at 0
     "warm-psd-8-bounds": lambda iris: (_psd(8, 0.5), {"alpha0": np.repeat([0.25, 0.0], 4)}),
     "warm-mkad-bounds": lambda iris: (_mkad_gpl(iris, 0.1), {"alpha0": np.repeat([0.25, 0.0], [4, 36])}),
+    # a warm start summing to 0.8 (spread back evenly) and one that is restarted from uniform
+    "warm-deficit": lambda iris: (_psd(8, 0.5), {"alpha0": np.linspace(0.05, 0.15, 8)}),
+    "warm-restart": lambda iris: (_psd(8, 0.5), {"alpha0": np.eye(8)[0]}),
+    # multipliers within EPS_SV_FACTOR * C of 0 and of C = 0.25 after one step
+    "warm-near-bounds": lambda iris: (_psd(8, 0.5), {"alpha0": NEAR_BOUNDS, "max_iter": 1}),
     "nu-1": lambda iris: (_psd(6, 1.0), {}),
     "max-iter-1": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 1}),
     "max-iter-500": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 500}),
@@ -242,13 +250,13 @@ def loop_spy(monkeypatch):
     entries, lockstep_rows = [], []
     scalar_loop, lockstep = solver._scalar_loop, solver._lockstep
 
-    def spy_scalar(dual, tol):
-        entries.append(dual.iterations)
-        scalar_loop(dual, tol)
+    def spy_scalar(stack, k, tol):
+        entries.append(int(stack.iterations[k]))
+        scalar_loop(stack, k, tol)
 
-    def spy_lockstep(duals, tol):
-        lockstep_rows.append(len(duals))
-        lockstep(duals, tol)
+    def spy_lockstep(stack, tol):
+        lockstep_rows.append(len(stack))
+        lockstep(stack, tol)
 
     monkeypatch.setattr(solver, "_scalar_loop", spy_scalar)
     monkeypatch.setattr(solver, "_lockstep", spy_lockstep)
@@ -264,6 +272,8 @@ def _assert_reference_path(new, problem, kwargs, record):
     assert new.final_violation == ref.final_violation
     assert new.objective == ref.objective
     assert new.rho == ref.rho
+    assert np.array_equal(new.support_indices, ref.support_indices)
+    assert np.array_equal(new.margin_indices, ref.margin_indices)
     assert new.violation_trace == ref.violation_trace
     assert len(new.violation_trace) == (new.iterations + new.converged if record else 0)
 
@@ -284,11 +294,30 @@ def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record, loop_
 
     rows = solver.LOCKSTEP_MIN_ROWS
     solver_kwargs = {k: v for k, v in kwargs.items() if k != "alpha0"}
-    alpha0s = [kwargs.get("alpha0")] * rows
-    batch = solve_duals([problem] * rows, alpha0s, record_violations=record, **solver_kwargs)
+    batch = _solve_stacked([problem] * rows, [kwargs.get("alpha0")] * rows,
+                           record_violations=record, **solver_kwargs)
     assert loop_spy[1] == [rows]
     for sol in batch:
         _assert_reference_path(sol, problem, kwargs, record)
+
+
+def _solve_stacked(problems, alpha0s, **kwargs):
+    """Solve the problems as one ``solve_duals`` stack per N, in order; a
+    stack's warm starts are all None (cold) or all arrays."""
+    groups = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(problem.n, []).append(i)
+    sols = [None] * len(problems)
+    for rows in groups.values():
+        starts = [alpha0s[i] for i in rows]
+        assert len({a is None for a in starts}) == 1
+        alpha0 = None if starts[0] is None else np.stack(starts)
+        stack = solve_duals(np.stack([problems[i].q for i in rows]), [problems[i].nu for i in rows],
+                            alpha0, **kwargs)
+        assert len(stack) == len(rows)
+        for r, i in enumerate(rows):
+            sols[i] = stack[r]
+    return sols
 
 
 def _psd_nus(n, nus, seed=0):
@@ -321,10 +350,12 @@ def _below_threshold(iris):
 
 
 def _warm_bounds(iris):
-    # N = 8 rows: cold, warm at 0 and at the bound 1/(nu*N), nu = 1 (uniform is optimal)
+    # N = 8 rows: uniform, warm at 0 and at the bound 1/(nu*N), nu = 1 (uniform is
+    # optimal); a uniform start of 1/8 sums to 1 exactly, so it is the cold start
     problems = _psd_nus(8, (0.5, 0.5, 0.5, 1.0, 0.25, 0.75, 0.5))
     at_bounds = np.repeat([0.25, 0.0], 4)
-    alpha0s = [None, at_bounds, at_bounds[::-1].copy(), None, None, np.full(8, 0.125), at_bounds]
+    uniform = np.full(8, 0.125)
+    alpha0s = [uniform, at_bounds, at_bounds[::-1].copy(), uniform, uniform, uniform, at_bounds]
     return problems, alpha0s, {}
 
 
@@ -351,8 +382,7 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, record, loop_spy):
     problems, alpha0s, kwargs = BATCH_CASES[case](iris)
-    sols = solve_duals(problems, alpha0s, record_violations=record, **kwargs)
-    assert len(sols) == len(problems)
+    sols = _solve_stacked(problems, alpha0s, record_violations=record, **kwargs)
     for problem, alpha0, sol in zip(problems, alpha0s, sols):
         _assert_reference_path(sol, problem, {**kwargs, "alpha0": alpha0}, record)
 
@@ -377,5 +407,8 @@ def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, record
 
 def test_solve_duals_rejects_mismatched_warm_starts():
     problems = _psd_nus(8, (0.5, 0.5))
-    with pytest.raises(ValueError, match="warm starts"):
-        solve_duals(problems, [None])
+    Q = np.stack([problem.q for problem in problems])
+    with pytest.raises(ValueError, match="1 warm starts for 2 problems"):
+        solve_duals(Q, [0.5, 0.5], np.full((1, 8), 0.125))
+    with pytest.raises(ValueError, match=r"warm-start alpha has shape \(7,\), expected \(8,\)"):
+        solve_duals(Q, [0.5, 0.5], np.full((2, 7), 0.125))
