@@ -17,13 +17,7 @@ from .kernels import (
     gram,
     parse_kernel_spec,
 )
-from .gating import (
-    GateGradient,
-    GatingParams,
-    gate_eval_batch,
-    gate_gradient,
-    init_gating,
-)
+from .gating import GatingParams, gate_eval_batch, gate_gradient, init_gating
 from .solver import DualProblem, DualSolution, solve_dual, solve_duals
 from .models import (
     KERNEL_PRESETS,

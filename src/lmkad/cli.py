@@ -20,7 +20,9 @@ import numpy as np
 from . import evaluation
 from .dataset import iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvResult, cross_validate
-from .models import BLOCK_ROWS, decision_values, load_model, save_model, sv_count
+from .gating import GATING_KINDS
+from .models import BLOCK_ROWS, FAMILIES, decision_values, load_model, save_model, sv_count
+from .solver import RHO_MODES
 
 
 def _default_seed() -> int | None:
@@ -105,14 +107,35 @@ def cmd_predict(args) -> int:
     return 0
 
 
+#: optional classifier keys of a benchmark config; absent ones take ClassifierConfig's defaults
+_CLASSIFIER_SETTINGS = (
+    "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
+)
+#: every key a classifier or dataset entry of a benchmark config may hold
+_CLASSIFIER_KEYS = ("name", "family", "kernels", "nu_grid", *_CLASSIFIER_SETTINGS)
+_DATASET_KEYS = ("name", "path", "label_column", "target_label", "header")
+
+
 def _load_experiment_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     for key in ("datasets", "classifiers"):
-        if not config.get(key):
+        if not config.get(key) or not isinstance(config[key], list):
             raise ValueError(f"{path}: config needs a non-empty {key!r} list")
+    for section, known, required in (("datasets", _DATASET_KEYS, ("path", "target_label")),
+                                     ("classifiers", _CLASSIFIER_KEYS, ("family",))):
+        for k, entry in enumerate(config[section]):
+            where = f"{path}: {section}[{k}]"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} is not a JSON object")
+            for key in entry:
+                if key not in known:
+                    raise ValueError(f"{where} has unknown key {key!r} (known: {', '.join(known)})")
+            for key in required:
+                if key not in entry:
+                    raise ValueError(f"{where} needs a {key!r}")
     if "seed" not in config:
         env = _default_seed()
         if env is None:
@@ -122,12 +145,6 @@ def _load_experiment_config(path) -> dict:
     config.setdefault("n_runs", 5)
     config.setdefault("output_dir", "results")
     return config
-
-
-#: optional classifier keys of a benchmark config; absent ones take ClassifierConfig's defaults
-_CLASSIFIER_SETTINGS = (
-    "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
-)
 
 
 def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
@@ -155,6 +172,12 @@ def cmd_benchmark(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(config["seed"])
 
+    classifiers = []
+    for k, spec in enumerate(config["classifiers"]):
+        try:
+            classifiers.append(_classifier_from_dict(spec))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: classifiers[{k}]: {exc}") from None
     datasets = []
     for spec in config["datasets"]:
         data = load_csv(
@@ -165,7 +188,6 @@ def cmd_benchmark(args) -> int:
             name=spec.get("name"),
         )
         datasets.append(data)
-    classifiers = [_classifier_from_dict(s) for s in config["classifiers"]]
 
     tasks = []
     for data in datasets:
@@ -251,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--label-column", default="-1", help="label column index or name (default: last)")
     fit.add_argument("--target-label", required=True, help="label value of the target class")
     fit.add_argument("--header", action="store_true", help="first CSV row is a header")
-    fit.add_argument("--family", choices=("ocsvm", "mkad", "lmkad"), required=True)
+    fit.add_argument("--family", choices=FAMILIES, required=True)
     fit.add_argument("--kernels", default="gauss:auto",
                      help="preset (gpl, gpp) or comma-joined kernel tokens")
-    fit.add_argument("--gating", choices=("softmax", "sigmoid", "rbf"), default="sigmoid")
+    fit.add_argument("--gating", choices=GATING_KINDS, default="sigmoid")
     fit.add_argument("--nu", type=float, required=True, help="target rejection rate in (0, 1]")
     fit.add_argument("--learning-rate", type=float, default=20.0)
     fit.add_argument("--lr-decay", type=float, default=0.95)
     fit.add_argument("--max-outer", type=int, default=100)
     fit.add_argument("--outer-tol", type=float, default=1e-4)
-    fit.add_argument("--rho-mode", choices=("margin", "mean-all-train"), default="margin")
+    fit.add_argument("--rho-mode", choices=RHO_MODES, default="margin")
     fit.add_argument("--seed", type=int, default=None, help="defaults to $LMKAD_SEED, then 0")
     fit.add_argument("--out", required=True, help="model file to write")
     fit.set_defaults(func=cmd_fit)

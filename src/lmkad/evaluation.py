@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import fdtrc
 
-from .dataset import Dataset, FoldPlan, split_for_occ
+from .dataset import Dataset, FoldPlan, _data_rows, _open, _parse_rows, split_for_occ
 from .models import (
     FAMILIES,
     FitJob,
@@ -76,7 +76,8 @@ class ClassifierConfig:
 
     ``kernels`` is a preset name ("gpl"/"gpp"), a comma-joined token
     string, or an explicit sequence of kernel tokens.  LMKAD knobs are
-    ignored by the other families.
+    ignored by the other families, but every knob is checked here, before
+    any fold runs.
     """
 
     name: str
@@ -95,6 +96,7 @@ class ClassifierConfig:
             raise ValueError(f"unknown model family {self.family!r}")
         if self.family == "ocsvm" and len(resolve_kernels(self.kernels)) != 1:
             raise ValueError("ocsvm takes exactly one kernel")
+        _lmkad_config(self, 1.0, 0)
 
 
 def _fit_job(config: ClassifierConfig, train_targets, nu: float, seed: int) -> FitJob:
@@ -103,7 +105,11 @@ def _fit_job(config: ClassifierConfig, train_targets, nu: float, seed: int) -> F
     if config.family != "lmkad":
         trainer = LmkadConfig(nu=nu, inner_tol=config.inner_tol, rho_mode=config.rho_mode)
         return FitJob(config.family, train_targets, kernels, trainer)
-    trainer = LmkadConfig(
+    return FitJob("lmkad", train_targets, kernels, _lmkad_config(config, nu, seed))
+
+
+def _lmkad_config(config: ClassifierConfig, nu: float, seed: int) -> LmkadConfig:
+    return LmkadConfig(
         nu=nu,
         gating_kind=config.gating,
         learning_rate=config.learning_rate,
@@ -114,7 +120,6 @@ def _fit_job(config: ClassifierConfig, train_targets, nu: float, seed: int) -> F
         seed=seed,
         rho_mode=config.rho_mode,
     )
-    return FitJob("lmkad", train_targets, kernels, trainer)
 
 
 def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int) -> Model:
@@ -398,44 +403,55 @@ def write_friedman_csv(report: FriedmanReport, path) -> None:
         )
 
 
+def _long_cells(path, rows, width: int):
+    """``((dataset, classifier), mean_gmean)`` per row of long-format results."""
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        try:
+            yield (row[0].strip(), row[1].strip()), float(row[2])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value {row[2].strip()!r} at row {r}, column 2") from None
+
+
+def _check_unique(path, what: str, names: list) -> None:
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: {what} {repeated!r} occurs twice")
+
+
 def read_gmean_matrix_csv(path):
     """Read a wide score matrix (first column dataset, rest classifiers).
 
     Long-format benchmark results (dataset, classifier, mean_gmean, ...)
-    are pivoted automatically.
+    are pivoted automatically.  Rows are read like data files (blank
+    rows skipped, every row as wide as the header; errors name the file,
+    the data row from 0 and the column).  A dataset, classifier or
+    (dataset, classifier) pair given twice is an error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 2:
+    with _open(path) as fh:
+        rows = _data_rows(fh)
+        header = [c.strip() for c in next(rows, [])]
+        long = header[:3] == ["dataset", "classifier", "mean_gmean"]
+        if not long and len(header) < 2:
+            raise ValueError(f"{path}: no classifier columns")
+        parsed = list(_long_cells(path, rows, len(header)) if long else _parse_rows(path, rows, len(header), 0, 0))
+    if not parsed:
         raise ValueError(f"{path}: need a header row plus at least one data row")
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
+    names = [name for name, _ in parsed]
 
-    if header[:3] == ["dataset", "classifier", "mean_gmean"]:
-        datasets, classifiers = [], []
-        cells = {}
-        for row in body:
-            d, c, g = row[0], row[1], float(row[2])
-            if d not in datasets:
-                datasets.append(d)
-            if c not in classifiers:
-                classifiers.append(c)
-            cells[(d, c)] = g
+    if long:
+        _check_unique(path, "(dataset, classifier) pair", names)
+        datasets = list(dict.fromkeys(d for d, _ in names))
+        classifiers = list(dict.fromkeys(c for _, c in names))
         M = np.full((len(datasets), len(classifiers)), np.nan)
-        for (d, c), g in cells.items():
+        for (d, c), g in parsed:
             M[datasets.index(d), classifiers.index(c)] = g
         if np.isnan(M).any():
             raise ValueError(f"{path}: incomplete dataset x classifier matrix")
         return datasets, classifiers, M
 
     classifiers = header[1:]
-    if not classifiers:
-        raise ValueError(f"{path}: no classifier columns")
-    datasets = [row[0] for row in body]
-    try:
-        M = np.array([[float(cell) for cell in row[1:]] for row in body])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric score cell ({exc})") from None
-    if M.shape[1] != len(classifiers):
-        raise ValueError(f"{path}: ragged rows")
-    return datasets, classifiers, M
+    _check_unique(path, "classifier", classifiers)
+    _check_unique(path, "dataset", names)
+    return names, classifiers, np.array([values for _, values in parsed])

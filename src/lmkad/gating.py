@@ -10,14 +10,17 @@ Nonnegativity keeps the locally combined kernel a Mercer kernel.  The
 gradient here is of the dual objective J = -0.5 * a' Q(eta) a with the
 multipliers held fixed, which is what the alternating trainer descends.
 
-Each formula is written once, on parameter arrays with any number of
-leading stack axes: ``gate_stack``, ``gradient_stack`` and ``step_stack``
-take a gating family's two arrays, ``(v, v0)`` or ``(centers,
-spreads)`` (``GatingParams.pair``), stacked as (..., p, d) and (..., p).
-The trainer calls them on a (B, ...) stack of fits; ``gate_eval_batch``,
-``gate_gradient`` and ``step_gating`` are the one-model case.  Every
-reduction runs along the axis and in the memory order of the one-model
-case, so a stacked row equals its one-model result bit for bit.
+Every kind has one parameter pair, a (p, d) ``matrix`` and a (p,)
+``vector``: rows v_m and biases v_m0 for softmax and sigmoid gates,
+centres mu_m and their positive spread s_m for rbf gates.  ``GatingParams``
+holds a kind and its pair; ``PAIR_FIELDS`` names the pair's two fields
+in the model file.  Each formula is written once, on pairs with any
+number of leading stack axes, (..., p, d) and (..., p): ``gate_stack``,
+``gradient_stack`` and ``step_stack``.  The trainer calls them on a
+(B, ...) stack of fits; ``gate_eval_batch`` and ``gate_gradient`` are
+the one-model case.  Every reduction runs along the axis and in the
+memory order of the one-model case, so a stacked row equals its
+one-model result bit for bit.
 """
 from __future__ import annotations
 
@@ -30,90 +33,47 @@ from .kernels import gaussian_bandwidth
 
 GATING_KINDS = ("softmax", "sigmoid", "rbf")
 
-#: the (p, d) and (p,) parameter fields of each gating kind
+#: the model-file names of each gating kind's (matrix, vector) pair
 PAIR_FIELDS = {"softmax": ("v", "v0"), "sigmoid": ("v", "v0"), "rbf": ("centers", "spreads")}
 
 #: random init range for softmax/sigmoid weights; small enough that the
 #: initial gates stay near uniform on standardized data
 INIT_SCALE = 0.1
 
-#: spreads are clamped here after a gradient step to stay positive
+#: an rbf vector is clamped here after a gradient step to stay positive
 MIN_SPREAD = 1e-6
 
 
 @dataclass(frozen=True)
 class GatingParams:
-    """Parameters of one gating family.
-
-    softmax/sigmoid use ``v`` (p x d) and ``v0`` (p); rbf uses ``centers``
-    (p x d) and positive ``spreads`` (p).
-    """
+    """One gating function: its kind and its (p, d) ``matrix`` and (p,)
+    ``vector`` (see the module docstring); an rbf vector must be positive."""
 
     kind: str
-    v: np.ndarray | None = None
-    v0: np.ndarray | None = None
-    centers: np.ndarray | None = None
-    spreads: np.ndarray | None = None
+    matrix: np.ndarray
+    vector: np.ndarray
 
     def __post_init__(self):
         if self.kind not in GATING_KINDS:
             raise ValueError(f"unknown gating kind {self.kind!r}")
-        if self.kind == "rbf":
-            if self.centers is None or self.spreads is None:
-                raise ValueError("rbf gating needs centers and spreads")
-            centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-            spreads = np.asarray(self.spreads, dtype=float).ravel()
-            if spreads.shape[0] != centers.shape[0]:
-                raise ValueError("one spread per center required")
-            if not np.all(spreads > 0):
-                raise ValueError("rbf spreads must all be positive")
-            object.__setattr__(self, "centers", centers)
-            object.__setattr__(self, "spreads", spreads)
-        else:
-            if self.v is None or self.v0 is None:
-                raise ValueError(f"{self.kind} gating needs v and v0")
-            v = np.atleast_2d(np.asarray(self.v, dtype=float))
-            v0 = np.asarray(self.v0, dtype=float).ravel()
-            if v0.shape[0] != v.shape[0]:
-                raise ValueError("one bias per gate row required")
-            object.__setattr__(self, "v", v)
-            object.__setattr__(self, "v0", v0)
+        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        vector = np.asarray(self.vector, dtype=float).ravel()
+        if vector.shape[0] != matrix.shape[0]:
+            raise ValueError("one vector entry per matrix row required")
+        if self.kind == "rbf" and not np.all(vector > 0):
+            raise ValueError("rbf spread vector must be positive")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vector", vector)
         if self.p < 1:
             raise ValueError("need at least one gate")
 
     @property
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(centers, spreads)`` for rbf, ``(v, v0)`` otherwise."""
-        return (self.centers, self.spreads) if self.kind == "rbf" else (self.v, self.v0)
-
-    @classmethod
-    def from_pair(cls, kind: str, matrix, vector) -> "GatingParams":
-        return cls(kind, **dict(zip(PAIR_FIELDS[kind], (matrix, vector))))
-
-    @property
     def p(self) -> int:
-        return (self.centers if self.kind == "rbf" else self.v).shape[0]
+        return self.matrix.shape[0]
 
     @property
     def d(self) -> int:
-        return (self.centers if self.kind == "rbf" else self.v).shape[1]
-
-
-@dataclass(frozen=True)
-class GateGradient:
-    """dJ/d(params), same shapes as the matching GatingParams fields."""
-
-    kind: str
-    v: np.ndarray | None = None
-    v0: np.ndarray | None = None
-    centers: np.ndarray | None = None
-    spreads: np.ndarray | None = None
-
-    pair = GatingParams.pair
-
-    def is_finite(self) -> bool:
-        parts = [p for p in (self.v, self.v0, self.centers, self.spreads) if p is not None]
-        return all(np.isfinite(p).all() for p in parts)
+        return self.matrix.shape[1]
 
 
 def _normalized_exp(logits: np.ndarray) -> np.ndarray:
@@ -123,14 +83,14 @@ def _normalized_exp(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _row_logits(X: np.ndarray, v: np.ndarray, v0: np.ndarray) -> np.ndarray:
+def _row_logits(X: np.ndarray, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     # broadcast-reduce instead of BLAS so each row's result is independent
     # of the batch size (batch evaluation == per-row evaluation, bitwise)
-    return (X[..., :, None, :] * v[..., None, :, :]).sum(axis=-1) + v0[..., None, :]
+    return (X[..., :, None, :] * matrix[..., None, :, :]).sum(axis=-1) + vector[..., None, :]
 
 
-def _row_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = X[..., :, None, :] - centers[..., None, :, :]
+def _row_sq_dists(X: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    diff = X[..., :, None, :] - matrix[..., None, :, :]
     return (diff * diff).sum(axis=-1)
 
 
@@ -149,7 +109,7 @@ def gate_eval_batch(params: GatingParams, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.d:
         raise ValueError(f"gating expects {params.d} features, got {X.shape[1]}")
-    return gate_stack(params.kind, X, *params.pair)
+    return gate_stack(params.kind, X, params.matrix, params.vector)
 
 
 def gradient_stack(kind, matrix, vector, alpha, X, grams, H) -> tuple[np.ndarray, np.ndarray]:
@@ -178,10 +138,10 @@ def gradient_stack(kind, matrix, vector, alpha, X, grams, H) -> tuple[np.ndarray
         return -(np.swapaxes(T, -1, -2) @ X), -T.sum(axis=-2)
 
     col = T.sum(axis=-2)
-    grad_centers = -(2.0 / vector**2)[..., :, None] * (np.swapaxes(T, -1, -2) @ X - col[..., :, None] * matrix)
+    grad_matrix = -(2.0 / vector**2)[..., :, None] * (np.swapaxes(T, -1, -2) @ X - col[..., :, None] * matrix)
     d2 = _row_sq_dists(X, matrix)
-    grad_spreads = -(2.0 / vector**3) * np.sum(T * d2, axis=-2)
-    return grad_centers, grad_spreads
+    grad_vector = -(2.0 / vector**3) * np.sum(T * d2, axis=-2)
+    return grad_matrix, grad_vector
 
 
 def gate_gradient(
@@ -190,8 +150,8 @@ def gate_gradient(
     X: np.ndarray,
     per_kernel_grams,
     H: np.ndarray,
-) -> GateGradient:
-    """Gradient of J = -0.5 * a' Q(eta) a w.r.t. the gating parameters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of J = -0.5 * a' Q(eta) a w.r.t. the gating pair, as a (matrix, vector) pair.
 
     ``per_kernel_grams`` are the p training Gram matrices K_m and ``H`` the
     (N, p) gate matrix for the same rows (see ``gradient_stack``).
@@ -205,17 +165,16 @@ def gate_gradient(
     if len(per_kernel_grams) != p or X.shape[1] != params.d or p != params.p:
         raise ValueError("per-kernel grams / gate matrix / params shapes disagree")
     grams = np.asarray(per_kernel_grams, dtype=float)
-    pair = gradient_stack(params.kind, *params.pair, alpha, X, grams, H)
-    return GateGradient(params.kind, **dict(zip(PAIR_FIELDS[params.kind], pair)))
+    return gradient_stack(params.kind, params.matrix, params.vector, alpha, X, grams, H)
 
 
 def init_gating(kind: str, p: int, d: int, X_train: np.ndarray, seed) -> GatingParams:
     """Seeded random initialization.
 
-    softmax/sigmoid weights are uniform on [-0.1, 0.1]; rbf centers are
+    softmax/sigmoid pairs are uniform on [-0.1, 0.1]; an rbf matrix holds
     training rows sampled without replacement (with replacement if there
-    are fewer rows than gates) and spreads all equal the square root of
-    the bandwidth heuristic.
+    are fewer rows than gates) and its vector is the square root of the
+    bandwidth heuristic in every entry.
     """
     if kind not in GATING_KINDS:
         raise ValueError(f"unknown gating kind {kind!r}")
@@ -226,26 +185,19 @@ def init_gating(kind: str, p: int, d: int, X_train: np.ndarray, seed) -> GatingP
         raise ValueError(f"X_train has {X.shape[1]} features, expected {d}")
     rng = np.random.default_rng(seed)
     if kind in ("softmax", "sigmoid"):
-        v = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(p, d))
-        v0 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=p)
-        return GatingParams(kind=kind, v=v, v0=v0)
+        matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(p, d))
+        return GatingParams(kind, matrix, rng.uniform(-INIT_SCALE, INIT_SCALE, size=p))
     n = X.shape[0]
     picks = rng.choice(n, size=p, replace=n < p)
     spread = np.sqrt(gaussian_bandwidth(X)) if n >= 2 else 1.0
-    return GatingParams(kind="rbf", centers=X[picks], spreads=np.full(p, spread))
+    return GatingParams("rbf", X[picks], np.full(p, spread))
 
 
 def step_stack(kind, matrix, vector, grad_matrix, grad_vector, mu: float):
-    """One gradient-descent update of a pair (any leading stack axes); rbf spreads are clamped positive."""
+    """One gradient-descent update of a pair (any leading stack axes); an rbf vector is clamped positive."""
     matrix = matrix - mu * grad_matrix
     vector = vector - mu * grad_vector
     if kind == "rbf":
         vector = np.maximum(vector, MIN_SPREAD)
     return matrix, vector
 
-
-def step_gating(params: GatingParams, grad: GateGradient, mu: float) -> GatingParams:
-    """One gradient-descent update; rbf spreads are clamped positive."""
-    if grad.kind != params.kind:
-        raise ValueError("gradient/params kind mismatch")
-    return GatingParams.from_pair(params.kind, *step_stack(params.kind, *params.pair, *grad.pair, mu))

@@ -31,9 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Normalizer, fit_normalizer, apply_normalizer
-from .gating import GatingParams, gate_eval_batch, gate_stack, gradient_stack, init_gating, step_stack
+from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, gate_stack, gradient_stack,
+                     init_gating, step_stack)
 from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
-from .solver import check_duals, solve_duals
+from .solver import RHO_MODES, check_duals, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -117,6 +118,10 @@ class LmkadConfig:
     initial_gating: GatingParams | None = None
 
     def __post_init__(self):
+        if self.gating_kind not in GATING_KINDS:
+            raise ValueError(f"unknown gating kind {self.gating_kind!r}")
+        if self.rho_mode not in RHO_MODES:
+            raise ValueError(f"unknown rho mode {self.rho_mode!r}")
         if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0 < self.lr_decay <= 1:
@@ -272,7 +277,8 @@ class _Stack:
         gatings = [gating for _, _, gating in members]
         self.kind = None if gatings[0] is None else gatings[0].kind
         self.weights = np.full(p, 1.0 / p) if self.kind is None else None
-        self.pair = None if self.kind is None else tuple(np.stack(a) for a in zip(*(g.pair for g in gatings)))
+        self.pair = None if self.kind is None else (np.stack([g.matrix for g in gatings]),
+                                                     np.stack([g.vector for g in gatings]))
         self.H = None
         self.q = np.empty((b, n, n))
         self.scratch = np.empty((b, n, n))
@@ -354,7 +360,7 @@ class _Stack:
             nu=self.nus[r],
             n_train=self.Xn.shape[1],
             weights=None if gated else self.weights.copy(),
-            gating=GatingParams.from_pair(self.kind, self.pair[0][r].copy(), self.pair[1][r].copy()) if gated else None,
+            gating=GatingParams(self.kind, self.pair[0][r].copy(), self.pair[1][r].copy()) if gated else None,
             sv_eta=self.H[r][sv] if gated else None,
             report=report,
         )
@@ -521,14 +527,23 @@ def _array(path, name: str, value) -> np.ndarray:
 
 
 def _gating_to_dict(g: GatingParams) -> dict:
-    if g.kind == "rbf":
-        return {"kind": "rbf", "centers": g.centers.tolist(), "spreads": g.spreads.tolist()}
-    return {"kind": g.kind, "v": g.v.tolist(), "v0": g.v0.tolist()}
+    matrix, vector = PAIR_FIELDS[g.kind]
+    return {"kind": g.kind, matrix: g.matrix.tolist(), vector: g.vector.tolist()}
 
 
 def _gating_from_dict(d: dict, path) -> GatingParams:
-    names = ("centers", "spreads") if d["kind"] == "rbf" else ("v", "v0")
-    return GatingParams(kind=d["kind"], **{n: _array(path, f"gating.{n}", d[n]) for n in names})
+    kind = d.get("kind")
+    if kind not in PAIR_FIELDS:
+        raise ValueError(f"{path}: gating.kind {kind!r} is not one of {', '.join(PAIR_FIELDS)}")
+    pair = []
+    for name in PAIR_FIELDS[kind]:
+        if name not in d:
+            raise ValueError(f"{path}: gating.{name} is missing")
+        pair.append(_array(path, f"gating.{name}", d[name]))
+    try:
+        return GatingParams(kind, *pair)
+    except ValueError as exc:
+        raise ValueError(f"{path}: gating: {exc}") from None
 
 
 def save_model(model: Model, path) -> None:
@@ -621,10 +636,9 @@ def _check_loaded(model: Model, path) -> None:
         fields["weights"] = (model.weights, (p,))
     if model.gating is not None:
         fields["sv_eta"] = (model.sv_eta, (n_sv, p))
-        g = model.gating
-        matrix, vector = ("centers", "spreads") if g.kind == "rbf" else ("v", "v0")
-        fields[f"gating.{matrix}"] = (getattr(g, matrix), (p, d))
-        fields[f"gating.{vector}"] = (getattr(g, vector), (p,))
+        matrix, vector = PAIR_FIELDS[model.gating.kind]
+        fields[f"gating.{matrix}"] = (model.gating.matrix, (p, d))
+        fields[f"gating.{vector}"] = (model.gating.vector, (p,))
     for name, (value, shape) in fields.items():
         if value.shape != shape:
             raise ValueError(f"{path}: {name} has shape {value.shape}, expected {shape}")

@@ -220,7 +220,7 @@ class DualStack:
         """Dual k's solution.  Default rho is the mean of ``g`` over margin
         support vectors (the KKT-consistent estimator), falling back to all
         support vectors when no multiplier is strictly inside the box;
-        ``mean-all-train`` centers the decision values over every row."""
+        ``mean-all-train`` is the mean of ``g`` over every row."""
         g = self.g[k]
         support = np.flatnonzero(self.support[k])
         margin = np.flatnonzero(self.margin[k])

@@ -4,13 +4,13 @@ The trainer loop as it ran one fit at a time before fits were stacked,
 kept as an oracle: per-fit normalizer, kernels and Grams, then per outer
 iteration ``gate_eval_batch``, ``_combine``, a validated ``DualProblem``,
 ``solve_dual`` (warm-started), the stopping test, ``gate_gradient`` and
-``step_gating``.  ``fit_many`` must return the same model, array bytes and
+``step_stack``.  ``fit_many`` must return the same model, array bytes and
 report included, for every job of any batch.
 """
 import numpy as np
 
 from lmkad.dataset import apply_normalizer, fit_normalizer
-from lmkad.gating import gate_eval_batch, gate_gradient, init_gating, step_gating
+from lmkad.gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_stack
 from lmkad.kernels import gram
 from lmkad.models import Model, TrainingReport, _combine, resolve_kernels
 from lmkad.solver import DualProblem, solve_dual
@@ -57,12 +57,13 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
         if t == max_outer - 1:
             break
         grad = gate_gradient(gating, sol.alpha, Xn, grams, H)
-        if not grad.is_finite():
+        if not all(np.isfinite(g).all() for g in grad):
             raise RuntimeError(
                 f"non-finite gating gradient at outer iteration {t} "
                 f"(kind={gating.kind}, nu={config.nu})"
             )
-        gating = step_gating(gating, grad, config.learning_rate * config.lr_decay**t)
+        mu = config.learning_rate * config.lr_decay**t
+        gating = GatingParams(gating.kind, *step_stack(gating.kind, gating.matrix, gating.vector, *grad, mu))
         alpha_prev = sol.alpha
 
     sv = sol.support_indices

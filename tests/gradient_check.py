@@ -25,11 +25,10 @@ def make_instance(kind, rng, n=7, p=3, d=4):
         alpha[0] = 1.0
     alpha /= alpha.sum()
     if kind == "rbf":
-        params = GatingParams(kind="rbf", centers=rng.normal(size=(p, d)),
-                              spreads=rng.uniform(0.5, 2.0, p))
+        params = GatingParams("rbf", rng.normal(size=(p, d)), rng.uniform(0.5, 2.0, p))
     else:
-        params = GatingParams(kind=kind, v=rng.normal(scale=0.5, size=(p, d)),
-                              v0=rng.normal(scale=0.5, size=p))
+        params = GatingParams(kind, rng.normal(scale=0.5, size=(p, d)),
+                              rng.normal(scale=0.5, size=p))
     return params, alpha, X, grams
 
 
@@ -40,25 +39,22 @@ def fixed_alpha_objective(params, alpha, X, grams):
 
 
 def finite_difference_gradient(params, alpha, X, grams, h=1e-5):
-    fields = ("centers", "spreads") if params.kind == "rbf" else ("v", "v0")
-    out = {}
-    for name in fields:
-        arr = getattr(params, name)
+    """Central differences of J, as a (matrix, vector) pair."""
+    pair = (params.matrix, params.vector)
+    out = []
+    for which, arr in enumerate(pair):
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             vals = []
             for sgn in (+1, -1):
-                pert = arr.copy()
-                pert[idx] += sgn * h
-                kwargs = {f: getattr(params, f) for f in fields}
-                kwargs[name] = pert
-                vals.append(
-                    fixed_alpha_objective(GatingParams(kind=params.kind, **kwargs), alpha, X, grams)
-                )
+                pert = list(pair)
+                pert[which] = arr.copy()
+                pert[which][idx] += sgn * h
+                vals.append(fixed_alpha_objective(GatingParams(params.kind, *pert), alpha, X, grams))
             fd[idx] = (vals[0] - vals[1]) / (2 * h)
-        out[name] = fd
+        out.append(fd)
     return out
 
 
@@ -67,8 +63,7 @@ def max_relative_error(params, alpha, X, grams, abs_floor=1e-8):
     grad = gate_gradient(params, alpha, X, grams, H)
     fd = finite_difference_gradient(params, alpha, X, grams)
     worst = 0.0
-    for name, expected in fd.items():
-        got = getattr(grad, name)
+    for got, expected in zip(grad, fd):
         err = np.abs(got - expected) / np.maximum(np.abs(expected), abs_floor)
         worst = max(worst, float(err.max()))
     return worst

@@ -136,7 +136,7 @@ def test_criterion_3_reduction_equivalences():
     mkad = train_mkad(X, kernels, nu=0.3)
     frozen = LmkadConfig(
         nu=0.3, gating_kind="softmax", learning_rate=0.0, seed=1,
-        initial_gating=GatingParams(kind="softmax", v=np.zeros((3, 3)), v0=np.zeros(3)),
+        initial_gating=GatingParams("softmax", np.zeros((3, 3)), np.zeros(3)),
     )
     lmkad = train_lmkad(X, kernels, frozen)
     f_mkad = decision_values(mkad, grid)
@@ -163,11 +163,9 @@ def test_criterion_4_localized_gram_psd():
                 KernelSpec("linear"),
             ][:p]
             if kind == "rbf":
-                gating = GatingParams(kind="rbf", centers=rng.normal(size=(p, d)),
-                                      spreads=rng.uniform(0.5, 2.0, p))
+                gating = GatingParams("rbf", rng.normal(size=(p, d)), rng.uniform(0.5, 2.0, p))
             else:
-                gating = GatingParams(kind=kind, v=rng.normal(size=(p, d)),
-                                      v0=rng.normal(size=p))
+                gating = GatingParams(kind, rng.normal(size=(p, d)), rng.normal(size=p))
             K = composite_gram_localized(kernels, gating, X, X)
             worst = min(worst, float(np.linalg.eigvalsh(K).min()))
     ok = worst >= -1e-8

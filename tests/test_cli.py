@@ -1,6 +1,7 @@
 import io
 import json
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from lmkad import cli
 from lmkad.cli import main
 from lmkad.dataset import load_features_csv
-from lmkad.models import BLOCK_ROWS, decision_values, load_model, predict_batch
+from lmkad.gating import GATING_KINDS
+from lmkad.models import BLOCK_ROWS, FAMILIES, decision_values, load_model, predict_batch
+from lmkad.solver import RHO_MODES
 
 
 def run(argv):
@@ -270,6 +273,35 @@ def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("section, entry, message", [
+    ("classifiers", {"family": "lmkad", "gatng": "rbf", "learning-rate": 0.1},
+     r"classifiers\[0\] has unknown key 'gatng'"),
+    ("datasets", {"path": "x.csv", "target_label": "a", "headr": True}, r"datasets\[0\] has unknown key 'headr'"),
+    ("datasets", {"target_label": "setosa"}, r"datasets\[0\] needs a 'path'$"),
+    ("datasets", {"path": "x.csv"}, r"datasets\[0\] needs a 'target_label'$"),
+    ("classifiers", {"name": "a", "kernels": "gpl"}, r"classifiers\[0\] needs a 'family'$"),
+    ("classifiers", {"family": "lmkad", "gating": "rbff"}, r"classifiers\[0\]: unknown gating kind 'rbff'$"),
+    ("classifiers", {"family": "ocsvm", "rho_mode": "mean"}, r"classifiers\[0\]: unknown rho mode 'mean'$"),
+], ids=["classifier-key", "dataset-key", "no-path", "no-target", "no-family", "gating", "rho-mode"])
+def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys, section, entry, message):
+    config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
+    doc = json.loads(config.read_text())
+    doc[section] = [entry]
+    config.write_text(json.dumps(doc))
+    assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+    assert re.search(message, err.strip())
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
+def test_fit_choices_are_the_modules_names():
+    fit = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["fit"]
+    choices = {a.dest: a.choices for a in fit._actions if a.choices}
+    assert choices.keys() == {"family", "gating", "rho_mode"}
+    assert choices["family"] is FAMILIES and choices["gating"] is GATING_KINDS and choices["rho_mode"] is RHO_MODES
+
+
 def test_benchmark_requires_seed(tmp_path, iris_path, monkeypatch, capsys):
     monkeypatch.delenv("LMKAD_SEED", raising=False)
     config = json.loads(benchmark_config(tmp_path, iris_path,
@@ -337,6 +369,13 @@ def test_stats_malformed(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("just one line")
     assert run(["stats", "--results", p]) == 1
+
+
+def test_stats_short_long_format_row_is_an_error_line(tmp_path, capsys):
+    p = tmp_path / "results.csv"
+    p.write_text("dataset,classifier,mean_gmean,std_gmean,mean_sv_pct\nd1,A,0.5,0,1\nd2,A\n")
+    assert run(["stats", "--results", p]) == 1
+    assert capsys.readouterr().err == f"error: {p}: row 1 has 2 cells, expected 5\n"
 
 
 def test_help_and_unknown_flags(capsys):

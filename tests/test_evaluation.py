@@ -113,6 +113,18 @@ def test_cross_validate_deterministic():
     assert a.mean_gmean == b.mean_gmean and a.mean_sv_pct == b.mean_sv_pct
 
 
+@pytest.mark.parametrize("family", ["ocsvm", "lmkad"])
+@pytest.mark.parametrize("knob, message", [
+    ({"gating": "rbff"}, "unknown gating kind 'rbff'"),
+    ({"rho_mode": "mean"}, "unknown rho mode 'mean'"),
+    ({"learning_rate": -1.0}, "learning_rate must be >= 0"),
+], ids=["gating", "rho-mode", "learning-rate"])
+def test_classifier_config_rejects_an_unknown_knob_value(family, knob, message):
+    # checked when the config is built, before cross_validate trains anything
+    with pytest.raises(ValueError, match=message):
+        ClassifierConfig(name="x", family=family, **knob)
+
+
 def test_cross_validate_skips_infeasible_candidates():
     ds = tiny_dataset()
     plan = plan_folds(ds, 5, 1, seed=3)
@@ -371,4 +383,26 @@ def test_read_matrix_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("dataset,A\nd1,not-a-number\n")
     with pytest.raises(ValueError):
+        read_gmean_matrix_csv(p)
+
+
+LONG_HEADER = "dataset,classifier,mean_gmean,std_gmean,mean_sv_pct\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LONG_HEADER + "d1,A,0.5,0,1\nd1,B\n", r"scores.csv: row 1 has 2 cells, expected 5$"),
+    ("dataset,A,B\nd1,0.5,0.6\nd2,0.7\n", r"scores.csv: row 1 has 2 cells, expected 3$"),
+    (LONG_HEADER + "d1,A,0.5,0,1\nd1,B,x,0,1\n", r"scores.csv: non-numeric value 'x' at row 1, column 2$"),
+    ("dataset,A,B\nd1,0.5,0.6\nd2,0.7,high\n", r"scores.csv: non-numeric value 'high' at row 1, column 2$"),
+    # a repeated score would overwrite (long) or add (wide) a score and move the ranks
+    (LONG_HEADER + "d1,A,0.5,0,1\nd1,B,0.6,0,1\nd2,A,0.7,0,1\nd2,B,0.8,0,1\nd1,A,0.9,0,1\n",
+     r"scores.csv: \(dataset, classifier\) pair \('d1', 'A'\) occurs twice$"),
+    ("dataset,A,B\nd1,0.5,0.6\nd2,0.7,0.8\nd1,0.9,0.1\n", r"scores.csv: dataset 'd1' occurs twice$"),
+    ("dataset,A,A\nd1,0.5,0.6\nd2,0.7,0.8\n", r"scores.csv: classifier 'A' occurs twice$"),
+], ids=["long-short-row", "wide-ragged-row", "long-non-numeric", "wide-non-numeric",
+        "long-repeated-pair", "wide-repeated-dataset", "wide-repeated-classifier"])
+def test_read_matrix_names_a_bad_row(tmp_path, text, message):
+    p = tmp_path / "scores.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
         read_gmean_matrix_csv(p)

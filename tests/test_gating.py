@@ -8,7 +8,6 @@ from lmkad.gating import (
     gate_stack,
     gradient_stack,
     init_gating,
-    step_gating,
     step_stack,
 )
 from lmkad.kernels import KernelSpec, gram
@@ -17,7 +16,7 @@ from oracles import gate_eval
 
 
 def zero_softmax(p, d):
-    return GatingParams(kind="softmax", v=np.zeros((p, d)), v0=np.zeros(p))
+    return GatingParams("softmax", np.zeros((p, d)), np.zeros(p))
 
 
 def assert_gradient_matches(params, alpha, X, grams, rel_tol=1e-4):
@@ -31,20 +30,20 @@ def test_softmax_symmetric_logits():
 
 
 def test_sigmoid_zero_logit():
-    params = GatingParams(kind="sigmoid", v=np.zeros((4, 3)), v0=np.zeros(4))
+    params = GatingParams("sigmoid", np.zeros((4, 3)), np.zeros(4))
     eta = gate_eval(params, np.array([1.0, 2.0, 3.0]))
     assert np.allclose(eta, 0.5, atol=1e-15)
 
 
 def test_rbf_zero_distance_dominates():
     centers = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-    params = GatingParams(kind="rbf", centers=centers, spreads=np.ones(3))
+    params = GatingParams("rbf", centers, np.ones(3))
     eta = gate_eval(params, centers[0])
     assert eta[0] == eta.max() and eta[0] > 0.9
 
 
 def test_softmax_overflow_safe():
-    params = GatingParams(kind="softmax", v=np.array([[1000.0], [0.0]]), v0=np.zeros(2))
+    params = GatingParams("softmax", np.array([[1000.0], [0.0]]), np.zeros(2))
     eta = gate_eval(params, np.array([1.0]))
     assert np.isfinite(eta).all()
     assert eta[0] == pytest.approx(1.0, abs=1e-12)
@@ -53,7 +52,7 @@ def test_softmax_overflow_safe():
 
 def test_batch_single_row_matches_eval():
     rng = np.random.default_rng(0)
-    params = GatingParams(kind="softmax", v=rng.normal(size=(3, 4)), v0=rng.normal(size=3))
+    params = GatingParams("softmax", rng.normal(size=(3, 4)), rng.normal(size=3))
     x = rng.normal(size=4)
     assert np.array_equal(gate_eval_batch(params, x[None, :])[0], gate_eval(params, x))
 
@@ -62,10 +61,9 @@ def test_batch_single_row_matches_eval():
 def test_batch_rows_normalized(kind):
     rng = np.random.default_rng(1)
     if kind == "rbf":
-        params = GatingParams(kind="rbf", centers=rng.normal(size=(3, 4)),
-                              spreads=rng.uniform(0.5, 2, 3))
+        params = GatingParams("rbf", rng.normal(size=(3, 4)), rng.uniform(0.5, 2, 3))
     else:
-        params = GatingParams(kind=kind, v=rng.normal(size=(3, 4)), v0=rng.normal(size=3))
+        params = GatingParams(kind, rng.normal(size=(3, 4)), rng.normal(size=3))
     H = gate_eval_batch(params, rng.normal(size=(20, 4)))
     assert np.abs(H.sum(axis=1) - 1.0).max() <= 1e-12
     assert H.min() >= 0.0
@@ -82,15 +80,15 @@ def test_batch_matches_per_row_loop():
 
 def test_softmax_translation_invariance():
     rng = np.random.default_rng(3)
-    params = GatingParams(kind="softmax", v=rng.normal(size=(3, 4)), v0=rng.normal(size=3))
-    shifted = GatingParams(kind="softmax", v=params.v, v0=params.v0 + 17.5)
+    params = GatingParams("softmax", rng.normal(size=(3, 4)), rng.normal(size=3))
+    shifted = GatingParams("softmax", params.matrix, params.vector + 17.5)
     X = rng.normal(size=(10, 4))
     assert np.abs(gate_eval_batch(params, X) - gate_eval_batch(shifted, X)).max() <= 1e-12
 
 
 def test_sigmoid_open_interval():
     rng = np.random.default_rng(4)
-    params = GatingParams(kind="sigmoid", v=rng.normal(size=(2, 3)), v0=rng.normal(size=2))
+    params = GatingParams("sigmoid", rng.normal(size=(2, 3)), rng.normal(size=2))
     H = gate_eval_batch(params, rng.normal(size=(50, 3)))
     assert np.all(H > 0.0) and np.all(H < 1.0)
 
@@ -101,23 +99,21 @@ def test_gradient_zero_alpha():
         params, _, X, grams = make_instance(kind, rng)
         H = gate_eval_batch(params, X)
         grad = gate_gradient(params, np.zeros(X.shape[0]), X, grams, H)
-        for name in ("v", "v0", "centers", "spreads"):
-            arr = getattr(grad, name)
-            if arr is not None:
-                assert np.array_equal(arr, np.zeros_like(arr))
+        for arr in grad:
+            assert np.array_equal(arr, np.zeros_like(arr))
 
 
 def test_gradient_softmax_single_kernel_degenerate():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(5, 3))
     grams = [gram(KernelSpec("gaussian", sigma_sq=1.0), X, X)]
-    params = GatingParams(kind="softmax", v=rng.normal(size=(1, 3)), v0=rng.normal(size=1))
+    params = GatingParams("softmax", rng.normal(size=(1, 3)), rng.normal(size=1))
     H = gate_eval_batch(params, X)
     assert np.array_equal(H, np.ones((5, 1)))
     alpha = np.full(5, 0.2)
     grad = gate_gradient(params, alpha, X, grams, H)
-    assert np.array_equal(grad.v, np.zeros((1, 3)))
-    assert np.array_equal(grad.v0, np.zeros(1))
+    assert np.array_equal(grad[0], np.zeros((1, 3)))
+    assert np.array_equal(grad[1], np.zeros(1))
 
 
 @pytest.mark.parametrize("kind", ["softmax", "sigmoid", "rbf"])
@@ -144,10 +140,7 @@ def test_init_deterministic():
     for kind in ("softmax", "sigmoid", "rbf"):
         a = init_gating(kind, 3, 4, X, seed=42)
         b = init_gating(kind, 3, 4, X, seed=42)
-        for name in ("v", "v0", "centers", "spreads"):
-            pa, pb = getattr(a, name), getattr(b, name)
-            if pa is not None:
-                assert np.array_equal(pa, pb)
+        assert np.array_equal(a.matrix, b.matrix) and np.array_equal(a.vector, b.vector)
 
 
 def test_init_rbf_centers_are_rows():
@@ -155,9 +148,9 @@ def test_init_rbf_centers_are_rows():
     X = rng_data.normal(size=(3, 2))
     params = init_gating("rbf", 3, 2, X, seed=0)
     # with N = p the centers are a permutation of the training rows
-    got = {tuple(r) for r in params.centers}
+    got = {tuple(r) for r in params.matrix}
     assert got == {tuple(r) for r in X}
-    assert np.all(params.spreads > 0)
+    assert np.all(params.vector > 0)
 
 
 def test_init_softmax_near_uniform():
@@ -185,21 +178,18 @@ def test_init_validation():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GatingParams(kind="rbf", centers=np.ones((2, 2)), spreads=np.array([1.0, 0.0]))
+        GatingParams("rbf", np.ones((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        GatingParams(kind="softmax", v=np.ones((2, 2)), v0=np.ones(3))
+        GatingParams("softmax", np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         gate_eval(zero_softmax(2, 3), np.zeros(4))
 
 
 def test_step_clamps_rbf_spreads():
-    from lmkad.gating import GateGradient
-
-    params = GatingParams(kind="rbf", centers=np.zeros((2, 2)), spreads=np.array([0.5, 1.0]))
-    g = GateGradient(kind="rbf", centers=np.zeros((2, 2)), spreads=np.array([100.0, 0.0]))
-    stepped = step_gating(params, g, mu=1.0)
-    assert stepped.spreads[0] > 0  # clamped instead of going negative
-    assert stepped.spreads[1] == 1.0
+    _, spreads = step_stack("rbf", np.zeros((2, 2)), np.array([0.5, 1.0]),
+                            np.zeros((2, 2)), np.array([100.0, 0.0]), mu=1.0)
+    assert spreads[0] > 0  # clamped instead of going negative
+    assert spreads[1] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["softmax", "sigmoid", "rbf"])
@@ -213,7 +203,7 @@ def test_stacked_forms_match_one_model_calls_bit_for_bit(kind, n, d, p):
     grams = np.stack([[gram(spec, Xb, Xb) * (m + 1) for m in range(p)] for Xb in X])
     alpha = rng.dirichlet(np.ones(n), size=b)
     params = [make_instance(kind, rng, n=n, p=p, d=d)[0] for _ in range(b)]
-    pair = tuple(np.stack(a) for a in zip(*(q.pair for q in params)))
+    pair = (np.stack([q.matrix for q in params]), np.stack([q.vector for q in params]))
 
     H = gate_stack(kind, X, *pair)
     grad = gradient_stack(kind, *pair, alpha, X, grams, H)
@@ -222,5 +212,6 @@ def test_stacked_forms_match_one_model_calls_bit_for_bit(kind, n, d, p):
         H_r = gate_eval_batch(q, X[r])
         assert H[r].tobytes() == H_r.tobytes()
         one = gate_gradient(q, alpha[r], X[r], list(grams[r]), H_r)
-        assert [g[r].tobytes() for g in grad] == [g.tobytes() for g in one.pair]
-        assert [s[r].tobytes() for s in stepped] == [s.tobytes() for s in step_gating(q, one, 0.7).pair]
+        assert [g[r].tobytes() for g in grad] == [g.tobytes() for g in one]
+        one_step = step_stack(kind, q.matrix, q.vector, *one, 0.7)
+        assert [s[r].tobytes() for s in stepped] == [s.tobytes() for s in one_step]

@@ -132,7 +132,7 @@ def test_localized_constant_gating_proportional_to_fixed():
     X, Y = blob(10, 7), blob(11, 5)
     kernels = [GAUSS1, KernelSpec("polynomial", q=2), KernelSpec("linear")]
     p = len(kernels)
-    gating = GatingParams(kind="softmax", v=np.zeros((p, 3)), v0=np.zeros(p))
+    gating = GatingParams("softmax", np.zeros((p, 3)), np.zeros(p))
     loc = composite_gram_localized(kernels, gating, X, Y)
     fixed = composite_gram_fixed(kernels, np.full(p, 1 / p), X, Y)
     assert np.abs(loc - fixed / p).max() <= 1e-12
@@ -140,7 +140,7 @@ def test_localized_constant_gating_proportional_to_fixed():
 
 def test_localized_single_kernel_identity():
     X, Y = blob(12, 6), blob(13, 4)
-    gating = GatingParams(kind="softmax", v=np.zeros((1, 3)), v0=np.zeros(1))
+    gating = GatingParams("softmax", np.zeros((1, 3)), np.zeros(1))
     assert np.array_equal(composite_gram_localized([GAUSS1], gating, X, Y), gram(GAUSS1, X, Y))
 
 
@@ -150,10 +150,9 @@ def test_localized_gram_psd(kind):
     X = rng.normal(size=(12, 3))
     kernels = [GAUSS1, KernelSpec("polynomial", q=2), KernelSpec("linear")]
     if kind == "rbf":
-        gating = GatingParams(kind="rbf", centers=rng.normal(size=(3, 3)),
-                              spreads=rng.uniform(0.5, 2, 3))
+        gating = GatingParams("rbf", rng.normal(size=(3, 3)), rng.uniform(0.5, 2, 3))
     else:
-        gating = GatingParams(kind=kind, v=rng.normal(size=(3, 3)), v0=rng.normal(size=3))
+        gating = GatingParams(kind, rng.normal(size=(3, 3)), rng.normal(size=3))
     K = composite_gram_localized(kernels, gating, X, X)
     assert np.linalg.eigvalsh(K).min() >= -1e-8
 
@@ -162,7 +161,7 @@ def test_lmkad_frozen_uniform_matches_mkad_signs():
     X = blob(15, 40)
     kernels = resolve_kernels("gpl")
     config = LmkadConfig(nu=0.2, gating_kind="softmax", learning_rate=0.0, seed=0,
-                         initial_gating=GatingParams(kind="softmax", v=np.zeros((3, 3)), v0=np.zeros(3)))
+                         initial_gating=GatingParams("softmax", np.zeros((3, 3)), np.zeros(3)))
     lm = train_lmkad(X, kernels, config)
     mk = train_mkad(X, kernels, nu=0.2)
     rng = np.random.default_rng(16)
@@ -354,6 +353,9 @@ def _poison(values, x):
         ("lmkad", lambda doc: _poison(doc["sv_features"][0], -float("inf")), r"sv_features holds"),
         ("ocsvm", lambda doc: doc.update(rho=[1.0]), r"model.json: rho is not a number"),
         ("mkad", lambda doc: doc["report"].pop("converged"), r"model.json: report is not a training report"),
+        ("lmkad", lambda doc: doc["gating"].pop("v0"), r"model.json: gating.v0 is missing$"),
+        ("lmkad", lambda doc: doc["gating"].update(kind="foo"), r"model.json: gating.kind 'foo' is not one of"),
+        ("lmkad", lambda doc: doc["gating"]["v0"].append(0.0), r"model.json: gating: one vector entry per"),
     ],
 )
 def test_load_rejects_inconsistent_model(tmp_path, family, corrupt, message):
@@ -369,15 +371,19 @@ def test_load_rejects_inconsistent_model(tmp_path, family, corrupt, message):
 V1_DIR = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("family", ["ocsvm", "mkad", "lmkad"])
-def test_v1_model_files_still_load(tmp_path, family):
-    # v1_<family>.json and their decision values on five fixed rows were
-    # written by the format's first implementation (one class per family)
+@pytest.mark.parametrize("stem", ["ocsvm", "mkad", "lmkad", "lmkad_softmax", "lmkad_rbf"])
+def test_v1_model_files_still_load(tmp_path, stem):
+    # v1_<stem>.json and their decision values on five fixed rows were
+    # written by the format's first implementation (one class per family;
+    # v1_lmkad.json has sigmoid gates), the softmax and rbf ones by the
+    # code before the gating parameters became one (matrix, vector) pair
     expected = json.loads((V1_DIR / "v1_decision_values.json").read_text())
-    path = V1_DIR / f"v1_{family}.json"
+    path = V1_DIR / f"v1_{stem}.json"
     model = load_model(path)
+    family, _, kind = stem.partition("_")
     assert model.family == family
-    assert decision_values(model, np.array(expected["rows"])).tolist() == expected[family]
+    assert kind == "" or model.gating.kind == kind
+    assert decision_values(model, np.array(expected["rows"])).tolist() == expected[stem]
     save_model(model, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -422,6 +428,10 @@ def test_sv_fraction_nu_lower_bound_iris(iris, iris_plan):
 
 
 def test_lmkad_config_validation():
+    with pytest.raises(ValueError, match="unknown gating kind 'rbff'"):
+        LmkadConfig(nu=0.5, gating_kind="rbff")
+    with pytest.raises(ValueError, match="unknown rho mode 'mean'"):
+        LmkadConfig(nu=0.5, rho_mode="mean")
     with pytest.raises(ValueError):
         LmkadConfig(nu=0.5, lr_decay=0.0)
     with pytest.raises(ValueError):
@@ -485,7 +495,7 @@ def _pin_jobs():
         jobs.append(FitJob("lmkad", b, "gpp", lm("softmax", nu, seed=20 + i)))
         jobs.append(FitJob("lmkad", b, "gpl", lm("rbf", nu, seed=30 + i, max_outer=15)))
         jobs.append(FitJob("lmkad", a, "gpp", lm("rbf", nu, seed=40 + i, rho_mode="mean-all-train")))
-    frozen = GatingParams(kind="softmax", v=np.zeros((3, 4)), v0=np.zeros(3))
+    frozen = GatingParams("softmax", np.zeros((3, 4)), np.zeros(3))
     jobs += [
         FitJob("lmkad", a, "gpl", lm("sigmoid", 0.2, seed=0, initial_gating=frozen, learning_rate=0.0)),
         FitJob("lmkad", a, "gpl", lm("sigmoid", 0.1, seed=1, inner_max_iter=5)),
@@ -510,7 +520,7 @@ def _model_bytes(model):
         "sv_eta": model.sv_eta,
     }
     if model.gating is not None:
-        arrays.update(zip(("gating.matrix", "gating.vector"), model.gating.pair))
+        arrays.update({"gating.matrix": model.gating.matrix, "gating.vector": model.gating.vector})
     fields = {name: None if a is None else (a.shape, a.dtype.str, a.tobytes()) for name, a in arrays.items()}
     report = model.report
     fields.update(
