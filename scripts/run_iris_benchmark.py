@@ -3,9 +3,10 @@
 
 Builds an experiment config covering all three model families and the
 three gating functions, runs it through the CLI benchmark command, and
-prints the resulting rank statistics.  Results land in results/iris/.
+prints the resulting rank statistics.  The config, the result CSVs and
+the Friedman summary are written to the directory given by --output-dir.
 
-Usage: python scripts/run_iris_benchmark.py [--jobs N] [--quick]
+Usage: python scripts/run_iris_benchmark.py --output-dir DIR [--jobs N] [--quick]
 """
 import argparse
 import json
@@ -43,12 +44,14 @@ def classifier_rows(quick: bool):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--output-dir", required=True, type=Path,
+                        help="directory for the config, result CSVs and Friedman summary")
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--quick", action="store_true",
                         help="sigmoid gating only and 2 runs instead of 5")
     args = parser.parse_args(argv)
 
-    out_dir = REPO / "results" / "iris"
+    out_dir = args.output_dir
     config = {
         "seed": 20240811,
         "n_folds": 5,

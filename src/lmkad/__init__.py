@@ -39,9 +39,11 @@ from .models import (
 from .evaluation import (
     ClassifierConfig,
     ConfusionCounts,
+    CvCell,
     CvResult,
     FriedmanReport,
     cross_validate,
+    cross_validate_many,
     friedman_statistics,
     friedman_test,
     gmean,

@@ -2,8 +2,13 @@
 
 ``benchmark`` consumes a JSON experiment config (schema documented in the
 README) and writes results/ranks/friedman CSVs plus the raw Gmean matrix.
-All commands are deterministic given their flags and seed; the env var
-``LMKAD_SEED`` supplies a default seed, flags override it.
+Its (dataset, classifier) cells are split, in config order, into
+``min(--jobs, cells)`` contiguous shares of equal count (sizes differ by
+at most one); each share is trained as one program
+(``evaluation.cross_validate_many``), the shares in a process pool when
+there are several.  All commands are deterministic given their flags and
+seed, whatever ``--jobs``; the env var ``LMKAD_SEED`` supplies a default
+seed, flags override it.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import evaluation
 from .dataset import iter_feature_blocks, load_csv, plan_folds
-from .evaluation import ClassifierConfig, CvResult, cross_validate
+from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS
 from .models import BLOCK_ROWS, FAMILIES, decision_values, load_model, save_model, sv_count
 from .solver import RHO_MODES
@@ -161,9 +166,10 @@ def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
     return config, grid
 
 
-def _run_cell(task) -> CvResult:
-    dataset, config, grid, plan, seed = task
-    return cross_validate(dataset, config, grid, plan, base_seed=seed)
+def _shares(cells: list, n: int) -> list[list]:
+    """``cells`` in order, cut into ``n`` contiguous shares whose sizes differ by at most one."""
+    bounds = [len(cells) * k // n for k in range(n + 1)]
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def cmd_benchmark(args) -> int:
@@ -189,18 +195,19 @@ def cmd_benchmark(args) -> int:
         )
         datasets.append(data)
 
-    tasks = []
+    cells = []
     for data in datasets:
         plan = plan_folds(data, n_folds=int(config["n_folds"]), n_runs=int(config["n_runs"]), seed=seed)
         for clf, grid in classifiers:
-            tasks.append((data, clf, grid, plan, seed))
+            cells.append(CvCell(data, clf, grid, plan, seed))
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, tasks))
+    # a failing share raises fit_many's error over its jobs; of several, the first share's
+    shares = _shares(cells, min(args.jobs or os.cpu_count() or 1, len(cells)))
+    if len(shares) > 1:
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            results = [r for share in pool.map(cross_validate_many, shares) for r in share]
     else:
-        results = [_run_cell(t) for t in tasks]
+        results = cross_validate_many(cells)
 
     results.sort(key=lambda r: (r.dataset, r.classifier))
     for r in results:
@@ -261,6 +268,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmkad",
@@ -298,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="run the repeated-CV protocol from a JSON config")
     bench.add_argument("--config", required=True)
     bench.add_argument("--output-dir", default=None, help="overrides the config's output_dir")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for benchmark cells (default: all cores)")
+    bench.add_argument("--jobs", type=_positive_int, default=None,
+                       help="worker processes; the cells are split into this many contiguous "
+                            "shares, each trained as one program (default: all cores)")
     bench.set_defaults(func=cmd_benchmark)
 
     stats = sub.add_parser("stats", help="Friedman / Iman-Davenport test on a score matrix CSV")

@@ -6,12 +6,19 @@ Gmean on the validation rows (training-fold rows of both classes), keep
 the best, and evaluate it once on the held-out test fold.  Aggregates
 (MGmean, PMG) and the Friedman / Iman-Davenport test compare classifiers
 across datasets.
+
+``cross_validate_many`` runs the protocol for many (dataset, classifier)
+cells at once: it plans every cell's candidates, trains them all in one
+``models.fit_many`` call, then selects per cell, with every result equal
+to the cell's own.  ``cross_validate`` is its one-cell case.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import fdtrc
@@ -165,6 +172,16 @@ def _score(model, data: Dataset) -> float:
     return gmean(ConfusionCounts.from_predictions(data.labels, predict_batch(model, data.features)))
 
 
+class CvCell(NamedTuple):
+    """One (dataset, classifier) benchmark cell: its protocol inputs."""
+
+    dataset: Dataset
+    config: ClassifierConfig
+    nu_grid: Sequence[float]
+    plan: FoldPlan
+    base_seed: int = 0
+
+
 def cross_validate(
     dataset: Dataset,
     config: ClassifierConfig,
@@ -178,14 +195,38 @@ def cross_validate(
     for that fold; any other training error propagates.  Ties on
     validation Gmean keep the first grid point.  Folds where every
     candidate is skipped are flagged and excluded from the aggregate.
+    This is the one-cell case of ``cross_validate_many``.
     """
+    return cross_validate_many([CvCell(dataset, config, nu_grid, plan, base_seed)])[0]
+
+
+def cross_validate_many(cells) -> list[CvResult]:
+    """``cross_validate`` of every ``CvCell``, with all their fits trained together.
+
+    Every cell's folds are split and its feasible candidates planned
+    first; one ``fit_many`` call then trains the candidates of all cells
+    (so fits of equal size share their SMO lockstep across cells), and
+    each cell selects per fold from its own models.  Every result equals
+    the cell's own ``cross_validate``.  A training error propagates by
+    ``fit_many``'s rule over all the cells' jobs.
+    """
+    jobs: list[FitJob] = []
+    planned = [_plan_cell(cell, jobs) for cell in cells]
+    models = fit_many(jobs)
+    return [_select(cell, folds, models) for cell, folds in zip(cells, planned)]
+
+
+def _plan_cell(cell: CvCell, jobs: list[FitJob]) -> list[tuple]:
+    """Split a cell's folds and append its feasible candidates' jobs to ``jobs``.
+
+    Returns one ``(run, fold, validation, test, candidates, fold_errors)``
+    per fold, where a candidate is ``(nu, job index)``.
+    """
+    dataset, config, nu_grid, plan, base_seed = cell
     nu_grid = list(nu_grid)
     if not nu_grid:
         raise ValueError("empty hyperparameter grid")
-
-    # train every feasible candidate of the cell at once, then select per fold
     folds = []
-    jobs: list[FitJob] = []
     for run in range(plan.n_runs):
         for fold in range(plan.n_folds):
             train_targets, validation, test = split_for_occ(dataset, plan, run, fold)
@@ -198,8 +239,12 @@ def cross_validate(
                 candidates.append((nu, len(jobs)))
                 jobs.append(_fit_job(config, train_targets, nu, _derived_seed(base_seed, run, fold, gi)))
             folds.append((run, fold, validation, test, candidates, fold_errors))
-    models = fit_many(jobs)
+    return folds
 
+
+def _select(cell: CvCell, folds: list[tuple], models: list[Model]) -> CvResult:
+    """Pick each fold's best candidate on validation Gmean and aggregate the cell."""
+    dataset, config, _, plan, _ = cell
     outcomes: list[FoldOutcome] = []
     warnings: list[str] = []
     warned_single_class = False
@@ -404,14 +449,22 @@ def write_friedman_csv(report: FriedmanReport, path) -> None:
 
 
 def _long_cells(path, rows, width: int):
-    """``((dataset, classifier), mean_gmean)`` per row of long-format results."""
+    """``((dataset, classifier), mean_gmean)`` per row of long-format results.
+
+    A ``nan`` score (a cell that failed in ``lmkad benchmark``) is an
+    error naming the row and the pair.
+    """
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        pair = (row[0].strip(), row[1].strip())
         try:
-            yield (row[0].strip(), row[1].strip()), float(row[2])
+            score = float(row[2])
         except ValueError:
             raise ValueError(f"{path}: non-numeric value {row[2].strip()!r} at row {r}, column 2") from None
+        if math.isnan(score):
+            raise ValueError(f"{path}: row {r} has no score (mean_gmean is nan) for {pair}")
+        yield pair, score
 
 
 def _check_unique(path, what: str, names: list) -> None:
@@ -427,7 +480,8 @@ def read_gmean_matrix_csv(path):
     are pivoted automatically.  Rows are read like data files (blank
     rows skipped, every row as wide as the header; errors name the file,
     the data row from 0 and the column).  A dataset, classifier or
-    (dataset, classifier) pair given twice is an error.
+    (dataset, classifier) pair given twice is an error, and so are a
+    long-format ``nan`` score (a failed cell) and a missing pair.
     """
     with _open(path) as fh:
         rows = _data_rows(fh)

@@ -10,10 +10,13 @@ The trainer (``fit_many``) trains many fits as one array program.  Fits
 that share family, kernel specs, size and trainer knobs form a stack, and
 each outer iteration of a stack is a fixed sequence of numpy calls on
 (B, ...) arrays, however many fits it holds: stacked gates and kernel
-combination, one validation pass (``solver.check_duals``), one
-``solver.solve_duals`` call (lockstep SMO with a scalar tail), the
-per-fit stopping test, and the stacked gating gradient and step.  Every
-fit keeps the iterates, and so the model, it gets when trained alone;
+combination, one validation pass (``solver.check_duals``), the duals
+(lockstep SMO with a scalar tail), the per-fit stopping test, and the
+stacked gating gradient and step.  The duals of all stacks that share N
+and the inner-solver knobs are solved by one ``solver.solve_duals`` call
+per round, so e.g. every fit of a benchmark worker's cells at N = 40
+shares one lockstep.  Every fit keeps the iterates, and so the model, it
+gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
 ``fit_many``.
@@ -46,9 +49,12 @@ BLOCK_ROWS = 8192
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
 #: fit holds (p + 3) N x N float64 arrays: its p base Grams, its Q, the scratch
 #: that composition and the symmetry check share, and the lockstep's transposed
-#: copy of Q.  The 100 feasible fits of an iris cell (N=40, p=3: 7.7 MB) form
-#: one batch, and a gpl fit at N=1000 (48 MB) runs alone.
-BATCH_BYTES = 32 * 2**20
+#: copy of Q.  At 128 MiB one worker's share of the iris protocol under
+#: ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or 1,600 fits at
+#: N=40, ~115 MB estimated) forms one batch, and a gpl fit at N=1000
+#: (48 MB) runs alone.  A worker's peak RSS on that protocol is ~180 MB
+#: (~54 MB at 32 MiB, which admitted ~4 cells a batch).
+BATCH_BYTES = 128 * 2**20
 
 #: named kernel combinations exposed on the CLI
 KERNEL_PRESETS = {
@@ -293,12 +299,13 @@ class _Stack:
         _combine(self.grams.swapaxes(0, 1), self.weights, self.H, self.H, self.q, self.scratch)
         return check_duals(self.q, self.nus, self.scratch)
 
-    def advance(self, t: int, models: list, failures: dict) -> None:
-        """Solve outer iteration ``t``'s duals, finish the fits that stop, step the rest."""
+    def advance(self, t: int, sols, lo: int, models: list, failures: dict) -> None:
+        """Take outer iteration ``t``'s duals (rows ``lo:`` of ``sols``), finish
+        the fits that stop, step the rest."""
         c = self.config
-        sols = solve_duals(self.q, self.nus, self.alpha, c.inner_tol, c.inner_max_iter, c.rho_mode)
-        objective = -sols.objective  # the dual objective J(eta)
-        self.inner += sols.iterations
+        rows = slice(lo, lo + len(self.jobs))
+        objective = -sols.objective[rows]  # the dual objective J(eta)
+        self.inner += sols.iterations[rows]
         for trace, value in zip(self.traces, objective.tolist()):
             trace.append(value)
         converged = np.zeros(len(self.jobs), dtype=bool)
@@ -308,12 +315,12 @@ class _Stack:
         last = t == (c.max_outer if self.kind is not None else 1) - 1
         stop = converged | last
         for r in np.flatnonzero(stop).tolist():
-            models[self.jobs[r]] = self._model(r, sols[r], bool(converged[r]))
+            models[self.jobs[r]] = self._model(r, sols[lo + r], bool(converged[r]))
         keep = np.flatnonzero(~stop).tolist()
         self._keep(keep)
         if not keep:
             return
-        alpha, objective = sols.alpha[keep], objective[keep]
+        alpha, objective = sols.alpha[rows][keep], objective[keep]
         grad = gradient_stack(self.kind, *self.pair, alpha, self.Xn, self.grams, self.H)
         finite = np.isfinite(grad[0]).all(axis=(1, 2)) & np.isfinite(grad[1]).all(axis=1)
         if not finite.all():
@@ -409,6 +416,28 @@ def _batches(jobs: list[FitJob]):
         yield batch
 
 
+def _solve_round(stacks: list[_Stack], t: int, models: list, failures: dict) -> None:
+    """Solve every composed stack's duals and advance each stack.
+
+    Stacks that share N and the inner-solver knobs are solved by one
+    ``solve_duals`` call, their Q arrays passed as they are.  The stacks
+    of a batch share the round, so a group is all cold (t = 0, no warm
+    start) or all warm.
+    """
+    groups: dict[tuple, list[_Stack]] = {}
+    for stack in stacks:
+        c = stack.config
+        groups.setdefault((stack.q.shape[1], c.inner_tol, c.inner_max_iter, c.rho_mode), []).append(stack)
+    for group in groups.values():
+        c = group[0].config
+        nus = [nu for stack in group for nu in stack.nus]
+        alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in group])
+        sols = solve_duals([stack.q for stack in group], nus, alpha0, c.inner_tol, c.inner_max_iter, c.rho_mode)
+        starts = np.cumsum([0] + [len(stack.jobs) for stack in group]).tolist()
+        for stack, lo in zip(group, starts):  # advancing compacts a stack's jobs
+            stack.advance(t, sols, lo, models, failures)
+
+
 def fit_many(jobs) -> list[Model]:
     """Train every ``FitJob``; each model equals the one it would get alone.
 
@@ -421,11 +450,17 @@ def fit_many(jobs) -> list[Model]:
     The model keeps the gating of the final solve.
 
     Jobs are admitted in consecutive batches under ``BATCH_BYTES`` and
-    grouped into stacks (``_Stack``) that run each outer iteration as one
-    array program: gates and composition, one ``check_duals`` pass, one
-    ``solve_duals`` call, the objective test, then gradient and step.  If
-    any fit fails, the error of the lowest job index in the earliest
-    failing round propagates: the error it would raise alone.
+    grouped into stacks (``_Stack``) that run each outer iteration (a
+    round) as one array program: gates and composition, one
+    ``check_duals`` pass, then, once every stack has composed, one
+    ``solve_duals`` call per group of stacks that share N and the
+    inner-solver knobs, the objective test, gradient and step.
+
+    If any fit fails, training stops at the end of the round in which it
+    failed (a job whose set-up fails counts as failing in round 0), and
+    the error of the lowest failing job index of that round propagates:
+    the error that job raises alone.  Batches run in job order, so of
+    the jobs that fail it is the first batch's that decides.
     """
     jobs = list(jobs)
     models: list[Model | None] = [None] * len(jobs)
@@ -439,8 +474,9 @@ def fit_many(jobs) -> list[Model]:
                     failures.setdefault(stack.jobs[r], ValueError(message))
             if failures:
                 break
-            for stack in stacks:
-                stack.advance(t, models, failures)
+            _solve_round(stacks, t, models, failures)
+            if failures:
+                break
             stacks = [stack for stack in stacks if stack.jobs]
             t += 1
         if failures:
@@ -526,20 +562,27 @@ def _array(path, name: str, value) -> np.ndarray:
     return _field(path, name, value, lambda v: np.asarray(v, dtype=float), "a rectangular numeric array")
 
 
+def _get(doc: dict, path, name: str):
+    """The model-file field at dotted ``name``; a missing one names the file and field."""
+    value = doc
+    keys = name.split(".")
+    for depth, key in enumerate(keys, 1):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{path}: {'.'.join(keys[:depth])} is missing")
+        value = value[key]
+    return value
+
+
 def _gating_to_dict(g: GatingParams) -> dict:
     matrix, vector = PAIR_FIELDS[g.kind]
     return {"kind": g.kind, matrix: g.matrix.tolist(), vector: g.vector.tolist()}
 
 
-def _gating_from_dict(d: dict, path) -> GatingParams:
-    kind = d.get("kind")
+def _gating_from_dict(doc: dict, path) -> GatingParams:
+    kind = _get(doc, path, "gating.kind")
     if kind not in PAIR_FIELDS:
         raise ValueError(f"{path}: gating.kind {kind!r} is not one of {', '.join(PAIR_FIELDS)}")
-    pair = []
-    for name in PAIR_FIELDS[kind]:
-        if name not in d:
-            raise ValueError(f"{path}: gating.{name} is missing")
-        pair.append(_array(path, f"gating.{name}", d[name]))
+    pair = [_array(path, f"gating.{name}", _get(doc, path, f"gating.{name}")) for name in PAIR_FIELDS[kind]]
     try:
         return GatingParams(kind, *pair)
     except ValueError as exc:
@@ -583,31 +626,35 @@ def load_model(path) -> Model:
     """Read a ``save_model`` file; ragged, mismatched or non-finite fields raise."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    family = doc["family"]
+
+    def get(name):
+        return _get(doc, path, name)
+
+    family = get("family")
     if family not in FAMILIES:
         raise ValueError(f"{path}: unknown model family {family!r}")
     gated = family == "lmkad"
-    tokens = [doc["kernel"]] if family == "ocsvm" else doc["kernels"]
-    weights = doc["weights"] if family == "mkad" else [1.0]
+    tokens = [get("kernel")] if family == "ocsvm" else get("kernels")
+    weights = get("weights") if family == "mkad" else [1.0]
     model = Model(
         family=family,
         kernels=tuple(parse_kernel_spec(t) for t in tokens),
-        sv_features=_array(path, "sv_features", doc["sv_features"]),
-        sv_alpha=_array(path, "sv_alpha", doc["sv_alpha"]),
-        rho=_field(path, "rho", doc["rho"], float, "a number"),
+        sv_features=_array(path, "sv_features", get("sv_features")),
+        sv_alpha=_array(path, "sv_alpha", get("sv_alpha")),
+        rho=_field(path, "rho", get("rho"), float, "a number"),
         normalizer=Normalizer(
-            means=_array(path, "normalizer.means", doc["normalizer"]["means"]),
-            stddevs=_array(path, "normalizer.stddevs", doc["normalizer"]["stddevs"]),
+            means=_array(path, "normalizer.means", get("normalizer.means")),
+            stddevs=_array(path, "normalizer.stddevs", get("normalizer.stddevs")),
         ),
-        nu=_field(path, "nu", doc["nu"], float, "a number"),
-        n_train=_field(path, "n_train", doc["n_train"], int, "an integer"),
+        nu=_field(path, "nu", get("nu"), float, "a number"),
+        n_train=_field(path, "n_train", get("n_train"), int, "an integer"),
         weights=None if gated else _array(path, "weights", weights),
-        gating=_gating_from_dict(doc["gating"], path) if gated else None,
-        sv_eta=_array(path, "sv_eta", doc["sv_eta"]) if gated else None,
+        gating=_gating_from_dict(doc, path) if gated else None,
+        sv_eta=_array(path, "sv_eta", get("sv_eta")) if gated else None,
         report=(
             _field(path, "report", doc["report"], lambda d: TrainingReport(**d), "a training report")
             if "report" in doc

@@ -7,15 +7,19 @@ subproblem exactly and preserves the simplex constraint, so the objective
 never increases and every iterate stays feasible.
 
 ``solve_duals`` solves a stack of B independent duals of one size N: Q
-is a (B, N, N) array, the rejection rates and warm starts are (B,) and
-(B, N).  The set-up (feasible start, ``g = Q @ alpha``) and the finish
-(refreshed ``Q @ alpha``, objective, support and margin masks) each run
-over the whole stack in a few numpy calls: stacked ``matmul`` calls the
-same BLAS routine per dual as a 2-D ``@``, and row sums reduce each row
-as a 1-D sum does, so every row equals its one-problem result bit for
-bit.  Only rho is computed per dual (a mean over a masked subset), when
-its ``DualSolution`` is read.  ``check_duals`` validates a stack in one
-pass, and ``DualProblem`` is its one-problem case.
+is a (B, N, N) array, or a sequence of such arrays (parts) taken as they
+are, whose rows are the stack's rows in order; the rejection rates and
+warm starts are (B,) and (B, N).  A trainer hands over the Q arrays of
+all its fit stacks this way, so their duals share one lockstep without
+a copy of Q.  The set-up (feasible start, ``g = Q @ alpha``) and the
+finish (refreshed ``Q @ alpha``, objective, support and margin masks)
+each run over the whole stack in a few numpy calls per part: stacked
+``matmul`` calls the same BLAS routine per dual as a 2-D ``@``, and row
+sums reduce each row as a 1-D sum does, so every row equals its
+one-problem result bit for bit.  Only rho is computed per dual (a mean
+over a masked subset), when its ``DualSolution`` is read.
+``check_duals`` validates a stack in one pass, and ``DualProblem`` is
+its one-problem case.
 
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
@@ -36,12 +40,16 @@ unfinished dual with elementwise operations on (B, N) state arrays: the
 penalty adds, row-wise ``argmax``/``argmin`` (first-index ties, as
 above), flat ``take`` of the gaps, diagonals, ``Q[i, j]`` and
 multipliers, the per-row step and clipping, penalty ``put`` at i and j,
-and the same three-rounding gradient update on columns gathered from a
-stack of transposed Grams.  Converged rows are compacted out.  Step
-counts are heavy-tailed (in an iris benchmark cell one dual takes 10,356
-steps where the median takes 60), and a turn over a few rows costs more
-than as many scalar steps, so once fewer than ``LOCKSTEP_MIN_ROWS`` are
-unfinished each continues in the scalar loop from its exact state.
+and the same three-rounding gradient update on columns gathered from
+one stack of transposed Grams, the only copy of the parts' Q.
+Converged rows are written back at once and compacted out in bulk.  A
+turn costs ~40 us of call overhead however many rows it steps, so the
+more duals share a lockstep, the fewer turns and scalar-tail steps a
+set of duals takes in all.  Step counts are heavy-tailed (in an iris
+benchmark cell one dual takes 10,356 steps where the median takes 60),
+and a turn over a few rows costs more than as many scalar steps, so
+once fewer than ``LOCKSTEP_MIN_ROWS`` are unfinished each continues in
+the scalar loop from its exact state.
 Without that tail, lockstep made the iris protocol slower than the
 scalar loop alone.  Both loop forms are pinned to the plain loop.
 """
@@ -151,11 +159,6 @@ class DualSolution:
     violation_trace: list[float] = field(default_factory=list, repr=False)
 
 
-def _matvec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row k is ``Q[k] @ x[k]``, by the BLAS call a 2-D ``@`` makes."""
-    return np.matmul(Q, x[:, :, None])[:, :, 0]
-
-
 def _feasible_start(upper: np.ndarray, alpha0: np.ndarray | None, b: int, n: int) -> np.ndarray:
     """Uniform multipliers, or each warm start projected back into its feasible set."""
     if alpha0 is None:
@@ -185,7 +188,9 @@ def _violation(gap: float) -> float:
 class DualStack:
     """B duals of one size: their loop state while solving, then their solutions.
 
-    Row k of every array is dual k.  ``alpha`` and ``g = Q @ alpha`` are
+    Row k of every array is dual k.  Q stays in its ``parts``, (B_s, N, N)
+    arrays whose rows follow one another: part s holds rows
+    ``first[s]:first[s + 1]``.  ``alpha`` and ``g = Q @ alpha`` are
     (B, N); ``iterations``, ``gap`` and ``converged`` hold each dual's
     step count, last KKT gap and whether it met the tolerance.  Once
     ``solve_duals`` returns, ``g`` is refreshed and ``objective``,
@@ -193,13 +198,18 @@ class DualStack:
     ``stack[k]`` is dual k's ``DualSolution``.
     """
 
-    def __init__(self, Q, nu, alpha0, max_iter, record_violations: bool):
-        b, n = Q.shape[0], Q.shape[-1]
-        self.q = Q
+    def __init__(self, parts, nu, alpha0, max_iter, record_violations: bool):
+        n = parts[0].shape[-1]
+        for part in parts:
+            if part.ndim != 3 or part.shape[1:] != (n, n):
+                raise ValueError(f"Q parts must be (B, {n}, {n}) arrays, got shape {part.shape}")
+        self.parts = parts
+        self.first = np.cumsum([0] + [len(part) for part in parts])
+        b = int(self.first[-1])
         self.upper = 1.0 / (np.asarray(nu, dtype=float) * n)
         self.max_iter = 100 * n * n if max_iter is None else max_iter
         self.alpha = _feasible_start(self.upper, alpha0, b, n)
-        self.g = _matvec(Q, self.alpha)
+        self.g = self._matvec(self.alpha)
         self.iterations = np.zeros(b, dtype=np.int64)
         self.gap = np.full(b, math.inf)
         self.converged = np.zeros(b, dtype=bool)
@@ -208,8 +218,24 @@ class DualStack:
     def __len__(self) -> int:
         return self.alpha.shape[0]
 
+    def _spans(self):
+        """(part, first row, end row) of every part."""
+        return zip(self.parts, self.first[:-1].tolist(), self.first[1:].tolist())
+
+    def q(self, k: int) -> np.ndarray:
+        """Dual k's Q."""
+        s = int(np.searchsorted(self.first, k, side="right")) - 1
+        return self.parts[s][k - self.first[s]]
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """Row k is ``Q_k @ x[k]``, by the BLAS call a 2-D ``@`` makes."""
+        out = np.empty_like(x)
+        for part, lo, hi in self._spans():
+            out[lo:hi] = np.matmul(part, x[lo:hi, :, None])[:, :, 0]
+        return out
+
     def _finish(self, rho_mode: str) -> None:
-        self.g = _matvec(self.q, self.alpha)  # refresh: incremental updates accumulate rounding
+        self.g = self._matvec(self.alpha)  # refresh: incremental updates accumulate rounding
         self.objective = 0.5 * np.matmul(self.alpha[:, None, :], self.g[:, :, None])[:, 0, 0]
         eps_sv = EPS_SV_FACTOR * self.upper[:, None]
         self.support = self.alpha > eps_sv
@@ -264,7 +290,7 @@ def solve_dual(
 
 
 def solve_duals(
-    Q: np.ndarray,
+    Q,
     nu,
     alpha0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -274,8 +300,11 @@ def solve_duals(
 ) -> DualStack:
     """Solve a stack of independent duals; each gets the iterates it would get alone.
 
-    ``Q`` is (B, N, N) and ``nu`` holds B rejection rates; together they
-    must pass ``check_duals``.  ``alpha0`` is None (every dual starts at
+    ``Q`` is a (B, N, N) array, or a sequence of (B_s, N, N) arrays of
+    one N whose rows, in order, make up the stack; they are read, never
+    copied but for the lockstep's one transposed copy.  ``nu`` holds the
+    B rejection rates in row order; each row must pass ``check_duals``.
+    ``alpha0`` is None (every dual starts at
     uniform multipliers) or a (B, N) array of warm starts, each projected
     back into its feasible set first.  If ``max_iter`` pair updates elapse
     before convergence the best-so-far solution is kept with
@@ -294,7 +323,8 @@ def solve_duals(
         raise ValueError(f"unknown rho mode {rho_mode!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    stack = DualStack(Q, nu, alpha0, max_iter, record_violations)
+    parts = [Q] if isinstance(Q, np.ndarray) else list(Q)
+    stack = DualStack(parts, nu, alpha0, max_iter, record_violations)
     if len(stack) >= LOCKSTEP_MIN_ROWS:
         _lockstep(stack, tol)
     for k in np.flatnonzero(~stack.converged).tolist():
@@ -305,7 +335,7 @@ def solve_duals(
 
 def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
     """Advance dual k from its current state until it converges or hits its cap."""
-    Q = stack.q[k]
+    Q = stack.q(k)
     n = Q.shape[0]
     upper = float(stack.upper[k])
     max_iter = stack.max_iter
@@ -369,43 +399,57 @@ def _lockstep(stack: DualStack, tol: float) -> None:
     scalar-loop step of every row, each operation applied elementwise
     along the rows.  All duals start at step 0 and share one cap, so
     every row has taken ``turn`` steps.  When rows converge they are
-    written back and compacted out of the state arrays (the stack of
-    transposed Grams is only indexed) and the turn is redone on the rest,
-    whose state has not changed.
+    written back and marked dead: a dead row's gap is set to +inf (a
+    live gap may be -inf, so it is overwritten, not offset), so it never
+    converges again and its steps, the full clipped step, keep it
+    feasible and finite.  Dead rows are compacted out of the state
+    arrays (the stack of transposed Grams is only indexed) once they
+    are a quarter of the rows, and the turn is redone on the rest, whose
+    state has not changed.  Compacting at every convergence copied about
+    as many rows as the turns stepped.
     """
     n = stack.alpha.shape[1]
     max_iter = stack.max_iter
     traces = stack.traces
-    cols = stack.q.transpose(0, 2, 1).copy()  # cols[k, j] is the column Q_k[:, j]
+    cols = np.empty((len(stack), n, n))  # cols[k, j] is the column Q_k[:, j]
+    for part, lo, hi in stack._spans():
+        cols[lo:hi] = part.transpose(0, 2, 1)
+    diag = cols.diagonal(axis1=1, axis2=2).copy()
+    cols = cols.reshape(-1, n)  # cols[k * n + j] is the column Q_k[:, j]
     live = np.arange(len(stack))
     alpha = stack.alpha.copy()
     g = stack.g.copy()
-    diag = stack.q.diagonal(axis1=1, axis2=2).copy()
     upper = stack.upper.copy()
     pen_dec = np.where(alpha > 0.0, 0.0, -np.inf)
     pen_inc = np.where(alpha < upper[:, None], 0.0, np.inf)
     gap = np.full(live.size, math.inf)
+    dead = np.zeros(live.size, dtype=bool)  # rows already written back
+    alive = live.size
 
     turn = 0
     compacted = True
-    while live.size >= LOCKSTEP_MIN_ROWS and turn < max_iter:
+    while alive >= LOCKSTEP_MIN_ROWS and turn < max_iter:
         if compacted:
             b = live.size
             g_dec = np.empty_like(g)
             g_inc = np.empty_like(g)
-            # positions of (r, i_r) then (r, j_r) in a flattened (B, N) array
+            ij = np.empty(2 * b, dtype=np.intp)
+            # positions of (r, i_r) then (r, j_r) in a flattened (B, N) array,
+            # and of the columns Q_k[:, i_r] then Q_k[:, j_r] in cols
             offsets = np.arange(b) * n
             offsets = np.concatenate((offsets, offsets))
-            live2 = np.concatenate((live, live))
+            col_offsets = np.concatenate((live, live)) * n
             upper2 = np.concatenate((upper, upper))
             compacted = False
         np.add(g, pen_dec, out=g_dec)
         np.add(g, pen_inc, out=g_inc)
-        ij = np.concatenate((g_dec.argmax(axis=1), g_inc.argmin(axis=1)))
+        g_dec.argmax(axis=1, out=ij[:b])
+        g_inc.argmin(axis=1, out=ij[b:])
         fij = offsets + ij
         fi = fij[:b]
         fj = fij[b:]
         gap = g_dec.take(fi) - g_inc.take(fj)
+        np.putmask(gap, dead, math.inf)
         if gap[gap.argmin()] <= tol:
             done = gap <= tol
             rows = live[done]
@@ -416,16 +460,22 @@ def _lockstep(stack: DualStack, tol: float) -> None:
             if traces is not None:
                 for k, value in zip(rows.tolist(), gap[done].tolist()):
                     traces[k].append(_violation(value))
-            keep = ~done
-            live, alpha, g, diag = live[keep], alpha[keep], g[keep], diag[keep]
-            upper, pen_dec, pen_inc, gap = upper[keep], pen_dec[keep], pen_inc[keep], gap[keep]
-            compacted = True
-            continue
+            dead |= done
+            gap[done] = math.inf
+            alive -= rows.size
+            if 4 * alive <= 3 * b or alive < LOCKSTEP_MIN_ROWS:
+                keep = ~dead
+                live, alpha, g, diag = live[keep], alpha[keep], g[keep], diag[keep]
+                upper, pen_dec, pen_inc = upper[keep], pen_dec[keep], pen_inc[keep]
+                gap, dead = gap[keep], dead[keep]
+                compacted = True
+                continue
         if traces is not None:
             for k, value in zip(live.tolist(), gap.tolist()):
-                traces[k].append(_violation(value))
+                if value != math.inf:  # dead rows record nothing
+                    traces[k].append(_violation(value))
         # exact minimizer of the 2-variable subproblem, then box clipping
-        col_ij = cols[live2, ij]
+        col_ij = cols.take(col_offsets + ij, axis=0)
         col_i = col_ij[:b]
         col_j = col_ij[b:]
         d_ij = diag.take(fij)
@@ -447,7 +497,9 @@ def _lockstep(stack: DualStack, tol: float) -> None:
         g += col_j
         turn += 1
 
-    stack.alpha[live] = alpha
-    stack.g[live] = g
-    stack.iterations[live] = turn
-    stack.gap[live] = gap
+    keep = ~dead
+    rows = live[keep]
+    stack.alpha[rows] = alpha[keep]
+    stack.g[rows] = g[keep]
+    stack.iterations[rows] = turn
+    stack.gap[rows] = gap[keep]

@@ -244,16 +244,59 @@ def test_benchmark_rerun_byte_identical(tmp_path, iris_path):
 
 
 def test_benchmark_pool_matches_serial(tmp_path, iris_path):
+    # one share (--jobs 1), shares of 2 and 1 cells (--jobs 2) and one cell
+    # per share (--jobs 3) write the same bytes
     clfs = [
         {"name": "OCSVM(g)", "family": "ocsvm", "kernels": "gauss:auto"},
         {"name": "MKAD(gpl)", "family": "mkad", "kernels": "gpl"},
+        {"name": "LMKAD(S_gpl)", "family": "lmkad", "kernels": "gpl", "gating": "sigmoid"},
     ]
     config = benchmark_config(tmp_path, iris_path, clfs)
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    serial = tmp_path / "serial"
     assert run(["benchmark", "--config", config, "--output-dir", serial, "--jobs", "1"]) == 0
-    assert run(["benchmark", "--config", config, "--output-dir", pooled, "--jobs", "2"]) == 0
-    assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
-    assert (serial / "gmean_matrix.csv").read_bytes() == (pooled / "gmean_matrix.csv").read_bytes()
+    assert len(read_results(serial / "results.csv")) == 3
+    for jobs in (2, 3):
+        pooled = tmp_path / f"pooled{jobs}"
+        assert run(["benchmark", "--config", config, "--output-dir", pooled, "--jobs", jobs]) == 0
+        assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
+        assert (serial / "gmean_matrix.csv").read_bytes() == (pooled / "gmean_matrix.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_benchmark_training_error_aborts(tmp_path, iris_path, capsys, jobs):
+    # an infinite feature in a setosa row makes the second dataset's cell
+    # (the second share at --jobs 2) fail to train: the run stops without CSVs
+    lines = iris_path.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.endswith("setosa"))
+    lines[row] = "inf" + lines[row][lines[row].index(","):]
+    broken = tmp_path / "iris_inf.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    path = benchmark_config(tmp_path, iris_path, [{"name": "OCSVM(l)", "family": "ocsvm", "kernels": "linear"}])
+    config = json.loads(path.read_text())
+    config["datasets"].append(dict(config["datasets"][0], name="iris-inf", path=str(broken)))
+    path.write_text(json.dumps(config))
+    assert run(["benchmark", "--config", path, "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "error: Q contains non-finite entries\n"
+    assert not list((tmp_path / "results").glob("*.csv"))
+
+
+def test_benchmark_shares_are_contiguous_and_even():
+    cells = list(range(33))
+    assert cli._shares(cells, 1) == [cells]
+    halves = cli._shares(cells, 2)
+    assert [len(s) for s in halves] == [16, 17] and sum(halves, []) == cells
+    assert cli._shares(cells[:3], 3) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_benchmark_rejects_jobs_below_one(tmp_path, iris_path, capsys, jobs):
+    config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
+    with pytest.raises(SystemExit) as exc:
+        run(["benchmark", "--config", config, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {int(jobs)}" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_benchmark_all_cells_fail(tmp_path, iris_path, capsys):
@@ -376,6 +419,29 @@ def test_stats_short_long_format_row_is_an_error_line(tmp_path, capsys):
     p.write_text("dataset,classifier,mean_gmean,std_gmean,mean_sv_pct\nd1,A,0.5,0,1\nd2,A\n")
     assert run(["stats", "--results", p]) == 1
     assert capsys.readouterr().err == f"error: {p}: row 1 has 2 cells, expected 5\n"
+
+
+def test_stats_names_a_failed_cell(tmp_path, capsys):
+    # lmkad benchmark writes nan for a failed cell; a pair that is absent is "incomplete"
+    p = tmp_path / "results.csv"
+    header = "dataset,classifier,mean_gmean,std_gmean,mean_sv_pct\n"
+    p.write_text(header + "d1,A,0.5,0,1\nd1,B,nan,nan,nan\nd2,A,0.7,0,1\nd2,B,0.8,0,1\n")
+    assert run(["stats", "--results", p]) == 1
+    assert capsys.readouterr().err == f"error: {p}: row 1 has no score (mean_gmean is nan) for ('d1', 'B')\n"
+    p.write_text(header + "d1,A,0.5,0,1\nd2,A,0.7,0,1\nd2,B,0.8,0,1\n")
+    assert run(["stats", "--results", p]) == 1
+    assert capsys.readouterr().err == f"error: {p}: incomplete dataset x classifier matrix\n"
+
+
+def test_predict_names_a_missing_model_field(tmp_path, iris_path, fitted_model, capsys):
+    doc = json.loads(fitted_model.read_text())
+    del doc["sv_alpha"]
+    fitted_model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    assert run(["predict", "--model", fitted_model, "--data", iris_path, "--header",
+                "--label-column", "species", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {fitted_model}: sv_alpha is missing\n"
+    assert not out.exists()
 
 
 def test_help_and_unknown_flags(capsys):

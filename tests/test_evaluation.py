@@ -10,8 +10,10 @@ from lmkad.dataset import Dataset, plan_folds, split_for_occ
 from lmkad.evaluation import (
     ClassifierConfig,
     ConfusionCounts,
+    CvCell,
     FoldOutcome,
     cross_validate,
+    cross_validate_many,
     friedman_statistics,
     friedman_test,
     gmean,
@@ -232,6 +234,50 @@ def test_cross_validate_nonfinite_gradient_mid_round_propagates(iris, monkeypatc
     with pytest.raises(RuntimeError, match=message):
         cross_validate(iris, config, PIN_GRID, plan, base_seed=4)
     assert len(calls) == 1 and calls[0][0] > 3  # one stacked call: the whole first round
+
+
+@pytest.mark.parametrize("budget", ["one-batch", "several-batches"])
+def test_cross_validate_many_matches_each_cell_alone(iris, monkeypatch, budget):
+    # every cell of two datasets (N = 40 and N = 24 training targets) and
+    # all five pinned classifiers trains in one fit_many call, whose
+    # rounds solve each N's duals in one solve_duals call; every result
+    # equals the cell's own cross_validate
+    small = tiny_dataset(seed=5, n_t=30, n_o=10)
+    cells = [CvCell(data, PIN_CONFIGS[name], PIN_GRID, plan_folds(data, 5, 1, seed=11), 4)
+             for data in (iris, small) for name in sorted(PIN_CONFIGS)]
+    expected = [cross_validate(*cell) for cell in cells]
+
+    fits, batches, solves = [], [], []
+    fit_many, split, solve_duals = evaluation.fit_many, models._batches, models.solve_duals
+
+    def spy_fit_many(jobs):
+        fits.append(len(jobs))
+        return fit_many(jobs)
+
+    def spy_batches(jobs):
+        for batch in split(jobs):
+            batches.append(len(batch))
+            yield batch
+
+    def spy_solve(Q, nu, alpha0, *args):
+        solves.append((Q[0].shape[-1], len(nu), alpha0 is None))
+        return solve_duals(Q, nu, alpha0, *args)
+
+    monkeypatch.setattr(evaluation, "fit_many", spy_fit_many)
+    monkeypatch.setattr(models, "_batches", spy_batches)
+    monkeypatch.setattr(models, "solve_duals", spy_solve)
+    if budget == "several-batches":
+        monkeypatch.setattr(models, "BATCH_BYTES", 2_000_000)
+    results = cross_validate_many(cells)
+
+    assert results == expected
+    assert fits == [200]  # 10 cells x 5 folds x 4 feasible candidates
+    if budget == "one-batch":
+        assert batches == [200]
+        assert solves[:2] == [(40, 100, True), (24, 100, True)]  # round 0: one call per N
+    else:
+        assert sum(batches) == 200 and len(batches) > 2 and min(batches) > 1
+        assert any(n < 100 for _, n, _ in solves[:2])
 
 
 def test_cross_validate_empty_grid():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,24 @@ def test_v1_model_files_still_load(tmp_path, stem):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("stem, field", [
+    *[("ocsvm", f) for f in ("family", "nu", "rho", "n_train", "normalizer", "normalizer.means",
+                             "normalizer.stddevs", "sv_features", "sv_alpha", "kernel")],
+    ("mkad", "kernels"), ("mkad", "weights"), ("lmkad", "gating"), ("lmkad", "gating.kind"), ("lmkad", "sv_eta"),
+])
+def test_load_names_a_missing_field(tmp_path, stem, field):
+    doc = json.loads((V1_DIR / f"v1_{stem}.json").read_text())
+    *parents, name = field.split(".")
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    del holder[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(field)} is missing$"):
+        load_model(path)
+
+
 def test_load_rejects_non_model(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text('{"format": "something-else"}')
@@ -577,3 +596,27 @@ def test_fit_many_raises_the_lowest_failing_job():
     for job in (nan_q, one_row):
         with pytest.raises(ValueError):
             reference_fit(*job)
+
+
+def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
+    # job 1 fails in round 0 (a non-finite gradient), job 0 would fail in
+    # round 1's check; training stops after round 0, so job 1's error wins
+    X = blob(43, 20)
+    gradient, check = models_module.gradient_stack, models_module.check_duals
+    checks = []
+
+    def nan_row_1(*args):
+        grad_matrix, grad_vector = gradient(*args)
+        grad_vector[1] = np.nan
+        return grad_matrix, grad_vector
+
+    def late_failure(Q, nu, scratch):
+        checks.append(len(nu))
+        return {0: "round 1 failure"} if len(checks) == 2 else check(Q, nu, scratch)
+
+    monkeypatch.setattr(models_module, "gradient_stack", nan_row_1)
+    monkeypatch.setattr(models_module, "check_duals", late_failure)
+    jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=nu, seed=1)) for nu in (0.2, 0.3)]
+    with pytest.raises(RuntimeError, match=r"^non-finite gating gradient at outer iteration 0 "):
+        fit_many(jobs)
+    assert checks == [2]

@@ -412,3 +412,51 @@ def test_solve_duals_rejects_mismatched_warm_starts():
         solve_duals(Q, [0.5, 0.5], np.full((1, 8), 0.125))
     with pytest.raises(ValueError, match=r"warm-start alpha has shape \(7,\), expected \(8,\)"):
         solve_duals(Q, [0.5, 0.5], np.full((2, 7), 0.125))
+
+
+def _parts(iris, warm):
+    """Three N = 40 stacks of B = 7, 3 and 1 (two of them below the
+    lockstep threshold alone) and their warm starts, or None."""
+    problems = _psd_nus(40, (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9), seed=1)
+    problems += _psd_nus(40, (0.15, 0.25), seed=2) + [_lmkad(iris, "sigmoid")]
+    problems += [_mkad_gpl(iris, 0.1)]
+    sizes = (7, 3, 1)
+    rng = np.random.default_rng(5)
+    alpha0 = rng.dirichlet(np.ones(40), size=len(problems)) if warm else None
+    parts, bounds = [], np.cumsum((0,) + sizes)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        parts.append((np.stack([p.q for p in problems[lo:hi]]), [p.nu for p in problems[lo:hi]],
+                      None if alpha0 is None else alpha0[lo:hi]))
+    return parts
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_solve_duals_parts_match_each_part_alone(iris, warm, loop_spy):
+    # duals handed over as several stacks share one lockstep, yet each
+    # gets exactly what solving its own stack gives
+    parts = _parts(iris, warm)
+    nus = [nu for _, part_nus, _ in parts for nu in part_nus]
+    alpha0 = None if not warm else np.concatenate([a for _, _, a in parts])
+    together = solve_duals([Q for Q, _, _ in parts], nus, alpha0, record_violations=True)
+    assert loop_spy[1] == [11] and len(together) == 11
+
+    k = 0
+    for Q, part_nus, part_alpha0 in parts:
+        alone = solve_duals(Q, part_nus, part_alpha0, record_violations=True)
+        for r in range(len(alone)):
+            a, b = together[k], alone[r]
+            assert a.alpha.tobytes() == b.alpha.tobytes()
+            assert together.g[k].tobytes() == alone.g[r].tobytes()
+            assert (a.iterations, a.converged, a.final_violation) == (b.iterations, b.converged, b.final_violation)
+            assert a.violation_trace == b.violation_trace
+            assert (a.objective, a.rho) == (b.objective, b.rho)
+            assert np.array_equal(a.support_indices, b.support_indices)
+            assert np.array_equal(a.margin_indices, b.margin_indices)
+            k += 1
+    assert k == 11
+
+
+def test_solve_duals_rejects_parts_of_another_size():
+    small, large = _psd_nus(8, (0.5,)), _psd_nus(9, (0.5,))
+    with pytest.raises(ValueError, match=r"Q parts must be \(B, 8, 8\) arrays, got shape \(1, 9, 9\)"):
+        solve_duals([small[0].q[None], large[0].q[None]], [0.5, 0.5])
