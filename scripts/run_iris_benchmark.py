@@ -14,10 +14,9 @@ import sys
 from pathlib import Path
 
 from lmkad.cli import main as lmkad_main
+from lmkad.evaluation import DEFAULT_NU_GRID
 
 REPO = Path(__file__).resolve().parents[1]
-
-NU_GRID = [0.02, 0.05, 0.1, 0.2, 0.3]
 
 
 def classifier_rows(quick: bool):
@@ -38,7 +37,7 @@ def classifier_rows(quick: bool):
                 "gating": gating,
             })
     for row in rows:
-        row["nu_grid"] = NU_GRID
+        row["nu_grid"] = list(DEFAULT_NU_GRID)
     return rows
 
 

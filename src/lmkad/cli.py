@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import evaluation
 from .dataset import iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS
-from .models import BLOCK_ROWS, FAMILIES, decision_values, load_model, save_model, sv_count
+from .models import BLOCK_ROWS, FAMILIES, LmkadConfig, decision_values, load_model, save_model, sv_count
 from .solver import RHO_MODES
 
 
@@ -51,17 +52,7 @@ def cmd_fit(args) -> int:
     )
     train_targets = data.features[data.labels == 1]
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
-    config = ClassifierConfig(
-        name=args.family,
-        family=args.family,
-        kernels=args.kernels,
-        gating=args.gating,
-        learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay,
-        outer_tol=args.outer_tol,
-        max_outer=args.max_outer,
-        rho_mode=args.rho_mode,
-    )
+    config = ClassifierConfig(args.family, args.family, args.kernels, _trainer(vars(args)))
     model = evaluation.train_for_config(config, train_targets, args.nu, seed)
     save_model(model, args.out)
 
@@ -112,13 +103,16 @@ def cmd_predict(args) -> int:
     return 0
 
 
-#: optional classifier keys of a benchmark config; absent ones take ClassifierConfig's defaults
-_CLASSIFIER_SETTINGS = (
+#: classifier keys of a benchmark config, and ``lmkad fit`` flags, that set the
+#: ``LmkadConfig`` field of the same name (``gating`` sets ``gating_kind``)
+_TRAINER_KEYS = (
     "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
 )
 #: every key a classifier or dataset entry of a benchmark config may hold
-_CLASSIFIER_KEYS = ("name", "family", "kernels", "nu_grid", *_CLASSIFIER_SETTINGS)
+_CLASSIFIER_KEYS = ("name", "family", "kernels", "nu_grid", *_TRAINER_KEYS)
 _DATASET_KEYS = ("name", "path", "label_column", "target_label", "header")
+#: every top-level key of a benchmark config
+_CONFIG_KEYS = ("seed", "n_folds", "n_runs", "output_dir", "datasets", "classifiers")
 
 
 def _load_experiment_config(path) -> dict:
@@ -126,6 +120,9 @@ def _load_experiment_config(path) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: config has unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
     for key in ("datasets", "classifiers"):
         if not config.get(key) or not isinstance(config[key], list):
             raise ValueError(f"{path}: config needs a non-empty {key!r} list")
@@ -149,21 +146,26 @@ def _load_experiment_config(path) -> dict:
     config.setdefault("n_folds", 5)
     config.setdefault("n_runs", 5)
     config.setdefault("output_dir", "results")
+    for key in ("seed", "n_folds", "n_runs"):
+        if isinstance(config[key], bool) or not isinstance(config[key], int):
+            raise ValueError(f"{path}: {key!r} must be an integer, got {config[key]!r}")
     return config
+
+
+def _trainer(settings: dict) -> LmkadConfig:
+    """``ClassifierConfig``'s default trainer with the ``_TRAINER_KEYS`` of ``settings``."""
+    return replace(ClassifierConfig.trainer, **{
+        "gating_kind" if key == "gating" else key: settings[key] for key in _TRAINER_KEYS if key in settings
+    })
 
 
 def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
     kernels = spec.get("kernels", "gauss:auto")
     if isinstance(kernels, list):
         kernels = tuple(kernels)
-    config = ClassifierConfig(
-        name=spec.get("name") or f"{spec['family']}({kernels})",
-        family=spec["family"],
-        kernels=kernels,
-        **{key: spec[key] for key in _CLASSIFIER_SETTINGS if key in spec},
-    )
+    name = spec.get("name") or f"{spec['family']}({kernels})"
     grid = [float(v) for v in spec.get("nu_grid", evaluation.DEFAULT_NU_GRID)]
-    return config, grid
+    return ClassifierConfig(name, spec["family"], kernels, _trainer(spec)), grid
 
 
 def _shares(cells: list, n: int) -> list[list]:
@@ -176,7 +178,7 @@ def cmd_benchmark(args) -> int:
     config = _load_experiment_config(args.config)
     out_dir = Path(args.output_dir or config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(config["seed"])
+    seed = config["seed"]
 
     classifiers = []
     for k, spec in enumerate(config["classifiers"]):
@@ -184,20 +186,20 @@ def cmd_benchmark(args) -> int:
             classifiers.append(_classifier_from_dict(spec))
         except ValueError as exc:
             raise ValueError(f"{args.config}: classifiers[{k}]: {exc}") from None
-    datasets = []
-    for spec in config["datasets"]:
-        data = load_csv(
+    datasets = [
+        load_csv(
             spec["path"],
             label_column=_parse_label_column(str(spec.get("label_column", -1))),
             target_label=spec["target_label"],
             has_header=bool(spec.get("header", False)),
             name=spec.get("name"),
         )
-        datasets.append(data)
+        for spec in config["datasets"]
+    ]
 
     cells = []
     for data in datasets:
-        plan = plan_folds(data, n_folds=int(config["n_folds"]), n_runs=int(config["n_runs"]), seed=seed)
+        plan = plan_folds(data, n_folds=config["n_folds"], n_runs=config["n_runs"], seed=seed)
         for clf, grid in classifiers:
             cells.append(CvCell(data, clf, grid, plan, seed))
 
@@ -222,11 +224,8 @@ def cmd_benchmark(args) -> int:
     classifier_names = [c.name for c, _ in classifiers]
     complete = not failed and len(dataset_names) >= 1
     if complete:
-        M = np.empty((len(dataset_names), len(classifier_names)))
         lookup = {(r.dataset, r.classifier): r.mean_gmean for r in results}
-        for i, d in enumerate(dataset_names):
-            for j, c in enumerate(classifier_names):
-                M[i, j] = lookup[(d, c)]
+        M = np.array([[lookup[(d, c)] for c in classifier_names] for d in dataset_names])
         evaluation.write_gmean_matrix_csv(dataset_names, classifier_names, M, out_dir / "gmean_matrix.csv")
         print(f"wrote {out_dir / 'gmean_matrix.csv'}")
         if len(classifier_names) >= 2 and len(dataset_names) >= 2:
@@ -293,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--family", choices=FAMILIES, required=True)
     fit.add_argument("--kernels", default="gauss:auto",
                      help="preset (gpl, gpp) or comma-joined kernel tokens")
-    fit.add_argument("--gating", choices=GATING_KINDS, default="sigmoid")
+    fit.add_argument("--gating", choices=GATING_KINDS, default=LmkadConfig.gating_kind)
     fit.add_argument("--nu", type=float, required=True, help="target rejection rate in (0, 1]")
-    fit.add_argument("--learning-rate", type=float, default=20.0)
-    fit.add_argument("--lr-decay", type=float, default=0.95)
-    fit.add_argument("--max-outer", type=int, default=100)
-    fit.add_argument("--outer-tol", type=float, default=1e-4)
-    fit.add_argument("--rho-mode", choices=RHO_MODES, default="margin")
+    fit.add_argument("--learning-rate", type=float, default=LmkadConfig.learning_rate)
+    fit.add_argument("--lr-decay", type=float, default=LmkadConfig.lr_decay)
+    fit.add_argument("--max-outer", type=int, default=LmkadConfig.max_outer)
+    fit.add_argument("--outer-tol", type=float, default=LmkadConfig.outer_tol)
+    fit.add_argument("--rho-mode", choices=RHO_MODES, default=LmkadConfig.rho_mode)
     fit.add_argument("--seed", type=int, default=None, help="defaults to $LMKAD_SEED, then 0")
     fit.add_argument("--out", required=True, help="model file to write")
     fit.set_defaults(func=cmd_fit)

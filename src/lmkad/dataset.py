@@ -12,6 +12,7 @@ blocks with ``np.loadtxt`` wherever that gives the row parser's values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -105,15 +106,18 @@ def _label_index(path, label_column, header, width: int) -> int | None:
     return idx % width
 
 
-def _non_numeric(path, r: int, feats: list[str], label_idx: int | None) -> ValueError:
-    """The error for the first unparsable cell of a row whose label cell was removed."""
+def _bad_cell(path, r: int, feats: list[str], label_idx: int | None, finite: bool) -> ValueError:
+    """The error for the first unparsable (with ``finite``, or NaN or infinite)
+    cell of a row whose label cell was removed."""
     for k, cell in enumerate(feats):
         try:
-            float(cell)
+            problem = "non-finite" if not math.isfinite(float(cell)) and finite else None
         except ValueError:
+            problem = "non-numeric"
+        if problem:
             c = k + (label_idx is not None and k >= label_idx)
-            return ValueError(f"{path}: non-numeric value {cell.strip()!r} at row {r}, column {c}")
-    raise AssertionError("no unparsable cell")
+            return ValueError(f"{path}: {problem} value {cell.strip()!r} at row {r}, column {c}")
+    raise AssertionError("no bad cell")
 
 
 def _data_rows(lines):
@@ -143,8 +147,9 @@ def _head(path, rows, has_header: bool, label_column, require_rows: bool):
     return first, width, _label_index(path, label_column, header, width)
 
 
-def _parse_rows(path, rows, width: int, label_idx: int | None, start: int):
-    """Yield ``(label, features)`` per row; ``start`` numbers the first row in errors."""
+def _parse_rows(path, rows, width: int, label_idx: int | None, start: int, finite: bool = False):
+    """Yield ``(label, features)`` per row; ``start`` numbers the first row in errors.
+    With ``finite``, a NaN or infinite feature is an error too."""
     for r, row in enumerate(rows, start):
         if len(row) != width:
             raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
@@ -152,11 +157,13 @@ def _parse_rows(path, rows, width: int, label_idx: int | None, start: int):
         try:
             values = list(map(float, row))
         except ValueError:
-            raise _non_numeric(path, r, row, label_idx) from None
+            raise _bad_cell(path, r, row, label_idx, finite) from None
+        if finite and not all(map(math.isfinite, values)):
+            raise _bad_cell(path, r, row, label_idx, finite)
         yield label, values
 
 
-def _read_rows(path, has_header: bool, label_column, require_rows: bool = False):
+def _read_rows(path, has_header: bool, label_column, require_rows: bool = False, finite: bool = False):
     """Yield ``(label, features)`` for each data row of a delimited numeric file.
 
     The row parser behind ``load_csv``, whose values and errors
@@ -166,14 +173,15 @@ def _read_rows(path, has_header: bool, label_column, require_rows: bool = False)
     label cell is yielded stripped (``None`` without a label column) and
     every other cell is converted with ``float``.  Every row must be as
     wide as the first data row.  Errors number data rows from 0.  A file
-    without data rows yields nothing, or raises if ``require_rows``.
+    without data rows yields nothing, or raises if ``require_rows``.  With
+    ``finite``, a NaN or infinite feature cell is an error.
     """
     with _open(path) as fh:
         rows = _data_rows(fh)
         head = _head(path, rows, has_header, label_column, require_rows)
         if head is not None:
             first, width, label_idx = head
-            yield from _parse_rows(path, chain((first,), rows), width, label_idx, 0)
+            yield from _parse_rows(path, chain((first,), rows), width, label_idx, 0, finite)
 
 
 #: a quote, and the ASCII separators \x1c-\x1f, which loadtxt strips around a number and float rejects
@@ -221,11 +229,13 @@ def load_csv(
     ``label_column`` is a 0-based column index, or a column name when
     ``has_header`` is set.  Rows whose label cell equals ``target_label``
     (string comparison on the stripped token) become +1, everything else -1.
+    A NaN or infinite feature cell is an error naming the file, the data
+    row (from 0) and the column.
     """
     target = str(target_label).strip()
     labels = []
     features = []
-    for label, values in _read_rows(path, has_header, label_column, require_rows=True):
+    for label, values in _read_rows(path, has_header, label_column, require_rows=True, finite=True):
         labels.append(1 if label == target else -1)
         features.append(values)
     labels = np.asarray(labels)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,10 +25,10 @@ from scipy.special import fdtrc
 
 from .dataset import Dataset, FoldPlan, _data_rows, _open, _parse_rows, split_for_occ
 from .models import (
-    FAMILIES,
     FitJob,
     LmkadConfig,
     Model,
+    check_family,
     fit_many,
     predict_batch,
     resolve_kernels,
@@ -79,54 +79,27 @@ def gmean(counts: ConfusionCounts) -> float:
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """One benchmark column: a model family plus its fixed settings.
+    """One benchmark column: a model family, its kernels and its trainer settings.
 
     ``kernels`` is a preset name ("gpl"/"gpp"), a comma-joined token
-    string, or an explicit sequence of kernel tokens.  LMKAD knobs are
-    ignored by the other families, but every knob is checked here, before
-    any fold runs.
+    string, or an explicit sequence of kernel tokens.  ``trainer``'s nu
+    and seed are set per candidate.  The family rule
+    (``models.check_family``) is checked here, before any fold runs.
     """
 
     name: str
     family: str  # ocsvm | mkad | lmkad
     kernels: str | tuple = "gauss:auto"
-    gating: str = "sigmoid"
-    learning_rate: float = 20.0
-    lr_decay: float = 0.95
-    outer_tol: float = 1e-4
-    max_outer: int = 100
-    inner_tol: float = 1e-6
-    rho_mode: str = "margin"
+    trainer: LmkadConfig = LmkadConfig(nu=1.0)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        if self.family == "ocsvm" and len(resolve_kernels(self.kernels)) != 1:
-            raise ValueError("ocsvm takes exactly one kernel")
-        _lmkad_config(self, 1.0, 0)
+        check_family(self.family, resolve_kernels(self.kernels))
 
 
 def _fit_job(config: ClassifierConfig, train_targets, nu: float, seed: int) -> FitJob:
     """The training job of one model of the configured family at a given nu."""
-    kernels = resolve_kernels(config.kernels)
-    if config.family != "lmkad":
-        trainer = LmkadConfig(nu=nu, inner_tol=config.inner_tol, rho_mode=config.rho_mode)
-        return FitJob(config.family, train_targets, kernels, trainer)
-    return FitJob("lmkad", train_targets, kernels, _lmkad_config(config, nu, seed))
-
-
-def _lmkad_config(config: ClassifierConfig, nu: float, seed: int) -> LmkadConfig:
-    return LmkadConfig(
-        nu=nu,
-        gating_kind=config.gating,
-        learning_rate=config.learning_rate,
-        lr_decay=config.lr_decay,
-        outer_tol=config.outer_tol,
-        max_outer=config.max_outer,
-        inner_tol=config.inner_tol,
-        seed=seed,
-        rho_mode=config.rho_mode,
-    )
+    return FitJob(config.family, train_targets, resolve_kernels(config.kernels),
+                  replace(config.trainer, nu=nu, seed=seed))
 
 
 def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: int) -> Model:

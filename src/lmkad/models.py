@@ -19,7 +19,7 @@ shares one lockstep.  Every fit keeps the iterates, and so the model, it
 gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
-``fit_many``.
+``fit_many``, and every fit's family and kernels pass ``check_family``.
 
 Trained models are immutable; ``decision_values``/``predict_batch``
 normalize raw inputs internally.  ``save_model``/``load_model`` round-trip
@@ -37,7 +37,7 @@ from .dataset import Normalizer, fit_normalizer, apply_normalizer
 from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, gate_stack, gradient_stack,
                      init_gating, step_stack)
 from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
-from .solver import RHO_MODES, check_duals, solve_duals
+from .solver import DEFAULT_TOL, RHO_MODES, check_duals, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -73,6 +73,16 @@ def resolve_kernels(spec) -> tuple[KernelSpec, ...]:
     return tuple(k if isinstance(k, KernelSpec) else parse_kernel_spec(k) for k in spec)
 
 
+def check_family(family: str, specs) -> None:
+    """The family rule: a known family with at least one kernel, and OCSVM with exactly one."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family {family!r}")
+    if family == "ocsvm" and len(specs) != 1:
+        raise ValueError("ocsvm takes exactly one kernel")
+    if not specs:
+        raise ValueError(f"{family} needs at least one kernel")
+
+
 @dataclass
 class TrainingReport:
     iterations: int
@@ -103,7 +113,8 @@ class Model:
 
 @dataclass(frozen=True)
 class LmkadConfig:
-    """Knobs of the trainer; fixed-weight fits use only the nu and inner-solver ones.
+    """The trainer settings of every family; fixed-weight fits use only the nu
+    and inner-solver ones.  The only record of their defaults.
 
     The step size at outer iteration t is ``learning_rate * lr_decay**t``;
     the loop stops when the relative change of the dual objective falls
@@ -117,7 +128,7 @@ class LmkadConfig:
     lr_decay: float = 0.95
     outer_tol: float = 1e-4
     max_outer: int = 100
-    inner_tol: float = 1e-6
+    inner_tol: float = DEFAULT_TOL
     inner_max_iter: int | None = None
     seed: int = 0
     rho_mode: str = "margin"
@@ -378,7 +389,8 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
 
     The normalizer, the resolved kernels and the Grams are computed once
     per distinct training matrix (the same object: a fold's candidates
-    share one).  A job whose set-up raises goes to ``failures``.
+    share one).  A job whose set-up raises, the family rule
+    (``check_family``) included, goes to ``failures``.
     """
     prepared: dict[tuple, tuple] = {}
     groups: dict[tuple, list] = {}
@@ -386,6 +398,7 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
         family, train_targets, kernels, config = jobs[k]
         try:
             specs = resolve_kernels(kernels)
+            check_family(family, specs)
             key = (id(train_targets), specs)
             if key not in prepared:
                 prepared[key] = _prepare(train_targets, specs)
@@ -486,24 +499,24 @@ def fit_many(jobs) -> list[Model]:
 
 def train_ocsvm(
     train_targets: np.ndarray,
-    kernel: KernelSpec,
+    kernel,
     nu: float,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    rho_mode: str = "margin",
+    tol: float = LmkadConfig.inner_tol,
+    max_iter: int | None = LmkadConfig.inner_max_iter,
+    rho_mode: str = LmkadConfig.rho_mode,
 ) -> Model:
-    """Fit a single-kernel one-class SVM on target-class rows."""
+    """Fit a one-class SVM on target-class rows; ``kernel`` is one spec or token."""
     config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
-    return fit_many([FitJob("ocsvm", train_targets, (kernel,), config)])[0]
+    return fit_many([FitJob("ocsvm", train_targets, kernel, config)])[0]
 
 
 def train_mkad(
     train_targets: np.ndarray,
     kernels,
     nu: float,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    rho_mode: str = "margin",
+    tol: float = LmkadConfig.inner_tol,
+    max_iter: int | None = LmkadConfig.inner_max_iter,
+    rho_mode: str = LmkadConfig.rho_mode,
 ) -> Model:
     """One-class SVM over the uniform fixed-weight kernel combination."""
     config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)

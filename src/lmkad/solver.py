@@ -87,8 +87,9 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
 
     ``Q`` is a (B, N, N) float array and ``nu`` holds the B rejection
     rates.  A row's message is that of its first failing check, in this
-    order: Q finite, symmetric within 1e-9, diagonal >= -1e-12, nu in
-    (0, 1], and ``infeasible_nu``.  ``|Q - Q^T|`` is built in
+    order: Q finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``,
+    so the bound grows with a large Q's rounding), diagonal >= -1e-12, nu
+    in (0, 1], and ``infeasible_nu``.  ``|Q - Q^T|`` is built in
     ``scratch`` (same shape as Q) when given, else in a new array.
     """
     b, n = Q.shape[0], Q.shape[-1]
@@ -96,9 +97,12 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
     if finite.all():
         asym = np.subtract(Q, Q.transpose(0, 2, 1), out=scratch)
         np.abs(asym, out=asym)
-        asym = asym.max(axis=(1, 2)) > 1e-9
+        gap = asym.max(axis=(1, 2))
     else:  # inf - inf would warn; only finite rows reach the symmetry check
-        asym = np.array([bool(finite[r]) and np.max(np.abs(Q[r] - Q[r].T)) > 1e-9 for r in range(b)])
+        gap = np.array([np.max(np.abs(Q[r] - Q[r].T)) if finite[r] else 0.0 for r in range(b)])
+    asym = gap > 1e-9
+    for r in np.flatnonzero(asym).tolist():  # max|Q| is read only past the absolute bound
+        asym[r] = gap[r] > 1e-12 * np.abs(Q[r]).max()
     negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
     rates = np.asarray(nu, dtype=float)
     out_of_range = ~((0.0 < rates) & (rates <= 1.0))
@@ -108,7 +112,7 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
         if not finite[r]:
             errors[r] = "Q contains non-finite entries"
         elif asym[r]:
-            errors[r] = "Q is not symmetric within 1e-9"
+            errors[r] = "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"
         elif negative[r]:
             errors[r] = "Q has a negative diagonal entry"
         elif out_of_range[r]:

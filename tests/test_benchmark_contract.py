@@ -84,7 +84,8 @@ def test_traced_run_counts_every_gate_evaluation():
     rng = np.random.default_rng(0)
     X = rng.normal(loc=2.0, size=(20, 3))
     data = dataset.Dataset(np.vstack((X, rng.normal(loc=8.0, size=(10, 3)))), np.r_[np.ones(20), -np.ones(10)])
-    config = evaluation.ClassifierConfig(name="L", family="lmkad", kernels="gpl", max_outer=3)
+    config = evaluation.ClassifierConfig(name="L", family="lmkad", kernels="gpl",
+                                         trainer=models.LmkadConfig(nu=1.0, max_outer=3))
     originals = (models.train_lmkad, models.decision_values, evaluation.cross_validate)
     rec = spans.SpanRecorder()
     rec.install()

@@ -9,8 +9,9 @@ import pytest
 from lmkad import cli
 from lmkad.cli import main
 from lmkad.dataset import load_features_csv
+from lmkad.evaluation import ClassifierConfig
 from lmkad.gating import GATING_KINDS
-from lmkad.models import BLOCK_ROWS, FAMILIES, decision_values, load_model, predict_batch
+from lmkad.models import BLOCK_ROWS, FAMILIES, LmkadConfig, decision_values, load_model, predict_batch
 from lmkad.solver import RHO_MODES
 
 
@@ -265,19 +266,31 @@ def test_benchmark_pool_matches_serial(tmp_path, iris_path):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_benchmark_training_error_aborts(tmp_path, iris_path, capsys, jobs):
-    # an infinite feature in a setosa row makes the second dataset's cell
-    # (the second share at --jobs 2) fail to train: the run stops without CSVs
-    lines = iris_path.read_text().splitlines()
-    row = next(k for k, line in enumerate(lines) if line.endswith("setosa"))
-    lines[row] = "inf" + lines[row][lines[row].index(","):]
-    broken = tmp_path / "iris_inf.csv"
+    # a first feature of 1e308 in every setosa row loads, but its column sum
+    # overflows the z-score mean, so the second dataset's cell (the second
+    # share at --jobs 2) fails to train: the run stops without CSVs
+    lines = [f"1e308{line[line.index(','):]}" if line.endswith("setosa") else line
+             for line in iris_path.read_text().splitlines()]
+    broken = tmp_path / "iris_huge.csv"
     broken.write_text("\n".join(lines) + "\n")
     path = benchmark_config(tmp_path, iris_path, [{"name": "OCSVM(l)", "family": "ocsvm", "kernels": "linear"}])
     config = json.loads(path.read_text())
-    config["datasets"].append(dict(config["datasets"][0], name="iris-inf", path=str(broken)))
+    config["datasets"].append(dict(config["datasets"][0], name="iris-huge", path=str(broken)))
     path.write_text(json.dumps(config))
     assert run(["benchmark", "--config", path, "--jobs", jobs]) == 1
     assert capsys.readouterr().err == "error: Q contains non-finite entries\n"
+    assert not list((tmp_path / "results").glob("*.csv"))
+
+
+def test_benchmark_non_finite_cell_fails_at_load(tmp_path, iris_path, capsys):
+    # an infinite feature is rejected when the data file is read, by file, row and column
+    lines = iris_path.read_text().splitlines()
+    lines[3] = "inf" + lines[3][lines[3].index(","):]
+    broken = tmp_path / "iris_inf.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    path = benchmark_config(tmp_path, broken, [{"name": "OCSVM(l)", "family": "ocsvm", "kernels": "linear"}])
+    assert run(["benchmark", "--config", path, "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {broken}: non-finite value 'inf' at row 2, column 0\n"
     assert not list((tmp_path / "results").glob("*.csv"))
 
 
@@ -336,6 +349,28 @@ def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys
     assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
     assert re.search(message, err.strip())
     assert not (tmp_path / "results" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_fold": 3}, r"config has unknown key 'n_fold' \(known: seed, n_folds, "),
+    ({"n_folds": 2.7}, r"'n_folds' must be an integer, got 2.7$"),
+    ({"n_runs": True}, r"'n_runs' must be an integer, got True$"),
+    ({"seed": "x"}, r"'seed' must be an integer, got 'x'$"),
+], ids=["unknown", "fraction", "bool", "string"])
+def test_benchmark_config_top_level_keys_fail_early_by_name(tmp_path, iris_path, capsys, change, message):
+    config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), **change)))
+    assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+    assert re.search(message, err.strip())
+    assert not (tmp_path / "results").exists()
+
+
+def test_fit_defaults_are_the_trainers():
+    args = cli.build_parser().parse_args(
+        ["fit", "--data", "x.csv", "--target-label", "a", "--family", "lmkad", "--nu", "0.1", "--out", "m.json"])
+    assert cli._trainer(vars(args)) == ClassifierConfig.trainer == LmkadConfig(nu=1.0)
 
 
 def test_fit_choices_are_the_modules_names():

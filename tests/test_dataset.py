@@ -1,3 +1,4 @@
+import re
 from itertools import islice
 
 import numpy as np
@@ -54,6 +55,15 @@ def test_load_non_numeric_cell_reports_position(tmp_path):
     p = write(tmp_path, "1,2,a\n3,oops,a\n")
     with pytest.raises(ValueError, match=r"row 1, column 1"):
         load_csv(p, label_column=2, target_label="a")
+
+
+@pytest.mark.parametrize("cell", ["nan", " inf", "-Infinity", "1e999"])
+def test_load_non_finite_cell_reports_position(tmp_path, cell):
+    # one such target row would make the normalizer NaN; predict's reader keeps it
+    p = write(tmp_path, f"a,1,2\nb,3,{cell}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite value {cell.strip()!r} at row 1, column 2")):
+        load_csv(p, label_column=0, target_label="a")
+    assert not np.isfinite(load_features_csv(p, label_column=0)).all()
 
 
 def test_load_ragged_rows(tmp_path):

@@ -1,0 +1,29 @@
+"""The README's examples run as written."""
+from pathlib import Path
+
+from lmkad import cli
+from lmkad.evaluation import ClassifierConfig
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _block(after: str, lang: str) -> str:
+    """The first ``lang`` code block of the README after the line ``after``."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return readme.split(after, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_benchmark_config_loads(tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text(_block("### Benchmark config grammar (JSON)", "json"))
+    config = cli._load_experiment_config(path)
+    classifiers = [cli._classifier_from_dict(spec) for spec in config["classifiers"]]
+    assert [c.name for c, _ in classifiers] == ["OCSVM(g)", "LMKAD(S_gpl)"]
+    assert classifiers[1][0].trainer == ClassifierConfig.trainer  # the example spells the defaults
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    exec(_block("## Library use", "python"), {})
+    gmean, sv_pct = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= gmean <= 1.0 and 0.0 < sv_pct <= 100.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmkad import evaluation, models
+from lmkad import cli, evaluation, models
 from lmkad.dataset import Dataset, plan_folds, split_for_occ
 from lmkad.evaluation import (
     ClassifierConfig,
@@ -22,6 +22,7 @@ from lmkad.evaluation import (
     read_gmean_matrix_csv,
     sv_fraction,
 )
+from lmkad.models import LmkadConfig
 from lmkad.solver import infeasible_nu
 
 #: average ranks of the bundled 25x14 reference Gmean matrix, as published
@@ -109,7 +110,7 @@ def test_cross_validate_duplicate_grid_entries():
 def test_cross_validate_deterministic():
     ds = tiny_dataset()
     plan = plan_folds(ds, 5, 2, seed=3)
-    config = ClassifierConfig(name="L", family="lmkad", kernels="gpl", max_outer=10)
+    config = ClassifierConfig(name="L", family="lmkad", kernels="gpl", trainer=LmkadConfig(nu=1.0, max_outer=10))
     a = cross_validate(ds, config, [0.3, 0.5], plan, base_seed=9)
     b = cross_validate(ds, config, [0.3, 0.5], plan, base_seed=9)
     assert a.mean_gmean == b.mean_gmean and a.mean_sv_pct == b.mean_sv_pct
@@ -122,9 +123,9 @@ def test_cross_validate_deterministic():
     ({"learning_rate": -1.0}, "learning_rate must be >= 0"),
 ], ids=["gating", "rho-mode", "learning-rate"])
 def test_classifier_config_rejects_an_unknown_knob_value(family, knob, message):
-    # checked when the config is built, before cross_validate trains anything
+    # checked when a benchmark config's classifier is built, before cross_validate trains anything
     with pytest.raises(ValueError, match=message):
-        ClassifierConfig(name="x", family=family, **knob)
+        cli._classifier_from_dict({"name": "x", "family": family, **knob})
 
 
 def test_cross_validate_skips_infeasible_candidates():
@@ -156,9 +157,12 @@ def test_cross_validate_training_error_propagates(monkeypatch):
 PIN_CONFIGS = {
     "ocsvm": ClassifierConfig(name="OCSVM(g)", family="ocsvm", kernels="gauss:auto"),
     "mkad": ClassifierConfig(name="MKAD(gpl)", family="mkad", kernels="gpl"),
-    "lmkad-sigmoid": ClassifierConfig(name="S", family="lmkad", kernels="gpl", gating="sigmoid"),
-    "lmkad-softmax": ClassifierConfig(name="So", family="lmkad", kernels="gpl", gating="softmax"),
-    "lmkad-rbf": ClassifierConfig(name="R", family="lmkad", kernels="gpp", gating="rbf"),
+    "lmkad-sigmoid": ClassifierConfig(name="S", family="lmkad", kernels="gpl",
+                                      trainer=LmkadConfig(nu=1.0, gating_kind="sigmoid")),
+    "lmkad-softmax": ClassifierConfig(name="So", family="lmkad", kernels="gpl",
+                                      trainer=LmkadConfig(nu=1.0, gating_kind="softmax")),
+    "lmkad-rbf": ClassifierConfig(name="R", family="lmkad", kernels="gpp",
+                                  trainer=LmkadConfig(nu=1.0, gating_kind="rbf")),
 }
 #: the protocol's grid; nu = 0.02 is infeasible on the 40-row setosa folds
 PIN_GRID = [0.02, 0.05, 0.1, 0.2, 0.3]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmkad.gating import (
     GatingParams,
@@ -215,3 +216,22 @@ def test_stacked_forms_match_one_model_calls_bit_for_bit(kind, n, d, p):
         assert [g[r].tobytes() for g in grad] == [g.tobytes() for g in one]
         one_step = step_stack(kind, q.matrix, q.vector, *one, 0.7)
         assert [s[r].tobytes() for s in stepped] == [s.tobytes() for s in one_step]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 5), p=st.integers(1, 3),
+       scale=st.floats(1e-3, 1e3))
+def test_sigmoid_bias_gradient_is_never_positive(seed, n, d, p, scale):
+    # With K_m >= 0 entrywise and alpha >= 0, every term of the bias gradient
+    # -sum_i eta_m(x_i)(1 - eta_m(x_i)) alpha_i sum_j alpha_j eta_m(x_j) K_m(x_i, x_j)
+    # has one sign: each outer step raises every sigmoid bias, so the gates
+    # run towards 1 and LMKAD drifts to fixed weights (see test_acceptance)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    B = rng.random((p, n, 4))
+    grams = B @ B.swapaxes(1, 2)  # PSD with nonnegative entries
+    alpha = rng.random(n) * (rng.random(n) < 0.7)
+    matrix, vector = scale * rng.normal(size=(p, d)), scale * rng.normal(size=p)
+    H = gate_stack("sigmoid", X, matrix, vector)
+    _, grad_vector = gradient_stack("sigmoid", matrix, vector, alpha, X, grams, H)
+    assert (grad_vector <= 0.0).all()

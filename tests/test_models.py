@@ -28,7 +28,7 @@ from lmkad.models import (
     train_ocsvm,
 )
 from lmkad import models as models_module
-from lmkad.evaluation import sv_fraction
+from lmkad.evaluation import ClassifierConfig, sv_fraction
 from combine_reference import reference_combine
 from fit_reference import reference_fit
 from oracles import kernel_eval, kkt_violation
@@ -256,6 +256,28 @@ def test_serialization_round_trip(tmp_path):
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert np.array_equal(decision_values(loaded, grid), decision_values(model, grid))
+
+
+@pytest.mark.parametrize("family, kernels, message", [
+    ("ocsvm", "gpl", "^ocsvm takes exactly one kernel$"),
+    ("ocsvm", "", "^ocsvm takes exactly one kernel$"),
+    ("mkad", "", "^mkad needs at least one kernel$"),
+    ("foo", "gauss:auto", "^unknown model family 'foo'$"),
+], ids=["multi-kernel-ocsvm", "kernel-less-ocsvm", "kernel-less-mkad", "unknown-family"])
+def test_family_rule_is_one_check_for_every_entry_point(family, kernels, message):
+    # a 3-kernel "OCSVM" once trained, and saved only its first kernel, so the
+    # reloaded model scored differently; an unknown family failed only at load
+    X = blob(44, 20)
+    with pytest.raises(ValueError, match=message):
+        fit_many([FitJob(family, X, kernels, LmkadConfig(nu=0.2))])
+    with pytest.raises(ValueError, match=message):
+        ClassifierConfig(name="x", family=family, kernels=kernels)
+    if family == "ocsvm":
+        with pytest.raises(ValueError, match=message):
+            train_ocsvm(X, kernels, nu=0.2)
+    elif family == "mkad":
+        with pytest.raises(ValueError, match=message):
+            train_mkad(X, kernels, nu=0.2)
 
 
 def _train(family, X, nu):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmkad.dataset import apply_normalizer, fit_normalizer
 from lmkad.gating import gate_eval_batch, init_gating
-from lmkad.models import composite_gram_fixed, composite_gram_localized, resolve_kernels
+from lmkad.models import LmkadConfig, composite_gram_fixed, composite_gram_localized, resolve_kernels, train_lmkad
 from lmkad import solver
 from lmkad.solver import DualProblem, solve_dual, solve_duals
 from oracles import compute_rho, kkt_violation
@@ -62,6 +62,29 @@ def test_problem_validation():
     bad[0, 0] = -1.0
     with pytest.raises(ValueError, match="diagonal"):
         DualProblem(bad, nu=1.0)
+
+
+def test_symmetry_bound_scales_with_q():
+    # |Q - Q^T| may reach 1e-12 * max|Q| (rounding in a large Q), but never
+    # less than the absolute 1e-9 a small Q is held to
+    Q = np.array([[1e6, 1.0], [1.0, 1e6]])
+    Q[0, 1] += 5e-7
+    assert solver.check_duals(Q[None], [1.0]) == {}
+    Q[0, 1] += 1e-6
+    assert "symmetric" in solver.check_duals(Q[None], [1.0])[0]
+    small = np.array([[1.0, 0.0], [2e-9, 1.0]])
+    assert "symmetric" in solver.check_duals(small[None], [1.0])[0]
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "softmax", "rbf"])
+def test_localized_fit_of_correlated_wide_rows_is_accepted(kind):
+    # 60 targets whose d = 100 features are one factor plus noise: the
+    # localized gpp Q has entries up to ~7e7 and |Q - Q^T| up to ~7e-9
+    # (~1e-16 of max|Q|), which an absolute 1e-9 bound rejected
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 1)) * np.ones((1, 100)) + 0.1 * rng.normal(size=(60, 100))
+    model = train_lmkad(X, "gpp", LmkadConfig(nu=0.2, gating_kind=kind, max_outer=2))
+    assert np.isfinite(model.report.objective_trace).all()
 
 
 def test_max_iter_exhaustion_flagged():
