@@ -24,16 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .dataset import iter_feature_blocks, load_csv, plan_folds
+from .dataset import fit_normalizer, iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS
-from .models import BLOCK_ROWS, FAMILIES, LmkadConfig, decision_values, load_model, save_model, sv_count
+from .models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model,
+                     sv_count)
 from .solver import RHO_MODES
 
 
 def _default_seed() -> int | None:
     env = os.environ.get("LMKAD_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"LMKAD_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_label_column(value: str):
@@ -43,6 +49,14 @@ def _parse_label_column(value: str):
         return value
 
 
+def _check_normalizer(path, data) -> None:
+    """Fail with the data file named when its target rows overflow the normalizer."""
+    try:
+        fit_normalizer(data.features[data.labels == 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_fit(args) -> int:
     data = load_csv(
         args.data,
@@ -50,6 +64,7 @@ def cmd_fit(args) -> int:
         target_label=args.target_label,
         has_header=args.header,
     )
+    _check_normalizer(args.data, data)
     train_targets = data.features[data.labels == 1]
     seed = args.seed if args.seed is not None else (_default_seed() or 0)
     config = ClassifierConfig(args.family, args.family, args.kernels, _trainer(vars(args)))
@@ -73,7 +88,8 @@ def cmd_predict(args) -> int:
     """Score ``--data`` block by block into a temp file, renamed to ``--out`` on success.
 
     Each block of ``BLOCK_ROWS`` rows is read (``iter_feature_blocks``),
-    scored and written with one ``write`` call.  The written lines are
+    scored by one ``decision_values`` call in buffers allocated once, and
+    written with one ``write`` call.  The written lines are
     ``index,decision_value,label``, the bytes ``csv.writer`` would give:
     no field can hold a comma, quote or line break.
     """
@@ -82,6 +98,7 @@ def cmd_predict(args) -> int:
     blocks = iter_feature_blocks(
         args.data, BLOCK_ROWS, has_header=args.header, label_column=label_column
     )
+    buffers = ScoreBuffers(model)
     out = Path(args.out)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     n = 0
@@ -89,12 +106,14 @@ def cmd_predict(args) -> int:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write("index,decision_value,label\n")
             for X in blocks:
-                values = decision_values(model, X).tolist()
-                fh.write("".join([
-                    f"{i},{v:.12g},1\n" if v >= 0.0 else f"{i},{v:.12g},-1\n"
-                    for i, v in enumerate(values, n)
-                ]))
-                n += len(values)
+                values = decision_values(model, X, buffers)
+                k = len(values)
+                fields = [0] * (3 * k)
+                fields[0::3] = range(n, n + k)
+                fields[1::3] = values.tolist()
+                fields[2::3] = np.where(values >= 0.0, 1, -1).tolist()  # NaN scores -1
+                fh.write(("%d,%.12g,%d\n" * k) % tuple(fields))
+                n += k
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -196,6 +215,8 @@ def cmd_benchmark(args) -> int:
         )
         for spec in config["datasets"]
     ]
+    for spec, data in zip(config["datasets"], datasets):
+        _check_normalizer(spec["path"], data)  # every fold's training targets are a share of these
 
     cells = []
     for data in datasets:

@@ -71,12 +71,24 @@ class Normalizer:
 
 
 def fit_normalizer(features: np.ndarray) -> Normalizer:
-    """Column means and population (1/N) stddevs, degenerate-safe."""
+    """Column means and population (1/N) stddevs, degenerate-safe.
+
+    Finite features whose mean or stddev overflows (values near the
+    float64 limit) raise a ``ValueError`` that names the feature column.
+    """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.size == 0:
         raise ValueError("cannot fit a normalizer on an empty matrix")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # population convention
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)  # population convention
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        # a column that holds a non-finite feature is the caller's to reject
+        overflow = np.flatnonzero(~finite & np.isfinite(X).all(axis=0))
+        if overflow.size:
+            j = int(overflow[0])
+            raise ValueError(f"feature column {j} overflows the normalizer (mean {means[j]}, stddev {stds[j]})")
     stds = np.where(stds < DEGENERATE_STD, 1.0, stds)
     return Normalizer(means=means, stddevs=stds)
 

@@ -9,6 +9,12 @@ Three Mercer kernels are supported:
 A Gaussian spec may be created with ``sigma_sq=None`` ("auto"), in which
 case the bandwidth is resolved from training data at fit time via
 :func:`gaussian_bandwidth`.
+
+Every kernel is an elementwise map of the product ``G = X @ Y.T``
+(:func:`kernel_map`; a gaussian also reads the squared row norms), so
+one product serves any number of kernels, and the map of any rows of G
+gives those rows of the Gram bit for bit.  :func:`gram` is the product
+plus the map, so training and scoring share one formula.
 """
 from __future__ import annotations
 
@@ -94,29 +100,56 @@ def _check_resolved(spec: KernelSpec):
         raise ValueError("gaussian bandwidth is unresolved; call spec.resolved(X) first")
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    xx = np.sum(X * X, axis=1)[:, None]
-    yy = np.sum(Y * Y, axis=1)[None, :]
-    d2 = xx + yy - 2.0 * (X @ Y.T)
+def row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of a 2-D array."""
+    return np.sum(X * X, axis=1)
+
+
+def _sq_dists(G, xx, yy, out=None, scratch=None) -> np.ndarray:
+    """xx + yy - 2 G, clipped at zero, into ``out``; ``scratch`` holds 2 G."""
+    d2 = np.add(xx, yy, out=out)
+    d2 -= np.multiply(G, 2.0, out=scratch)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
+def product(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
+    """The inner products ``X @ Y.T`` that every kernel maps, into ``out`` when given."""
+    return np.matmul(X, Y.T, out=out)
+
+
+def kernel_map(spec: KernelSpec, G, xx=None, yy=None, out=None, scratch=None) -> np.ndarray:
+    """The Gram entries K(X_i, Y_j) from the product ``G = X @ Y.T``.
+
+    A gaussian also takes the squared row norms ``xx`` (R, 1) of X and
+    ``yy`` (S,) of Y.  The map is written into ``out`` and, for a
+    gaussian, uses ``scratch`` (fresh arrays when not given; both shaped
+    like G).  The linear map is G itself.  G is only read, unless it is
+    passed as ``out`` or ``scratch``.
+    """
+    _check_resolved(spec)
+    if spec.kind == "linear":
+        return G
+    if spec.kind == "polynomial":
+        out = np.add(G, 1.0, out=out)
+        out **= spec.q
+        return out
+    d2 = _sq_dists(G, xx, yy, out, scratch)
+    d2 /= -spec.sigma_sq  # == -d2 / sigma_sq: negation is exact
+    return np.exp(d2, out=d2)
+
+
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gram matrix with entries K(X_i, Y_j)."""
+    """Gram matrix with entries K(X_i, Y_j): the product and ``kernel_map``."""
     _check_resolved(spec)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]} columns")
-    if spec.kind == "linear":
-        return X @ Y.T
-    if spec.kind == "polynomial":
-        return (X @ Y.T + 1.0) ** spec.q
-    return np.exp(-squared_distances(X, Y) / spec.sigma_sq)
+    G = product(X, Y)  # mapped in place: one N x M array besides the gaussian's result
+    if spec.kind != "gaussian":
+        return kernel_map(spec, G, out=G)
+    return kernel_map(spec, G, row_sq_norms(X)[:, None], row_sq_norms(Y), scratch=G)
 
 
 def gaussian_bandwidth(X: np.ndarray) -> float:
@@ -130,7 +163,9 @@ def gaussian_bandwidth(X: np.ndarray) -> float:
     n = X.shape[0]
     if n < 2:
         raise ValueError("bandwidth heuristic needs at least 2 points")
-    d2 = squared_distances(X, X)
+    sq = row_sq_norms(X)
+    G = product(X, X)
+    d2 = _sq_dists(G, sq[:, None], sq, scratch=G)
     mean = float(np.sum(d2) / (n * (n - 1)))
     if mean < 1e-12:
         return 1.0

@@ -22,8 +22,12 @@ gets when trained alone;
 ``fit_many``, and every fit's family and kernels pass ``check_family``.
 
 Trained models are immutable; ``decision_values``/``predict_batch``
-normalize raw inputs internally.  ``save_model``/``load_model`` round-trip
-models through a versioned JSON container (exact float round-trip).
+normalize raw inputs internally.  Scoring runs on a fixed grid of
+``BLOCK_ROWS``-row blocks, each with one BLAS product shared by every
+kernel; the kernels are mapped and combined tile by tile in buffers that
+``ScoreBuffers`` keeps across blocks (see ``decision_values``).
+``save_model``/``load_model`` round-trip models through a versioned JSON
+container (exact float round-trip).
 """
 from __future__ import annotations
 
@@ -36,7 +40,8 @@ import numpy as np
 from .dataset import Normalizer, fit_normalizer, apply_normalizer
 from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, gate_stack, gradient_stack,
                      init_gating, step_stack)
-from .kernels import KernelSpec, format_kernel_spec, gram, parse_kernel_spec
+from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
+                      row_sq_norms)
 from .solver import DEFAULT_TOL, RHO_MODES, check_duals, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
@@ -45,6 +50,10 @@ FAMILIES = ("ocsvm", "mkad", "lmkad")
 
 #: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
 BLOCK_ROWS = 8192
+
+#: rows of a block whose kernels are mapped and combined at a time; a tile's
+#: buffers (p + 2 of TILE_ROWS x SVs) stay in cache for ~100 support vectors
+TILE_ROWS = 256
 
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
 #: fit holds (p + 3) N x N float64 arrays: its p base Grams, its Q, the scratch
@@ -413,13 +422,22 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
     return [_Stack(jobs, members, prepared) for members in groups.values()]
 
 
+def _state_bytes(job: FitJob) -> int:
+    """A job's estimated N x N training state; 0 for one whose set-up will raise,
+    so that its error surfaces in its own set-up, in job order."""
+    try:
+        n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
+        return (len(resolve_kernels(job.kernels)) + 3) * n * n * 8
+    except (ValueError, TypeError):  # raised again by the job's set-up in _stacks
+        return 0
+
+
 def _batches(jobs: list[FitJob]):
     """Consecutive runs of job indices whose estimated N x N state fits ``BATCH_BYTES``."""
     batch: list[int] = []
     used = 0
     for k, job in enumerate(jobs):
-        n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
-        size = (len(resolve_kernels(job.kernels)) + 3) * n * n * 8
+        size = _state_bytes(job)
         if batch and used + size > BATCH_BYTES:
             yield batch
             batch, used = [], 0
@@ -528,26 +546,65 @@ def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Mode
     return fit_many([FitJob("lmkad", train_targets, kernels, config)])[0]
 
 
-def _decision_block(model: Model, Xn: np.ndarray) -> np.ndarray:
+class ScoreBuffers:
+    """The arrays ``decision_values`` scores one model's blocks in, reused
+    across blocks and calls: the product ``G`` and the combined kernel
+    ``K`` for up to ``rows`` rows by the support vectors, one tile's
+    mapped kernels (``maps``) and ``scratch``, the support vectors' gates
+    in column-major order (so that each kernel's gate column is one
+    contiguous vector) and, with a gaussian kernel, their squared norms."""
+
+    def __init__(self, model: Model, rows: int = BLOCK_ROWS):
+        n_sv = model.sv_alpha.shape[0]
+        tile = min(rows, TILE_ROWS)
+        self.G = np.empty((rows, n_sv))
+        self.K = np.empty((rows, n_sv))
+        self.maps = np.empty((len(model.kernels), tile, n_sv))
+        self.scratch = np.empty((tile, n_sv))
+        gaussian = any(k.kind == "gaussian" for k in model.kernels)
+        self.sv_sq = row_sq_norms(model.sv_features) if gaussian else None
+        self.sv_eta = None if model.sv_eta is None else np.asfortranarray(model.sv_eta)
+
+
+def _decision_block(model: Model, Xn: np.ndarray, buf: ScoreBuffers) -> np.ndarray:
+    """f on one block: one product, then the kernels mapped and combined tile by tile."""
+    rows = Xn.shape[0]
+    G = product(Xn, model.sv_features, out=buf.G[:rows])
+    K = buf.K[:rows]
     H = None if model.gating is None else gate_eval_batch(model.gating, Xn)
-    K = _combine([gram(k, Xn, model.sv_features) for k in model.kernels], model.weights, H, model.sv_eta)
+    xx = None if buf.sv_sq is None else row_sq_norms(Xn)[:, None]
+    for start in range(0, rows, TILE_ROWS):
+        n = min(TILE_ROWS, rows - start)
+        tile = slice(start, start + n)
+        scratch = buf.scratch[:n]
+        grams = [
+            kernel_map(k, G[tile], None if xx is None else xx[tile], buf.sv_sq, buf.maps[m, :n], scratch)
+            for m, k in enumerate(model.kernels)
+        ]
+        _combine(grams, model.weights, None if H is None else H[tile], buf.sv_eta, K[tile], scratch)
     return K @ model.sv_alpha - model.rho
 
 
-def decision_values(model: Model, X: np.ndarray) -> np.ndarray:
+def decision_values(model: Model, X: np.ndarray, buffers: ScoreBuffers | None = None) -> np.ndarray:
     """Decision function on raw inputs (normalization applied internally).
 
     Rows are scored in consecutive blocks of ``BLOCK_ROWS`` starting at
-    row 0, so scoring memory is bounded by one block's rows x SVs Grams,
-    whatever the number of rows.  The block grid is fixed: a caller that
-    slices its input at multiples of ``BLOCK_ROWS`` gets the same values
-    bit for bit as one call on the whole input.
+    row 0.  Each block takes one BLAS product ``G = Xn @ SV.T`` and one
+    ``K @ sv_alpha``; the low bits of a BLAS result depend on its row
+    count, so this grid is fixed, and a caller that slices its input at
+    multiples of ``BLOCK_ROWS`` gets the same values bit for bit as one
+    call on the whole input.  Between the two products the kernels are
+    mapped from G and combined into K in tiles of ``TILE_ROWS`` rows,
+    which stay in cache; elementwise work gives the same bits on any
+    tiling.  Scoring memory is bounded by ``buffers`` (fresh ones sized
+    for the input when not given), whatever the number of rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xn = apply_normalizer(model.normalizer, X)
+    buffers = ScoreBuffers(model, min(Xn.shape[0], BLOCK_ROWS)) if buffers is None else buffers
     out = np.empty(Xn.shape[0])
     for start in range(0, Xn.shape[0], BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = _decision_block(model, Xn[start : start + BLOCK_ROWS])
+        out[start : start + BLOCK_ROWS] = _decision_block(model, Xn[start : start + BLOCK_ROWS], buffers)
     return out
 
 

@@ -11,7 +11,8 @@ from lmkad.cli import main
 from lmkad.dataset import load_features_csv
 from lmkad.evaluation import ClassifierConfig
 from lmkad.gating import GATING_KINDS
-from lmkad.models import BLOCK_ROWS, FAMILIES, LmkadConfig, decision_values, load_model, predict_batch
+from lmkad.models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model,
+                          predict_batch)
 from lmkad.solver import RHO_MODES
 
 
@@ -67,6 +68,23 @@ def test_fit_seed_from_env(tmp_path, iris_path, monkeypatch):
                 "--target-label", "setosa", "--header", "--family", "lmkad",
                 "--kernels", "gpl", "--nu", "0.1", "--out", out])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_non_integer_seed_env_names_the_variable(tmp_path, iris_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("LMKAD_SEED", "x")
+    if command == "fit":
+        argv = ["fit", "--data", iris_path, "--label-column", "species", "--target-label", "setosa",
+                "--header", "--family", "ocsvm", "--nu", "0.1", "--out", tmp_path / "m.json"]
+    else:
+        config = json.loads(benchmark_config(tmp_path, iris_path, [{"name": "a", "family": "ocsvm"}]).read_text())
+        del config["seed"]
+        path = tmp_path / "noseed.json"
+        path.write_text(json.dumps(config))
+        argv = ["benchmark", "--config", path]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: LMKAD_SEED must be an integer, got 'x'\n"
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "results").exists()
 
 
 def test_predict_training_set(tmp_path, iris_path, fitted_model):
@@ -190,15 +208,17 @@ def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model, monkeypatch):
     expected = decision_values(load_model(fitted_model), load_features_csv(data))
     assert out.read_bytes() == csv_writer_predictions(expected.tolist())
 
-    scored = []
+    scored, buffers = [], []
 
-    def special(model, X):
+    def special(model, X, block_buffers):
+        buffers.append(block_buffers)
         scored.append(np.resize(SPECIAL_VALUES, len(X)))
         return scored[-1]
 
     monkeypatch.setattr(cli, "decision_values", special)
     assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
     assert [len(v) for v in scored] == [BLOCK_ROWS, 40]
+    assert isinstance(buffers[0], ScoreBuffers) and buffers[1] is buffers[0]  # allocated once
     assert out.read_bytes() == csv_writer_predictions(np.concatenate(scored).tolist())
 
 
@@ -263,23 +283,43 @@ def test_benchmark_pool_matches_serial(tmp_path, iris_path):
         assert (serial / "gmean_matrix.csv").read_bytes() == (pooled / "gmean_matrix.csv").read_bytes()
 
 
+#: the normalizer's error for ``huge_setosa_file``'s target rows
+HUGE_COLUMN_ERROR = "feature column 0 overflows the normalizer (mean inf, stddev inf)"
+
+
+def huge_setosa_file(tmp_path, iris_path):
+    """iris with a first feature of 1e308 in every setosa row: it loads, but the z-score mean overflows."""
+    lines = [f"1e308{line[line.index(','):]}" if line.endswith("setosa") else line
+             for line in iris_path.read_text().splitlines()]
+    path = tmp_path / "iris_huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_benchmark_training_error_aborts(tmp_path, iris_path, capsys, jobs):
     # a first feature of 1e308 in every setosa row loads, but its column sum
     # overflows the z-score mean, so the second dataset's cell (the second
-    # share at --jobs 2) fails to train: the run stops without CSVs
-    lines = [f"1e308{line[line.index(','):]}" if line.endswith("setosa") else line
-             for line in iris_path.read_text().splitlines()]
-    broken = tmp_path / "iris_huge.csv"
-    broken.write_text("\n".join(lines) + "\n")
+    # share at --jobs 2) cannot train: the run stops before training, naming
+    # the file and the column, without CSVs
+    broken = huge_setosa_file(tmp_path, iris_path)
     path = benchmark_config(tmp_path, iris_path, [{"name": "OCSVM(l)", "family": "ocsvm", "kernels": "linear"}])
     config = json.loads(path.read_text())
     config["datasets"].append(dict(config["datasets"][0], name="iris-huge", path=str(broken)))
     path.write_text(json.dumps(config))
     assert run(["benchmark", "--config", path, "--jobs", jobs]) == 1
-    assert capsys.readouterr().err == "error: Q contains non-finite entries\n"
+    assert capsys.readouterr().err == f"error: {broken}: {HUGE_COLUMN_ERROR}\n"
     assert not list((tmp_path / "results").glob("*.csv"))
+
+
+def test_fit_normalizer_overflow_names_the_file(tmp_path, iris_path, capsys):
+    broken = huge_setosa_file(tmp_path, iris_path)
+    out = tmp_path / "m.json"
+    assert run(["fit", "--data", broken, "--label-column", "species", "--target-label", "setosa",
+                "--header", "--family", "ocsvm", "--kernels", "linear", "--nu", "0.1", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {broken}: {HUGE_COLUMN_ERROR}\n"
+    assert not out.exists()
 
 
 def test_benchmark_non_finite_cell_fails_at_load(tmp_path, iris_path, capsys):

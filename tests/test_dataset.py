@@ -1,4 +1,5 @@
 import re
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -339,6 +340,23 @@ def test_normalizer_matches_high_precision_oracle():
     norm = fit_normalizer(np.array(col)[:, None])
     got = apply_normalizer(norm, np.array(col)[:, None]).ravel()
     assert np.allclose(got, expected, atol=1e-12, rtol=0)
+
+
+def test_normalizer_overflow_names_the_column():
+    X = np.random.default_rng(5).normal(size=(6, 3))
+    huge = X.copy()
+    huge[:, 1] = 1e308  # the column sum overflows: an infinite mean
+    spread = X.copy()
+    spread[:, 2] = [1e200, -1e200] * 3  # finite mean, squared deviations overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^feature column 1 overflows the normalizer \(mean inf, "):
+            fit_normalizer(huge)
+        with pytest.raises(ValueError, match=r"^feature column 2 overflows the normalizer \(mean 0.0, stddev inf\)$"):
+            fit_normalizer(spread)
+        norm = fit_normalizer(X)
+    assert norm.means.tobytes() == X.mean(axis=0).tobytes()
+    assert norm.stddevs.tobytes() == X.std(axis=0).tobytes()
 
 
 def test_normalizer_empty_matrix():

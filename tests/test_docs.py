@@ -1,7 +1,8 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and the sizes it states are the code's."""
+import re
 from pathlib import Path
 
-from lmkad import cli
+from lmkad import cli, models
 from lmkad.evaluation import ClassifierConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -27,3 +28,10 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     exec(_block("## Library use", "python"), {})
     gmean, sv_pct = map(float, capsys.readouterr().out.split())
     assert 0.0 <= gmean <= 1.0 and 0.0 < sv_pct <= 100.0
+
+
+def test_readme_scoring_sizes_are_the_models():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    stated = dict((name, int(rows.replace(",", ""))) for rows, name
+                  in re.findall(r"([\d,]+) rows\s+\(`lmkad\.models\.(\w+)`\)", readme))
+    assert stated == {"BLOCK_ROWS": models.BLOCK_ROWS, "TILE_ROWS": models.TILE_ROWS}

@@ -9,8 +9,12 @@ from lmkad.kernels import (
     format_kernel_spec,
     gaussian_bandwidth,
     gram,
+    kernel_map,
     parse_kernel_spec,
+    product,
+    row_sq_norms,
 )
+from decision_reference import reference_gram
 from oracles import kernel_eval
 
 LINEAR = KernelSpec("linear")
@@ -145,3 +149,32 @@ def test_gaussian_gram_unit_diagonal():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(6, 4))
     assert np.array_equal(np.diagonal(gram(GAUSS, X, X)), np.ones(6))
+
+
+#: a bandwidth whose reciprocal is inexact, so a multiply cannot stand in for the divide
+MAP_SPECS = ALL_SPECS + [KernelSpec("gaussian", sigma_sq=1.7)]
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_gram_matches_reference_bit_for_bit(spec):
+    rng = np.random.default_rng(17)
+    X, Y = rng.normal(size=(9, 3)), rng.normal(size=(5, 3))
+    X[0] = Y[0]  # a zero distance
+    for A, B in ((X, Y), (X, X), (X[:1], Y), (X, Y[:1])):
+        assert gram(spec, A, B).tobytes() == reference_gram(spec, A, B).tobytes()
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_kernel_map_of_any_rows_is_those_rows_of_the_gram(spec):
+    rng = np.random.default_rng(18)
+    X, Y = rng.normal(size=(11, 4)), rng.normal(size=(6, 4))
+    G = product(X, Y)
+    before = G.copy()
+    xx, yy = row_sq_norms(X)[:, None], row_sq_norms(Y)
+    whole = gram(spec, X, Y)
+    out, scratch = np.empty((4, 6)), np.empty((4, 6))
+    for rows in (slice(0, 1), slice(3, 7), slice(7, 11)):
+        n = rows.stop - rows.start
+        got = kernel_map(spec, G[rows], xx[rows], yy, out[:n], scratch[:n])
+        assert got.tobytes() == whole[rows].tobytes()
+    assert G.tobytes() == before.tobytes()  # the product is only read

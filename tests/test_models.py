@@ -8,10 +8,12 @@ import pytest
 
 from lmkad.dataset import apply_normalizer, split_for_occ
 from lmkad.gating import GatingParams, gate_eval_batch
-from lmkad.kernels import KernelSpec, gram
+from lmkad.kernels import KernelSpec, gram, kernel_map, product
 from lmkad.models import (
     BLOCK_ROWS,
     KERNEL_PRESETS,
+    TILE_ROWS,
+    ScoreBuffers,
     FitJob,
     LmkadConfig,
     composite_gram_fixed,
@@ -30,6 +32,7 @@ from lmkad.models import (
 from lmkad import models as models_module
 from lmkad.evaluation import ClassifierConfig, sv_fraction
 from combine_reference import reference_combine
+from decision_reference import reference_decision_values
 from fit_reference import reference_fit
 from oracles import kernel_eval, kkt_violation
 
@@ -292,19 +295,60 @@ def _train(family, X, nu):
 def test_decision_values_independent_of_block_slicing(family, monkeypatch):
     model = _train(family, blob(29, 25), nu=0.2)
     rows = np.random.default_rng(30).normal(loc=2.0, scale=2.0, size=(BLOCK_ROWS * 5 // 2, 3))
-    gram_rows = []
+    product_rows, tile_rows = [], []
 
-    def spy(kernel, X, Y):
-        gram_rows.append(X.shape[0])
-        return gram(kernel, X, Y)
+    def product_spy(X, Y, out=None):
+        product_rows.append(X.shape[0])
+        return product(X, Y, out)
 
-    monkeypatch.setattr(models_module, "gram", spy)
+    def map_spy(spec, G, *args):
+        tile_rows.append(G.shape[0])
+        return kernel_map(spec, G, *args)
+
+    monkeypatch.setattr(models_module, "product", product_spy)
+    monkeypatch.setattr(models_module, "kernel_map", map_spy)
     whole = decision_values(model, rows)
-    assert set(gram_rows) == {BLOCK_ROWS, BLOCK_ROWS // 2}  # one block's Gram at a time
+    assert product_rows == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]  # one product per block
+    assert max(tile_rows) == TILE_ROWS and len(tile_rows) == len(model.kernels) * len(rows) // TILE_ROWS
     starts = range(0, len(rows), BLOCK_ROWS)
     per_block = [decision_values(model, rows[s : s + BLOCK_ROWS]) for s in starts]
     assert [len(b) for b in per_block] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]
     assert np.array_equal(whole, np.concatenate(per_block))
+
+
+def _scoring_models():
+    """One model of every family, kernel kind and gating kind, each also cut to one SV."""
+    X = blob(33, 25)
+    trained = [
+        train_ocsvm(X, GAUSS1, nu=0.2),
+        train_ocsvm(X, "poly:q=3", nu=0.2),
+        train_ocsvm(X, "linear", nu=0.2),
+        train_mkad(X, "gpp", nu=0.2),
+        *(train_lmkad(X, "gpl", LmkadConfig(nu=0.2, gating_kind=kind, seed=4, max_outer=4))
+          for kind in ("sigmoid", "softmax", "rbf")),
+        *(load_model(V1_DIR / f"v1_{stem}.json")
+          for stem in ("ocsvm", "mkad", "lmkad", "lmkad_softmax", "lmkad_rbf")),
+    ]
+    one_sv = [
+        dataclasses.replace(m, sv_features=m.sv_features[:1], sv_alpha=m.sv_alpha[:1],
+                            sv_eta=None if m.sv_eta is None else m.sv_eta[:1])
+        for m in trained
+    ]
+    return trained + one_sv
+
+
+def test_decision_values_match_reference_bit_for_bit():
+    cases = _scoring_models()
+    assert min(sv_count(m) for m in cases) == 1 and max(sv_count(m) for m in cases) > 1
+    counts = (1, TILE_ROWS - 1, TILE_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7)
+    rows = np.random.default_rng(34).normal(loc=1.0, scale=2.0, size=(max(counts), 3))
+    for model in cases:
+        buffers = ScoreBuffers(model)
+        for n in counts:
+            want = reference_decision_values(model, rows[:n]).tobytes()
+            assert decision_values(model, rows[:n]).tobytes() == want, (model.family, model.kernels, n)
+            # buffers reused across calls, as lmkad predict reuses them across blocks
+            assert decision_values(model, rows[:n], buffers).tobytes() == want, (model.family, n)
 
 
 def _gates(rng, n, p):
@@ -344,7 +388,13 @@ def test_training_and_scoring_leave_base_grams_alone(family, monkeypatch):
         built.append((K, K.copy()))
         return K
 
+    def map_spy(spec, G, *args):  # scoring maps each kernel from one product
+        K = kernel_map(spec, G, *args)
+        built.append((K, K.copy()))
+        return K
+
     monkeypatch.setattr(models_module, "gram", spy)
+    monkeypatch.setattr(models_module, "kernel_map", map_spy)
     model = _train(family, blob(31, 20), nu=0.2)
     decision_values(model, blob(32, 11))
     assert len(built) == 2 * len(model.kernels)
@@ -618,6 +668,16 @@ def test_fit_many_raises_the_lowest_failing_job():
     for job in (nan_q, one_row):
         with pytest.raises(ValueError):
             reference_fit(*job)
+
+
+def test_fit_many_reports_a_bad_kernel_token_in_job_order():
+    X = blob(44, 20)
+    one_row = FitJob("lmkad", X[:1], "gpl", LmkadConfig(nu=1.0))  # no bandwidth on one row
+    bogus = FitJob("mkad", X, "bogus", LmkadConfig(nu=0.2))
+    with pytest.raises(ValueError, match="^bandwidth heuristic needs at least 2 points$"):
+        fit_many([one_row, bogus])
+    with pytest.raises(ValueError, match="^unrecognized kernel token 'bogus'$"):
+        fit_many([bogus, one_row])
 
 
 def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
