@@ -79,7 +79,7 @@ def fit_normalizer(features: np.ndarray) -> Normalizer:
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.size == 0:
         raise ValueError("cannot fit a normalizer on an empty matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         means = X.mean(axis=0)
         stds = X.std(axis=0)  # population convention
     finite = np.isfinite(means) & np.isfinite(stds)

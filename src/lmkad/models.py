@@ -547,12 +547,11 @@ def train_lmkad(train_targets: np.ndarray, kernels, config: LmkadConfig) -> Mode
 
 
 class ScoreBuffers:
-    """The arrays ``decision_values`` scores one model's blocks in, reused
+    """The scratch arrays ``decision_values`` scores blocks in, reused
     across blocks and calls: the product ``G`` and the combined kernel
     ``K`` for up to ``rows`` rows by the support vectors, one tile's
-    mapped kernels (``maps``) and ``scratch``, the support vectors' gates
-    in column-major order (so that each kernel's gate column is one
-    contiguous vector) and, with a gaussian kernel, their squared norms."""
+    mapped kernels (``maps``) and ``scratch``.  They hold no model data,
+    only shapes taken from ``model``."""
 
     def __init__(self, model: Model, rows: int = BLOCK_ROWS):
         n_sv = model.sv_alpha.shape[0]
@@ -561,27 +560,24 @@ class ScoreBuffers:
         self.K = np.empty((rows, n_sv))
         self.maps = np.empty((len(model.kernels), tile, n_sv))
         self.scratch = np.empty((tile, n_sv))
-        gaussian = any(k.kind == "gaussian" for k in model.kernels)
-        self.sv_sq = row_sq_norms(model.sv_features) if gaussian else None
-        self.sv_eta = None if model.sv_eta is None else np.asfortranarray(model.sv_eta)
 
 
-def _decision_block(model: Model, Xn: np.ndarray, buf: ScoreBuffers) -> np.ndarray:
+def _decision_block(model: Model, Xn: np.ndarray, buf: ScoreBuffers, sv_sq, sv_eta) -> np.ndarray:
     """f on one block: one product, then the kernels mapped and combined tile by tile."""
     rows = Xn.shape[0]
     G = product(Xn, model.sv_features, out=buf.G[:rows])
     K = buf.K[:rows]
     H = None if model.gating is None else gate_eval_batch(model.gating, Xn)
-    xx = None if buf.sv_sq is None else row_sq_norms(Xn)[:, None]
+    xx = None if sv_sq is None else row_sq_norms(Xn)[:, None]
     for start in range(0, rows, TILE_ROWS):
         n = min(TILE_ROWS, rows - start)
         tile = slice(start, start + n)
         scratch = buf.scratch[:n]
         grams = [
-            kernel_map(k, G[tile], None if xx is None else xx[tile], buf.sv_sq, buf.maps[m, :n], scratch)
+            kernel_map(k, G[tile], None if xx is None else xx[tile], sv_sq, buf.maps[m, :n], scratch)
             for m, k in enumerate(model.kernels)
         ]
-        _combine(grams, model.weights, None if H is None else H[tile], buf.sv_eta, K[tile], scratch)
+        _combine(grams, model.weights, None if H is None else H[tile], sv_eta, K[tile], scratch)
     return K @ model.sv_alpha - model.rho
 
 
@@ -602,9 +598,14 @@ def decision_values(model: Model, X: np.ndarray, buffers: ScoreBuffers | None = 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xn = apply_normalizer(model.normalizer, X)
     buffers = ScoreBuffers(model, min(Xn.shape[0], BLOCK_ROWS)) if buffers is None else buffers
+    gaussian = any(k.kind == "gaussian" for k in model.kernels)
+    sv_sq = row_sq_norms(model.sv_features) if gaussian else None
+    # column-major, so that each kernel's gate column is one contiguous vector
+    sv_eta = None if model.sv_eta is None else np.asfortranarray(model.sv_eta)
     out = np.empty(Xn.shape[0])
     for start in range(0, Xn.shape[0], BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = _decision_block(model, Xn[start : start + BLOCK_ROWS], buffers)
+        block = Xn[start : start + BLOCK_ROWS]
+        out[start : start + BLOCK_ROWS] = _decision_block(model, block, buffers, sv_sq, sv_eta)
     return out
 
 

@@ -296,13 +296,32 @@ def huge_setosa_file(tmp_path, iris_path):
     return path
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_benchmark_training_error_aborts(tmp_path, iris_path, capsys, jobs):
+    # a copy of iris with two setosa rows loads and normalizes, but at two
+    # folds each training share holds one target, too few for the gaussian
+    # bandwidth, so the second dataset's cell (the second share at --jobs 2)
+    # fails to train: the run stops with one error line and without CSVs
+    lines = iris_path.read_text().splitlines()
+    setosa = [line for line in lines if line.endswith("setosa")]
+    few = tmp_path / "iris_two_setosa.csv"
+    few.write_text("\n".join([line for line in lines if line not in setosa[2:]]) + "\n")
+    path = benchmark_config(tmp_path, iris_path, [{"name": "OCSVM(g)", "family": "ocsvm", "kernels": "gauss:auto"}],
+                            grid=(1.0,))  # nu * N >= 1 for a single training target
+    config = json.loads(path.read_text())
+    config["n_folds"] = 2
+    config["datasets"].append(dict(config["datasets"][0], name="iris-two-setosa", path=str(few)))
+    path.write_text(json.dumps(config))
+    assert run(["benchmark", "--config", path, "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "error: bandwidth heuristic needs at least 2 points\n"
+    assert not list((tmp_path / "results").glob("*.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_benchmark_normalizer_overflow_names_the_file(tmp_path, iris_path, capsys, jobs):
     # a first feature of 1e308 in every setosa row loads, but its column sum
-    # overflows the z-score mean, so the second dataset's cell (the second
-    # share at --jobs 2) cannot train: the run stops before training, naming
-    # the file and the column, without CSVs
+    # overflows the z-score mean: the run stops before training, naming the
+    # file and the column, without CSVs
     broken = huge_setosa_file(tmp_path, iris_path)
     path = benchmark_config(tmp_path, iris_path, [{"name": "OCSVM(l)", "family": "ocsvm", "kernels": "linear"}])
     config = json.loads(path.read_text())

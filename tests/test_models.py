@@ -351,6 +351,17 @@ def test_decision_values_match_reference_bit_for_bit():
             assert decision_values(model, rows[:n], buffers).tobytes() == want, (model.family, n)
 
 
+def test_score_buffers_hold_no_model_data():
+    # buffers made for one model score any model of the same SV count and
+    # at most as many kernels as that model's, with its own norms and gates
+    one_sv = [m for m in _scoring_models() if sv_count(m) == 1]
+    shared = ScoreBuffers(max(one_sv, key=lambda m: len(m.kernels)))
+    rows = np.random.default_rng(35).normal(size=(TILE_ROWS + 3, 3))
+    for model in one_sv:
+        want = reference_decision_values(model, rows).tobytes()
+        assert decision_values(model, rows, shared).tobytes() == want, (model.family, model.kernels)
+
+
 def _gates(rng, n, p):
     H = rng.random((n, p))
     return H / H.sum(axis=1, keepdims=True)
