@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import evaluation
 from .dataset import fit_normalizer, iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
-from .gating import GATING_KINDS
+from .gating import GATING_KINDS, prepare_kind
 from .models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model,
                      sv_count)
 from .solver import RHO_MODES
@@ -77,7 +76,8 @@ def cmd_fit(args) -> int:
     print(f"support vectors: {sv_count(model)} ({evaluation.sv_fraction(model):.2f}%)")
     if model.gating is not None:
         trace = report.objective_trace
-        print(f"outer iterations: {report.iterations} (converged={report.converged})")
+        print(f"outer iterations: {report.iterations} (converged={report.converged}), "
+              f"inner solves not converged: {report.inner_nonconverged}")
         print(f"dual objective: first={trace[0]:.6g} last={trace[-1]:.6g}")
     print(f"final KKT violation: {report.final_violation:.3g}")
     print(f"model written to {args.out}")
@@ -227,6 +227,11 @@ def cmd_benchmark(args) -> int:
     # a failing share raises fit_many's error over its jobs; of several, the first share's
     shares = _shares(cells, min(args.jobs or os.cpu_count() or 1, len(cells)))
     if len(shares) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for this import
+
+        for clf, _ in classifiers:  # imported once here, the forked workers inherit what gates need
+            if clf.family == "lmkad":
+                prepare_kind(clf.trainer.gating_kind)
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             results = [r for share in pool.map(cross_validate_many, shares) for r in share]
     else:

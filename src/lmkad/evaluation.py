@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .dataset import Dataset, FoldPlan, _data_rows, _open, _parse_rows, split_for_occ
 from .models import (
@@ -338,6 +337,8 @@ def friedman_statistics(avg_ranks, n_datasets: int) -> FriedmanReport:
     if denom <= 1e-12:
         return FriedmanReport(ranks, chi_sq, float("inf"), 0.0, n, k, df1, df2, degenerate=True)
     f_stat = (n - 1) * chi_sq / denom
+    from scipy.special import fdtrc  # imported here: only this test needs scipy
+
     # the F survival function as scipy.stats.f.sf computes it, 1 at and below 0
     p_value = float(fdtrc(df1, df2, f_stat)) if f_stat > 0 else 1.0
     return FriedmanReport(ranks, chi_sq, f_stat, p_value, n, k, df1, df2)

@@ -21,13 +21,20 @@ number of leading stack axes, (..., p, d) and (..., p): ``gate_stack``,
 the one-model case.  Every reduction runs along the axis and in the
 memory order of the one-model case, so a stacked row equals its
 one-model result bit for bit.
+
+A sigmoid gate is scipy's ``expit``, which ``prepare_kind`` imports the
+first time a process needs it: constructing a sigmoid ``GatingParams``
+does, so the import lands before a fit's Grams or a scoring run's
+blocks are allocated, and no other gating kind or detector loads
+scipy.  ``1 / (1 + np.exp(-x))`` is not a substitute: numpy's own SIMD
+``exp`` differs from ``expit`` in the last bit on ~2 % of inputs, and
+the benchmark CSVs would move.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .kernels import gaussian_bandwidth
 
@@ -43,6 +50,19 @@ INIT_SCALE = 0.1
 #: an rbf vector is clamped here after a gradient step to stay positive
 MIN_SPREAD = 1e-6
 
+#: scipy.special.expit once ``prepare_kind("sigmoid")`` has imported it
+_expit = None
+
+
+def prepare_kind(kind: str) -> None:
+    """Import what gating ``kind`` is evaluated with, once per process: scipy's
+    ``expit`` for a sigmoid gate, nothing for the others."""
+    global _expit
+    if kind == "sigmoid" and _expit is None:
+        from scipy.special import expit
+
+        _expit = expit
+
 
 @dataclass(frozen=True)
 class GatingParams:
@@ -56,6 +76,7 @@ class GatingParams:
     def __post_init__(self):
         if self.kind not in GATING_KINDS:
             raise ValueError(f"unknown gating kind {self.kind!r}")
+        prepare_kind(self.kind)
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         vector = np.asarray(self.vector, dtype=float).ravel()
         if vector.shape[0] != matrix.shape[0]:
@@ -100,7 +121,8 @@ def gate_stack(kind: str, X: np.ndarray, matrix: np.ndarray, vector: np.ndarray)
     if kind == "softmax":
         return _normalized_exp(_row_logits(X, matrix, vector))
     if kind == "sigmoid":
-        return expit(_row_logits(X, matrix, vector))
+        prepare_kind(kind)  # a no-op once any sigmoid GatingParams exists
+        return _expit(_row_logits(X, matrix, vector))
     return _normalized_exp(-_row_sq_dists(X, matrix) / (vector**2)[..., None, :])
 
 

@@ -32,6 +32,8 @@ container (exact float round-trip).
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
@@ -94,11 +96,18 @@ def check_family(family: str, specs) -> None:
 
 @dataclass
 class TrainingReport:
+    """How a fit went: its outer iterations (rounds) and their dual objectives,
+    whether it converged (a gated fit: the outer stopping test; a fixed-weight
+    fit: its one dual), the last dual's KKT violation, the SMO steps of all
+    rounds, and the number of rounds whose dual stopped at ``inner_max_iter``
+    unconverged."""
+
     iterations: int
     objective_trace: list[float]
     converged: bool
     final_violation: float
     inner_iterations: int = 0
+    inner_nonconverged: int = 0
 
 
 @dataclass(frozen=True)
@@ -310,6 +319,7 @@ class _Stack:
         self.scratch = np.empty((b, n, n))
         self.alpha = self.prev = None
         self.inner = np.zeros(b, dtype=np.int64)
+        self.nonconverged = np.zeros(b, dtype=np.int64)
         self.traces: list[list[float]] = [[] for _ in range(b)]
 
     def compose(self) -> dict[int, str]:
@@ -326,6 +336,7 @@ class _Stack:
         rows = slice(lo, lo + len(self.jobs))
         objective = -sols.objective[rows]  # the dual objective J(eta)
         self.inner += sols.iterations[rows]
+        self.nonconverged += ~sols.converged[rows]
         for trace, value in zip(self.traces, objective.tolist()):
             trace.append(value)
         converged = np.zeros(len(self.jobs), dtype=bool)
@@ -362,7 +373,7 @@ class _Stack:
             setattr(self, name, [getattr(self, name)[r] for r in keep])
         self.Xn, self.grams = _compact(self.Xn, keep), _compact(self.grams, keep)
         self.q, self.scratch = self.q[: len(keep)], self.scratch[: len(keep)]  # rebuilt each round
-        self.inner = self.inner[keep]
+        self.inner, self.nonconverged = self.inner[keep], self.nonconverged[keep]
         if self.kind is not None:
             self.H = self.H[keep]
             self.pair = (self.pair[0][keep], self.pair[1][keep])
@@ -376,6 +387,7 @@ class _Stack:
             converged=converged if gated else sol.converged,
             final_violation=sol.final_violation,
             inner_iterations=int(self.inner[r]),
+            inner_nonconverged=int(self.nonconverged[r]),
         )
         return Model(
             family=self.family,
@@ -399,7 +411,8 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
     The normalizer, the resolved kernels and the Grams are computed once
     per distinct training matrix (the same object: a fold's candidates
     share one).  A job whose set-up raises, the family rule
-    (``check_family``) included, goes to ``failures``.
+    (``check_family``) and the memory check (``_check_memory``) included,
+    goes to ``failures``.
     """
     prepared: dict[tuple, tuple] = {}
     groups: dict[tuple, list] = {}
@@ -412,6 +425,7 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
             if key not in prepared:
                 prepared[key] = _prepare(train_targets, specs)
             Xn = prepared[key][1]
+            _check_memory(Xn.shape[0], len(specs))
             gating = _initial_gating(family, config, len(specs), Xn)
         except Exception as exc:  # noqa: BLE001 - re-raised by fit_many in job order
             failures.setdefault(k, exc)
@@ -422,12 +436,34 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
     return [_Stack(jobs, members, prepared) for members in groups.values()]
 
 
+def _fit_bytes(n: int, p: int) -> int:
+    """The estimated N x N training state of one fit (see ``BATCH_BYTES``)."""
+    return (p + 3) * n * n * 8
+
+
+def physical_memory_bytes() -> int | None:
+    """This machine's physical memory; None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(n: int, p: int) -> None:
+    """Refuse, before anything N x N is allocated, a fit whose training state
+    exceeds physical memory: it would end in a ``MemoryError`` or an OOM kill."""
+    need, have = _fit_bytes(n, p), physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(f"a fit on N={n} rows with {p} kernels needs ~{need / 2**30:.3g} GiB of "
+                         f"training state, more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def _state_bytes(job: FitJob) -> int:
     """A job's estimated N x N training state; 0 for one whose set-up will raise,
     so that its error surfaces in its own set-up, in job order."""
     try:
         n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
-        return (len(resolve_kernels(job.kernels)) + 3) * n * n * 8
+        return _fit_bytes(n, len(resolve_kernels(job.kernels)))
     except (ValueError, TypeError):  # raised again by the job's set-up in _stacks
         return 0
 
@@ -621,43 +657,9 @@ def sv_count(model: Model) -> int:
 # --- serialization ---------------------------------------------------------
 
 
-def _field(path, name: str, value, convert, expected: str):
-    """``convert(value)`` for a model-file field, naming the file and field when it fails."""
-    try:
-        return convert(value)
-    except (ValueError, TypeError):
-        raise ValueError(f"{path}: {name} is not {expected}") from None
-
-
-def _array(path, name: str, value) -> np.ndarray:
-    return _field(path, name, value, lambda v: np.asarray(v, dtype=float), "a rectangular numeric array")
-
-
-def _get(doc: dict, path, name: str):
-    """The model-file field at dotted ``name``; a missing one names the file and field."""
-    value = doc
-    keys = name.split(".")
-    for depth, key in enumerate(keys, 1):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"{path}: {'.'.join(keys[:depth])} is missing")
-        value = value[key]
-    return value
-
-
 def _gating_to_dict(g: GatingParams) -> dict:
     matrix, vector = PAIR_FIELDS[g.kind]
     return {"kind": g.kind, matrix: g.matrix.tolist(), vector: g.vector.tolist()}
-
-
-def _gating_from_dict(doc: dict, path) -> GatingParams:
-    kind = _get(doc, path, "gating.kind")
-    if kind not in PAIR_FIELDS:
-        raise ValueError(f"{path}: gating.kind {kind!r} is not one of {', '.join(PAIR_FIELDS)}")
-    pair = [_array(path, f"gating.{name}", _get(doc, path, f"gating.{name}")) for name in PAIR_FIELDS[kind]]
-    try:
-        return GatingParams(kind, *pair)
-    except ValueError as exc:
-        raise ValueError(f"{path}: gating: {exc}") from None
 
 
 def save_model(model: Model, path) -> None:
@@ -688,79 +690,180 @@ def save_model(model: Model, path) -> None:
         doc["sv_eta"] = model.sv_eta.tolist()
     if model.report is not None:
         doc["report"] = asdict(model.report)
+        if not model.report.inner_nonconverged:  # left at its default, so a v1 file saves back byte for byte
+            del doc["report"]["inner_nonconverged"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a parsed JSON value is or nests a true/false, which numpy reads as 1 or 0."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
+class _ModelFile:
+    """The fields of a parsed model file, each read by its dotted name.  A
+    field that is missing, of the wrong type or shape, or non-finite raises
+    a ``ValueError`` naming the file and the field."""
+
+    def __init__(self, doc: dict, path):
+        self.doc, self.path = doc, path
+        self.dims = ""  # where the expected array shapes come from, once known
+
+    def error(self, name: str, problem: str) -> ValueError:
+        where = "report is not a training report: " if name.startswith("report.") else ""
+        return ValueError(f"{self.path}: {where}{name} {problem}")
+
+    def get(self, name: str):
+        value = self.doc
+        keys = name.split(".")
+        for depth, key in enumerate(keys, 1):
+            if not isinstance(value, dict) or key not in value:
+                raise self.error(".".join(keys[:depth]), "is missing")
+            value = value[key]
+        return value
+
+    def number(self, name: str) -> float:
+        value = self.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise self.error(name, "is not a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise self.error(name, "holds a non-finite value")
+        return value
+
+    def integer(self, name: str, minimum: int) -> int:
+        value = self.get(name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise self.error(name, "is not an integer")
+        if value < minimum:
+            raise self.error(name, f"is below {minimum}")
+        return value
+
+    def flag(self, name: str) -> bool:
+        value = self.get(name)
+        if not isinstance(value, bool):
+            raise self.error(name, "is not true or false")
+        return value
+
+    def array(self, name: str, shape: tuple | None) -> np.ndarray:
+        """A finite float array; of ``shape`` unless that is None."""
+        raw = self.get(name)
+        try:
+            value = np.asarray(raw)
+        except ValueError:  # ragged
+            value = None
+        if value is None or value.dtype.kind not in "iuf" or _holds_bool(raw):
+            raise self.error(name, "is not a rectangular numeric array")
+        value = value.astype(float)
+        if shape is not None and value.shape != shape:
+            raise self.error(name, f"has shape {value.shape}, expected {shape}{self.dims}")
+        if not np.all(np.isfinite(value)):
+            raise self.error(name, "holds a non-finite value")
+        return value
+
+    def kernels(self, name: str) -> tuple[KernelSpec, ...]:
+        """``kernel`` (one token) or ``kernels`` (a non-empty list of tokens)."""
+        tokens = self.get(name)
+        tokens = [tokens] if name == "kernel" else tokens
+        if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
+            raise self.error(name, "is not a kernel token" if name == "kernel" else "is not a list of kernel tokens")
+        try:
+            return tuple(parse_kernel_spec(t) for t in tokens)
+        except ValueError as exc:
+            raise self.error(name, f"holds a bad token: {exc}") from None
+
+    def gating(self, p: int, d: int) -> GatingParams:
+        kind = self.get("gating.kind")
+        if not isinstance(kind, str) or kind not in PAIR_FIELDS:
+            raise self.error("gating.kind", f"{kind!r} is not one of {', '.join(PAIR_FIELDS)}")
+        matrix_name, vector_name = (f"gating.{name}" for name in PAIR_FIELDS[kind])
+        matrix = self.array(matrix_name, (p, d))
+        vector = self.array(vector_name, None)
+        if vector.shape != (p,):
+            raise ValueError(f"{self.path}: gating: one vector entry per matrix row required, "
+                             f"{vector_name} has shape {vector.shape}, expected ({p},){self.dims}")
+        if kind == "rbf" and not np.all(vector > 0):
+            raise self.error(vector_name, "must be positive")
+        return GatingParams(kind, matrix, vector)
+
+    def report(self) -> TrainingReport | None:
+        if "report" not in self.doc:
+            return None
+        report = self.get("report")
+        if not isinstance(report, dict):
+            raise self.error("report", "is not a training report")
+        known = {f.name for f in fields(TrainingReport)}
+        for key in report:
+            if key not in known:
+                raise self.error(f"report.{key}", "is not a report field")
+        iterations = self.integer("report.iterations", 1)
+        values = {
+            "iterations": iterations,
+            "objective_trace": self.array("report.objective_trace", (iterations,)).tolist(),
+            "converged": self.flag("report.converged"),
+            "final_violation": self.number("report.final_violation"),
+        }
+        for name in ("inner_iterations", "inner_nonconverged"):  # optional, 0 by default
+            if name in report:
+                values[name] = self.integer(f"report.{name}", 0)
+        return TrainingReport(**values)
+
+
 def load_model(path) -> Model:
-    """Read a ``save_model`` file; ragged, mismatched or non-finite fields raise."""
+    """Read a ``save_model`` file.  A field that is missing, of the wrong type,
+    ragged, of a shape that disagrees with the others or non-finite raises a
+    ``ValueError`` naming the file and the field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-
-    def get(name):
-        return _get(doc, path, name)
-
-    family = get("family")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != MODEL_VERSION:  # true == 1 in Python
+        raise ValueError(f"{path}: unsupported model version {version}")
+    f = _ModelFile(doc, path)
+    family = f.get("family")
     if family not in FAMILIES:
         raise ValueError(f"{path}: unknown model family {family!r}")
     gated = family == "lmkad"
-    tokens = [get("kernel")] if family == "ocsvm" else get("kernels")
-    weights = get("weights") if family == "mkad" else [1.0]
-    model = Model(
-        family=family,
-        kernels=tuple(parse_kernel_spec(t) for t in tokens),
-        sv_features=_array(path, "sv_features", get("sv_features")),
-        sv_alpha=_array(path, "sv_alpha", get("sv_alpha")),
-        rho=_field(path, "rho", get("rho"), float, "a number"),
-        normalizer=Normalizer(
-            means=_array(path, "normalizer.means", get("normalizer.means")),
-            stddevs=_array(path, "normalizer.stddevs", get("normalizer.stddevs")),
-        ),
-        nu=_field(path, "nu", get("nu"), float, "a number"),
-        n_train=_field(path, "n_train", get("n_train"), int, "an integer"),
-        weights=None if gated else _array(path, "weights", weights),
-        gating=_gating_from_dict(doc, path) if gated else None,
-        sv_eta=_array(path, "sv_eta", get("sv_eta")) if gated else None,
-        report=(
-            _field(path, "report", doc["report"], lambda d: TrainingReport(**d), "a training report")
-            if "report" in doc
-            else None
-        ),
+    kernel_field = "kernel" if family == "ocsvm" else "kernels"
+    kernels = f.kernels(kernel_field)
+    sv_features = f.array("sv_features", None)
+    if sv_features.ndim != 2:
+        raise ValueError(f"{path}: sv_features has shape {sv_features.shape}, expected (n_sv, d)")
+    (n_sv, d), p = sv_features.shape, len(kernels)
+    f.dims = f" (sv_features: {n_sv} x {d}; {kernel_field}: {p})"
+    nu = f.number("nu")
+    if not 0 < nu <= 1:
+        raise f.error("nu", "is not in (0, 1]")
+    normalizer = Normalizer(
+        means=f.array("normalizer.means", (d,)),
+        stddevs=f.array("normalizer.stddevs", (d,)),
     )
-    _check_loaded(model, path)
-    return model
-
-
-def _check_loaded(model: Model, path) -> None:
-    """Reject a model whose arrays disagree in shape or hold non-finite values."""
-    if model.sv_features.ndim != 2:
-        shape = model.sv_features.shape
-        raise ValueError(f"{path}: sv_features has shape {shape}, expected (n_sv, d)")
-    n_sv, d = model.sv_features.shape
-    p = len(model.kernels)
-    fields = {
-        "rho": (np.float64(model.rho), ()),
-        "sv_features": (model.sv_features, (n_sv, d)),
-        "sv_alpha": (model.sv_alpha, (n_sv,)),
-        "normalizer.means": (model.normalizer.means, (d,)),
-        "normalizer.stddevs": (model.normalizer.stddevs, (d,)),
-    }
-    if model.weights is not None:
-        fields["weights"] = (model.weights, (p,))
-    if model.gating is not None:
-        fields["sv_eta"] = (model.sv_eta, (n_sv, p))
-        matrix, vector = PAIR_FIELDS[model.gating.kind]
-        fields[f"gating.{matrix}"] = (model.gating.matrix, (p, d))
-        fields[f"gating.{vector}"] = (model.gating.vector, (p,))
-    for name, (value, shape) in fields.items():
-        if value.shape != shape:
-            raise ValueError(f"{path}: {name} has shape {value.shape}, expected {shape}")
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{path}: {name} holds a non-finite value")
-    if model.weights is not None and not _on_simplex(model.weights):
-        raise ValueError(f"{path}: weights must be nonnegative and sum to 1")
+    if not np.all(normalizer.stddevs > 0):
+        raise f.error("normalizer.stddevs", "must be positive")
+    weights = None if gated else np.ones(1)  # OCSVM: one kernel, implied weight 1
+    if family == "mkad":
+        weights = f.array("weights", (p,))
+        if not _on_simplex(weights):
+            raise f.error("weights", "must be nonnegative and sum to 1")
+    return Model(
+        family=family,
+        kernels=kernels,
+        sv_features=sv_features,
+        sv_alpha=f.array("sv_alpha", (n_sv,)),
+        rho=f.number("rho"),
+        normalizer=normalizer,
+        nu=nu,
+        n_train=f.integer("n_train", 1),
+        weights=weights,
+        gating=f.gating(p, d) if gated else None,
+        sv_eta=f.array("sv_eta", (n_sv, p)) if gated else None,
+        report=f.report(),
+    )

@@ -40,7 +40,7 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
     alpha_prev = None
     trace = []
     converged = False
-    inner_total = 0
+    inner_total = nonconverged = 0
     for t in range(max_outer):
         if gating is not None:
             H = gate_eval_batch(gating, Xn)
@@ -48,6 +48,7 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
         sol = solve_dual(DualProblem(Q, config.nu), config.inner_tol, config.inner_max_iter,
                          alpha_prev, config.rho_mode)
         inner_total += sol.iterations
+        nonconverged += not sol.converged
         trace.append(-sol.objective)
         if len(trace) >= 2:
             change = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
@@ -73,6 +74,7 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
         converged=converged if gating is not None else sol.converged,
         final_violation=sol.final_violation,
         inner_iterations=inner_total,
+        inner_nonconverged=nonconverged,
     )
     return Model(
         family=family,

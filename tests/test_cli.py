@@ -42,6 +42,8 @@ def test_fit_lmkad_end_to_end(tmp_path, iris_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "support vectors" in printed and "outer iterations" in printed
+    assert re.search(r"^outer iterations: \d+ \(converged=(True|False)\), inner solves not converged: 0$",
+                     printed, re.M)
     model = load_model(out)
     assert model.family == "lmkad"
 
@@ -102,6 +104,18 @@ def test_predict_training_set(tmp_path, iris_path, fitted_model):
     # setosa rows (first 50) are the training class: rejection bounded by nu-property
     rejected = np.mean(labels[:50] == -1)
     assert rejected <= 0.1 + 2 / np.sqrt(50)
+
+
+def test_predict_corrupted_model_is_an_error_line(tmp_path, iris_path, fitted_model, capsys):
+    # a kernel token of the wrong type once ended in an AttributeError traceback
+    doc = json.loads(fitted_model.read_text())
+    doc["kernel"] = None
+    fitted_model.write_text(json.dumps(doc))
+    code = run(["predict", "--model", fitted_model, "--data", iris_path,
+                "--header", "--label-column", "species", "--out", tmp_path / "preds.csv"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {fitted_model}: kernel is not a kernel token\n"
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_predict_empty_file(tmp_path, fitted_model):
@@ -281,6 +295,31 @@ def test_benchmark_pool_matches_serial(tmp_path, iris_path):
         assert run(["benchmark", "--config", config, "--output-dir", pooled, "--jobs", jobs]) == 0
         assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
         assert (serial / "gmean_matrix.csv").read_bytes() == (pooled / "gmean_matrix.csv").read_bytes()
+
+
+@pytest.mark.parametrize("gating_kind, loaded", [("sigmoid", True), ("softmax", False)])
+def test_benchmark_imports_sigmoid_gates_before_the_pool_forks(tmp_path, iris_path, monkeypatch,
+                                                                gating_kind, loaded):
+    # the forked workers inherit scipy's expit instead of each importing it;
+    # MKAD's trainer settings name a sigmoid gating too, but it has no gates
+    import concurrent.futures
+
+    from lmkad import gating
+
+    monkeypatch.setattr(gating, "_expit", None)
+    at_fork = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            at_fork.append(gating._expit is not None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    clfs = [{"name": "MKAD(gpl)", "family": "mkad", "kernels": "gpl"},
+            {"name": "LMKAD", "family": "lmkad", "kernels": "gpl", "gating": gating_kind, "max_outer": 2}]
+    config = benchmark_config(tmp_path, iris_path, clfs, grid=(0.3,))
+    assert run(["benchmark", "--config", config, "--jobs", "2"]) == 0
+    assert at_fork == [loaded]
 
 
 #: the normalizer's error for ``huge_setosa_file``'s target rows

@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lmkad.dataset import apply_normalizer, split_for_occ
-from lmkad.gating import GatingParams, gate_eval_batch
+from lmkad.gating import PAIR_FIELDS, GatingParams, gate_eval_batch
 from lmkad.kernels import KernelSpec, gram, kernel_map, product
 from lmkad.models import (
     BLOCK_ROWS,
@@ -713,3 +715,180 @@ def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^non-finite gating gradient at outer iteration 0 "):
         fit_many(jobs)
     assert checks == [2]
+
+
+def test_inner_nonconvergence_is_counted_alike_stacked_and_alone():
+    # every round's dual stops at inner_max_iter=1 unconverged; a gated fit
+    # once kept only its outer flag, so these rounds left no trace
+    X = blob(45, 20)
+    configs = [LmkadConfig(nu=nu, seed=5, max_outer=4, inner_max_iter=1) for nu in (0.2, 0.5)]
+    stacked = fit_many([FitJob("lmkad", X, "gpl", c) for c in configs])
+    alone = [train_lmkad(X, "gpl", c) for c in configs]
+    for a, b in zip(stacked, alone):
+        assert a.report.inner_nonconverged == b.report.inner_nonconverged == a.report.iterations == 4
+    fixed = train_mkad(X, "gpl", nu=0.2, max_iter=1)
+    assert fixed.report.inner_nonconverged == 1 and not fixed.report.converged
+    assert train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=5, max_outer=4)).report.inner_nonconverged == 0
+
+
+def test_inner_nonconvergence_round_trips(tmp_path):
+    model = train_lmkad(blob(45, 20), "gpl", LmkadConfig(nu=0.2, seed=5, max_outer=3, inner_max_iter=1))
+    save_model(model, tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["report"]["inner_nonconverged"] == 3
+    assert load_model(tmp_path / "m.json").report == model.report
+
+
+def test_fit_beyond_physical_memory_fails_at_setup_in_job_order(monkeypatch):
+    # (3 + 3) * 200**2 * 8 B = 1.9 MB of training state against 1 MiB of memory
+    def no_state(*args):
+        raise AssertionError("training state was allocated")
+
+    monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**20)
+    monkeypatch.setattr(models_module, "_Stack", no_state)
+    big = FitJob("mkad", blob(46, 200), "gpl", LmkadConfig(nu=0.2))
+    bogus = FitJob("mkad", blob(46, 20), "bogus", LmkadConfig(nu=0.2))
+    message = (r"^a fit on N=200 rows with 3 kernels needs ~0\.00179 GiB of training state, "
+               r"more than the 0\.000977 GiB of physical memory$")
+    with pytest.raises(ValueError, match=message):
+        fit_many([big, bogus])
+    with pytest.raises(ValueError, match="^unrecognized kernel token 'bogus'$"):
+        fit_many([bogus, big])
+
+
+def test_physical_memory_is_known_here():
+    assert models_module.physical_memory_bytes() > 2**20
+
+
+# --- corrupted model files ---------------------------------------------------
+
+#: every field of the v1 fixtures a model cannot load without (``report`` and
+#: its defaulted counters are optional), with the families that store it; an
+#: LMKAD model also needs its gating pair (``PAIR_FIELDS``)
+REQUIRED_FIELDS = {
+    "version": "all", "family": "all", "nu": "all", "rho": "all", "n_train": "all", "normalizer": "all",
+    "normalizer.means": "all", "normalizer.stddevs": "all", "sv_features": "all", "sv_alpha": "all",
+    "kernel": "ocsvm", "kernels": "mkad lmkad", "weights": "mkad", "gating": "lmkad",
+    "gating.kind": "lmkad", "sv_eta": "lmkad", "report.iterations": "all", "report.objective_trace": "all",
+    "report.converged": "all", "report.final_violation": "all",
+}
+OPTIONAL_FIELDS = ("report", "report.inner_iterations")
+V1_STEMS = ("ocsvm", "mkad", "lmkad", "lmkad_softmax", "lmkad_rbf")
+
+
+def _fields_of(stem: str, doc: dict) -> list[str]:
+    family = stem.partition("_")[0]
+    names = [n for n, families in REQUIRED_FIELDS.items() if families == "all" or family in families.split()]
+    if family == "lmkad":
+        names += [f"gating.{name}" for name in PAIR_FIELDS[doc["gating"]["kind"]]]
+    return names
+
+
+def _holder(doc: dict, name: str):
+    *parents, leaf = name.split(".")
+    for key in parents:
+        doc = doc[key]
+    return doc, leaf
+
+
+def _numbers_in(value) -> list:
+    """(container, index) of every number in a nested list, or [] for a non-list."""
+    if not isinstance(value, list):
+        return []
+    found = []
+    for k, item in enumerate(value):
+        if isinstance(item, list):
+            found += _numbers_in(item)
+        elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            found.append((value, k))
+    return found
+
+
+@st.composite
+def corrupted_models(draw):
+    """A v1 fixture with one field dropped, reshaped, made non-finite or of the wrong type."""
+    stem = draw(st.sampled_from(V1_STEMS))
+    doc = json.loads((V1_DIR / f"v1_{stem}.json").read_text())
+    name = draw(st.sampled_from(_fields_of(stem, doc)))
+    holder, leaf = _holder(doc, name)
+    value = holder[leaf]
+    actions = ["drop", "wrap", "wrong type"]
+    if isinstance(value, list) and value:
+        actions.append("shorten")
+    if isinstance(value, list) and value and isinstance(value[0], list) and len(value[0]) > 1:
+        actions.append("ragged")
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if numeric or _numbers_in(value):
+        actions.append("non-finite")
+    if _numbers_in(value):
+        actions.append("boolean entry")
+    action = draw(st.sampled_from(actions))
+    if action == "drop":
+        del holder[leaf]
+    elif action == "wrap":
+        holder[leaf] = [value]
+    elif action == "shorten":
+        value.pop()
+    elif action == "ragged":
+        value[0].pop()
+    elif action == "non-finite":
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        if numeric:
+            holder[leaf] = bad
+        else:
+            container, k = draw(st.sampled_from(_numbers_in(value)))
+            container[k] = bad
+    elif action == "wrong type":
+        wrong = [None, "x", {"a": 1}, [[1.0], [2.0, 3.0]]]
+        wrong += [0.5] if isinstance(value, (bool, str)) else [True]
+        holder[leaf] = draw(st.sampled_from(wrong))
+    else:  # a true/false in place of one number of an array, which numpy would read as 1 or 0
+        container, k = draw(st.sampled_from(_numbers_in(value)))
+        container[k] = draw(st.booleans())
+    return name, action, doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=corrupted_models())
+def test_corrupted_model_file_names_the_field(tmp_path, case):
+    name, action, doc = case
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: "), message
+    # a count that shapes other fields (rows of sv_features, kernels) is named beside them
+    assert re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message), (name, action, message)
+
+
+@pytest.mark.parametrize("stem", V1_STEMS)
+@pytest.mark.parametrize("name", OPTIONAL_FIELDS)
+def test_optional_model_fields_may_be_dropped(tmp_path, stem, name):
+    doc = json.loads((V1_DIR / f"v1_{stem}.json").read_text())
+    holder, leaf = _holder(doc, name)
+    del holder[leaf]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path).family == stem.partition("_")[0]
+
+
+@pytest.mark.parametrize("stem, name, value, problem", [
+    *[("ocsvm", "kernel", value, "kernel is not a kernel token") for value in (None, -1, [], {})],
+    ("ocsvm", "kernel", "poly:q=4", "kernel holds a bad token: polynomial degree must be 2 or 3, got '4'"),
+    *[("lmkad", "kernels", value, "kernels is not a list of kernel tokens") for value in (None, 1e999, [[1, 2], [3]])],
+    ("lmkad", "gating.kind", [], "gating.kind [] is not one of softmax, sigmoid, rbf"),
+    ("lmkad", "gating.kind", {}, "gating.kind {} is not one of softmax, sigmoid, rbf"),
+    ("lmkad", "n_train", 1e999, "n_train is not an integer"),
+    ("lmkad", "gating.v0", [0.0] * 4, "gating: one vector entry per matrix row required, gating.v0 has shape (4,), "
+                                      "expected (3,) (sv_features: 5 x 3; kernels: 3)"),
+    ("ocsvm", "version", True, "unsupported model version True"),
+])
+def test_load_names_a_field_of_the_wrong_type(tmp_path, stem, name, value, problem):
+    # these once raised AttributeError, TypeError or OverflowError, or loaded
+    doc = json.loads((V1_DIR / f"v1_{stem}.json").read_text())
+    holder, leaf = _holder(doc, name)
+    holder[leaf] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(problem)}$"):
+        load_model(path)
