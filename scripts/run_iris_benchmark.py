@@ -3,8 +3,9 @@
 
 Builds an experiment config covering all three model families and the
 three gating functions, runs it through the CLI benchmark command, and
-prints the resulting rank statistics.  The config, the result CSVs and
-the Friedman summary are written to the directory given by --output-dir.
+prints the resulting rank statistics (``lmkad stats``).  The config and
+the benchmark's CSVs (results, gmean_matrix, ranks and friedman) are
+written to the directory given by --output-dir.
 
 Usage: python scripts/run_iris_benchmark.py --output-dir DIR [--jobs N] [--quick]
 """
@@ -44,7 +45,7 @@ def classifier_rows(quick: bool):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-dir", required=True, type=Path,
-                        help="directory for the config, result CSVs and Friedman summary")
+                        help="directory for the config and the benchmark's CSVs")
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--quick", action="store_true",
                         help="sigmoid gating only and 2 runs instead of 5")
@@ -74,8 +75,7 @@ def main(argv=None):
     code = lmkad_main(cli_args)
     if code != 0:
         return code
-    return lmkad_main(["stats", "--results", str(out_dir / "gmean_matrix.csv"),
-                       "--out", str(out_dir / "friedman_summary.csv")])
+    return lmkad_main(["stats", "--results", str(out_dir / "gmean_matrix.csv")])
 
 
 if __name__ == "__main__":

@@ -23,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .dataset import fit_normalizer, iter_feature_blocks, load_csv, plan_folds
+from .dataset import BLOCK_ROWS, fit_normalizer, iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS, prepare_kind
-from .models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model,
-                     sv_count)
+from .models import FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model, sv_count
 from .solver import RHO_MODES
 
 
@@ -256,8 +255,7 @@ def cmd_benchmark(args) -> int:
         print(f"wrote {out_dir / 'gmean_matrix.csv'}")
         if len(classifier_names) >= 2 and len(dataset_names) >= 2:
             report = evaluation.friedman_test(M)
-            evaluation.write_ranks_csv(classifier_names, report, out_dir / "ranks.csv")
-            evaluation.write_friedman_csv(report, out_dir / "friedman.csv")
+            evaluation.write_friedman_csvs(classifier_names, report, out_dir / "ranks.csv", out_dir / "friedman.csv")
             print(f"wrote {out_dir / 'ranks.csv'} and {out_dir / 'friedman.csv'}")
         else:
             print("skipping ranks/friedman: need >= 2 classifiers and >= 2 datasets")
@@ -272,11 +270,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    datasets, classifiers, M = evaluation.read_gmean_matrix_csv(args.results)
-    if len(classifiers) < 2:
-        raise ValueError("need >= 2 classifiers for a Friedman test")
-    if len(datasets) < 2:
-        raise ValueError("need >= 2 datasets for a Friedman test")
+    _, classifiers, M = evaluation.read_gmean_matrix_csv(args.results)
     report = evaluation.friedman_test(M)
     order = np.argsort(report.avg_ranks)
     print(f"friedman over {report.n_datasets} datasets x {report.n_classifiers} classifiers")
@@ -287,8 +281,7 @@ def cmd_stats(args) -> int:
     for idx in order:
         print(f"  {classifiers[idx]:24s} {report.avg_ranks[idx]:.3f}")
     if args.out:
-        evaluation.write_ranks_csv(classifiers, report, Path(args.out).with_suffix(".ranks.csv"))
-        evaluation.write_friedman_csv(report, args.out)
+        evaluation.write_friedman_csvs(classifiers, report, Path(args.out).with_suffix(".ranks.csv"), args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -258,8 +258,9 @@ def load_csv(
     return Dataset(features=np.asarray(features, dtype=float), labels=labels, name=name)
 
 
-#: rows per block when ``load_features_csv`` reads a whole file
-_LOAD_BLOCK_ROWS = 8192
+#: rows per block when ``load_features_csv`` reads a whole file, when ``lmkad
+#: predict`` reads its input, and when ``models.decision_values`` scores rows
+BLOCK_ROWS = 8192
 
 
 def load_features_csv(path, has_header: bool = False, label_column=None) -> np.ndarray:
@@ -268,7 +269,7 @@ def load_features_csv(path, has_header: bool = False, label_column=None) -> np.n
     Returns an (N, d) array, the concatenated blocks of ``iter_feature_blocks``;
     N and d are zero for a file without data rows.
     """
-    blocks = list(iter_feature_blocks(path, _LOAD_BLOCK_ROWS, has_header, label_column))
+    blocks = list(iter_feature_blocks(path, BLOCK_ROWS, has_header, label_column))
     return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
 

@@ -381,45 +381,32 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def write_results_csv(results: list[CvResult], path) -> None:
+def _write_csv(path, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "classifier", "mean_gmean", "std_gmean", "mean_sv_pct"])
-        for r in results:
-            writer.writerow([r.dataset, r.classifier, _fmt(r.mean_gmean), _fmt(r.std_gmean), _fmt(r.mean_sv_pct)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(results: list[CvResult], path) -> None:
+    _write_csv(path, ["dataset", "classifier", "mean_gmean", "std_gmean", "mean_sv_pct"],
+               ([r.dataset, r.classifier, _fmt(r.mean_gmean), _fmt(r.std_gmean), _fmt(r.mean_sv_pct)]
+                for r in results))
 
 
 def write_gmean_matrix_csv(dataset_names, classifier_names, matrix, path) -> None:
     M = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", *classifier_names])
-        for name, row in zip(dataset_names, M):
-            writer.writerow([name, *(_fmt(v) for v in row)])
+    _write_csv(path, ["dataset", *classifier_names],
+               ([name, *(_fmt(v) for v in row)] for name, row in zip(dataset_names, M)))
 
 
-def write_ranks_csv(classifier_names, report: FriedmanReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["classifier", "avg_rank"])
-        for name, rank in zip(classifier_names, report.avg_ranks):
-            writer.writerow([name, _fmt(rank)])
-
-
-def write_friedman_csv(report: FriedmanReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chi_sq", "f_stat", "p_value", "df1", "df2", "degenerate"])
-        writer.writerow(
-            [
-                _fmt(report.chi_sq),
-                "inf" if math.isinf(report.f_stat) else _fmt(report.f_stat),
-                _fmt(report.p_value),
-                report.df1,
-                report.df2,
-                int(report.degenerate),
-            ]
-        )
+def write_friedman_csvs(classifier_names, report: FriedmanReport, ranks_path, friedman_path) -> None:
+    """The Friedman outputs: each classifier's average rank, and the test's statistics."""
+    _write_csv(ranks_path, ["classifier", "avg_rank"],
+               ([name, _fmt(rank)] for name, rank in zip(classifier_names, report.avg_ranks)))
+    f_stat = "inf" if math.isinf(report.f_stat) else _fmt(report.f_stat)
+    _write_csv(friedman_path, ["chi_sq", "f_stat", "p_value", "df1", "df2", "degenerate"],
+               [[_fmt(report.chi_sq), f_stat, _fmt(report.p_value), report.df1, report.df2, int(report.degenerate)]])
 
 
 def _long_cells(path, rows, width: int):

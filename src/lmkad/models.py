@@ -10,13 +10,14 @@ The trainer (``fit_many``) trains many fits as one array program.  Fits
 that share family, kernel specs, size and trainer knobs form a stack, and
 each outer iteration of a stack is a fixed sequence of numpy calls on
 (B, ...) arrays, however many fits it holds: stacked gates and kernel
-combination, one validation pass (``solver.check_duals``), the duals
-(lockstep SMO with a scalar tail), the per-fit stopping test, and the
-stacked gating gradient and step.  The duals of all stacks that share N
-and the inner-solver knobs are solved by one ``solver.solve_duals`` call
-per round, so e.g. every fit of a benchmark worker's cells at N = 40
-shares one lockstep.  Every fit keeps the iterates, and so the model, it
-gets when trained alone;
+combination, the duals (lockstep SMO with a scalar tail), the per-fit
+stopping test, and the stacked gating gradient and step.  The stacks
+that share N and the inner-solver knobs form a solve group, which owns
+one Q array: each round they compose into consecutive rows of it, one
+validation pass (``solver.check_duals``) checks them, and one
+``solver.solve_duals`` call solves them, so e.g. every fit of a
+benchmark worker's cells at N = 40 shares one lockstep.  Every fit
+keeps the iterates, and so the model, it gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
 ``fit_many``, and every fit's family and kernels pass ``check_family``.
@@ -39,19 +40,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Normalizer, fit_normalizer, apply_normalizer
+from .dataset import BLOCK_ROWS, Normalizer, fit_normalizer, apply_normalizer
 from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, gate_stack, gradient_stack,
                      init_gating, step_stack)
 from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
                       row_sq_norms)
-from .solver import DEFAULT_TOL, RHO_MODES, check_duals, solve_duals
+from .solver import DEFAULT_TOL, RHO_MODES, check_duals, check_tol, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
 FAMILIES = ("ocsvm", "mkad", "lmkad")
-
-#: rows scored at a time by ``decision_values`` (and read at a time by ``lmkad predict``)
-BLOCK_ROWS = 8192
 
 #: rows of a block whose kernels are mapped and combined at a time; a tile's
 #: buffers (p + 2 of TILE_ROWS x SVs) stay in cache for ~100 support vectors
@@ -138,6 +136,9 @@ class LmkadConfig:
     the loop stops when the relative change of the dual objective falls
     below ``outer_tol`` or after ``max_outer`` iterations.
     ``initial_gating`` overrides the seeded random init when given.
+    A setting that cannot work is refused by name: e.g. a ``learning_rate``
+    that is negative or not finite, or an ``inner_tol`` that fails
+    ``solver.check_tol``.
     """
 
     nu: float
@@ -157,8 +158,8 @@ class LmkadConfig:
             raise ValueError(f"unknown gating kind {self.gating_kind!r}")
         if self.rho_mode not in RHO_MODES:
             raise ValueError(f"unknown rho mode {self.rho_mode!r}")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (self.learning_rate >= 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
         if not self.outer_tol > 0:
@@ -167,6 +168,7 @@ class LmkadConfig:
             raise ValueError("max_outer must be >= 1")
         if self.inner_max_iter is not None and self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
+        check_tol(self.inner_tol, "inner_tol")
 
 
 def _combine(grams, weights, H_X, H_Y, out=None, scratch=None) -> np.ndarray:
@@ -245,10 +247,12 @@ PER_FIT_FIELDS = ("nu", "seed", "initial_gating")
 
 
 def _prepare(train_targets, specs):
-    """Z-score the target rows and resolve auto bandwidths on them."""
+    """Z-score the target rows and resolve auto bandwidths on them, once
+    ``_check_memory`` has passed on their row count."""
     X = np.atleast_2d(np.asarray(train_targets, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
+    _check_memory(X.shape[0], len(specs))
     norm = fit_normalizer(X)
     Xn = apply_normalizer(norm, X)
     return norm, Xn, tuple(k.resolved(Xn) for k in specs)
@@ -281,9 +285,9 @@ class _Stack:
     ``LmkadConfig`` field but ``PER_FIT_FIELDS``, so every round is the
     same sequence of numpy calls on (B, ...) arrays: rows ``Xn`` (B, N, d),
     base Grams (B, p, N, N), the gating pair (B, p, d) and (B, p), gates
-    ``H`` (B, N, p), ``q`` (B, N, N) and warm starts (B, N).  ``q`` and
-    the scratch buffer shared by composition and the symmetry check are
-    allocated once; fits that stop are compacted out of every array.
+    ``H`` (B, N, p) and warm starts (B, N).  Its Q rows are lent by its
+    ``_SolveGroup`` each round; fits that stop are compacted out of every
+    array.
     """
 
     def __init__(self, jobs, members, prepared):
@@ -315,25 +319,21 @@ class _Stack:
         self.pair = None if self.kind is None else (np.stack([g.matrix for g in gatings]),
                                                      np.stack([g.vector for g in gatings]))
         self.H = None
-        self.q = np.empty((b, n, n))
-        self.scratch = np.empty((b, n, n))
         self.alpha = self.prev = None
         self.inner = np.zeros(b, dtype=np.int64)
         self.nonconverged = np.zeros(b, dtype=np.int64)
         self.traces: list[list[float]] = [[] for _ in range(b)]
 
-    def compose(self) -> dict[int, str]:
-        """Evaluate the gates and build every fit's Q; ``check_duals``' verdict on them."""
+    def compose(self, q: np.ndarray, scratch: np.ndarray) -> None:
+        """Evaluate the gates and build every fit's Q in ``q`` (B, N, N), with ``scratch`` of its shape."""
         if self.kind is not None:
             self.H = gate_stack(self.kind, self.Xn, *self.pair)
-        _combine(self.grams.swapaxes(0, 1), self.weights, self.H, self.H, self.q, self.scratch)
-        return check_duals(self.q, self.nus, self.scratch)
+        _combine(self.grams.swapaxes(0, 1), self.weights, self.H, self.H, q, scratch)
 
-    def advance(self, t: int, sols, lo: int, models: list, failures: dict) -> None:
-        """Take outer iteration ``t``'s duals (rows ``lo:`` of ``sols``), finish
-        the fits that stop, step the rest."""
+    def advance(self, t: int, sols, rows: slice, models: list, failures: dict) -> None:
+        """Take outer iteration ``t``'s duals (``rows`` of ``sols``), finish the
+        fits that stop, step the rest."""
         c = self.config
-        rows = slice(lo, lo + len(self.jobs))
         objective = -sols.objective[rows]  # the dual objective J(eta)
         self.inner += sols.iterations[rows]
         self.nonconverged += ~sols.converged[rows]
@@ -346,7 +346,7 @@ class _Stack:
         last = t == (c.max_outer if self.kind is not None else 1) - 1
         stop = converged | last
         for r in np.flatnonzero(stop).tolist():
-            models[self.jobs[r]] = self._model(r, sols[lo + r], bool(converged[r]))
+            models[self.jobs[r]] = self._model(r, sols[rows.start + r], bool(converged[r]))
         keep = np.flatnonzero(~stop).tolist()
         self._keep(keep)
         if not keep:
@@ -372,7 +372,6 @@ class _Stack:
         for name in ("jobs", "nus", "norms", "kernels", "traces"):
             setattr(self, name, [getattr(self, name)[r] for r in keep])
         self.Xn, self.grams = _compact(self.Xn, keep), _compact(self.grams, keep)
-        self.q, self.scratch = self.q[: len(keep)], self.scratch[: len(keep)]  # rebuilt each round
         self.inner, self.nonconverged = self.inner[keep], self.nonconverged[keep]
         if self.kind is not None:
             self.H = self.H[keep]
@@ -405,8 +404,46 @@ class _Stack:
         )
 
 
-def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack]:
-    """Set up a batch's jobs and group them into stacks, in job order.
+class _SolveGroup:
+    """Stacks whose duals one ``solve_duals`` call solves each round: they
+    share N and the inner-solver knobs.  The group owns one Q array and
+    one scratch array (shared by composition and ``check_duals``), sized
+    for its fits at round 0; each round its stacks compose into
+    consecutive rows from row 0, and the rows in use are solved as they
+    are.  The stacks of a batch share the round, so a group is all cold
+    (t = 0, no warm start) or all warm.
+    """
+
+    def __init__(self, stacks: list[_Stack]):
+        self.stacks = stacks
+        shape = (sum(len(stack.jobs) for stack in stacks), *stacks[0].grams.shape[2:])
+        self.q, self.scratch = np.empty(shape), np.empty(shape)  # not one (2, B, N, N) block: it raised peak RSS
+
+    def compose(self, failures: dict) -> None:
+        """Build every stack's Q in its rows and validate them in one ``check_duals`` pass."""
+        jobs, self.nus, self.rows = [], [], []
+        for stack in self.stacks:
+            rows = slice(len(jobs), len(jobs) + len(stack.jobs))
+            stack.compose(self.q[rows], self.scratch[rows])
+            jobs += stack.jobs
+            self.nus += stack.nus
+            self.rows.append(rows)
+        for r, message in check_duals(self.q[: len(jobs)], self.nus, self.scratch[: len(jobs)]).items():
+            failures.setdefault(jobs[r], ValueError(message))
+
+    def solve(self, t: int, models: list, failures: dict) -> None:
+        """Solve the composed duals and advance every stack; drop the stacks left without fits."""
+        c = self.stacks[0].config
+        alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in self.stacks])
+        sols = solve_duals(self.q[: len(self.nus)], self.nus, alpha0, c.inner_tol, c.inner_max_iter, c.rho_mode)
+        for stack, rows in zip(self.stacks, self.rows):
+            stack.advance(t, sols, rows, models, failures)
+        self.stacks = [stack for stack in self.stacks if stack.jobs]
+
+
+def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_SolveGroup]:
+    """Set up a batch's jobs, group them into stacks and the stacks into
+    solve groups (N and the inner-solver knobs), each in job order.
 
     The normalizer, the resolved kernels and the Grams are computed once
     per distinct training matrix (the same object: a fold's candidates
@@ -415,7 +452,7 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
     goes to ``failures``.
     """
     prepared: dict[tuple, tuple] = {}
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, dict[tuple, list]] = {}
     for k in batch:
         family, train_targets, kernels, config = jobs[k]
         try:
@@ -425,15 +462,16 @@ def _stacks(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_Stack
             if key not in prepared:
                 prepared[key] = _prepare(train_targets, specs)
             Xn = prepared[key][1]
-            _check_memory(Xn.shape[0], len(specs))
             gating = _initial_gating(family, config, len(specs), Xn)
         except Exception as exc:  # noqa: BLE001 - re-raised by fit_many in job order
             failures.setdefault(k, exc)
             continue
         knobs = tuple(getattr(config, f.name) for f in fields(config) if f.name not in PER_FIT_FIELDS)
-        group = (family, specs, Xn.shape, None if gating is None else gating.kind, knobs)
-        groups.setdefault(group, []).append((k, key, gating))
-    return [_Stack(jobs, members, prepared) for members in groups.values()]
+        stack = (family, specs, Xn.shape, None if gating is None else gating.kind, knobs)
+        solve = (Xn.shape[0], config.inner_tol, config.inner_max_iter, config.rho_mode)
+        groups.setdefault(solve, {}).setdefault(stack, []).append((k, key, gating))
+    return [_SolveGroup([_Stack(jobs, members, prepared) for members in stacks.values()])
+            for stacks in groups.values()]
 
 
 def _fit_bytes(n: int, p: int) -> int:
@@ -464,7 +502,7 @@ def _state_bytes(job: FitJob) -> int:
     try:
         n = np.atleast_2d(np.asarray(job.train_targets)).shape[0]
         return _fit_bytes(n, len(resolve_kernels(job.kernels)))
-    except (ValueError, TypeError):  # raised again by the job's set-up in _stacks
+    except (ValueError, TypeError):  # raised again by the job's set-up in _solve_groups
         return 0
 
 
@@ -483,28 +521,6 @@ def _batches(jobs: list[FitJob]):
         yield batch
 
 
-def _solve_round(stacks: list[_Stack], t: int, models: list, failures: dict) -> None:
-    """Solve every composed stack's duals and advance each stack.
-
-    Stacks that share N and the inner-solver knobs are solved by one
-    ``solve_duals`` call, their Q arrays passed as they are.  The stacks
-    of a batch share the round, so a group is all cold (t = 0, no warm
-    start) or all warm.
-    """
-    groups: dict[tuple, list[_Stack]] = {}
-    for stack in stacks:
-        c = stack.config
-        groups.setdefault((stack.q.shape[1], c.inner_tol, c.inner_max_iter, c.rho_mode), []).append(stack)
-    for group in groups.values():
-        c = group[0].config
-        nus = [nu for stack in group for nu in stack.nus]
-        alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in group])
-        sols = solve_duals([stack.q for stack in group], nus, alpha0, c.inner_tol, c.inner_max_iter, c.rho_mode)
-        starts = np.cumsum([0] + [len(stack.jobs) for stack in group]).tolist()
-        for stack, lo in zip(group, starts):  # advancing compacts a stack's jobs
-            stack.advance(t, sols, lo, models, failures)
-
-
 def fit_many(jobs) -> list[Model]:
     """Train every ``FitJob``; each model equals the one it would get alone.
 
@@ -518,10 +534,13 @@ def fit_many(jobs) -> list[Model]:
 
     Jobs are admitted in consecutive batches under ``BATCH_BYTES`` and
     grouped into stacks (``_Stack``) that run each outer iteration (a
-    round) as one array program: gates and composition, one
-    ``check_duals`` pass, then, once every stack has composed, one
-    ``solve_duals`` call per group of stacks that share N and the
-    inner-solver knobs, the objective test, gradient and step.
+    round) as one array program, and the stacks that share N and the
+    inner-solver knobs into solve groups (``_SolveGroup``), formed once
+    per batch, each with one Q array.  A round composes every group's
+    stacks into consecutive rows of its Q and validates them in one
+    ``check_duals`` pass; once every group has composed, each group's
+    duals are solved by one ``solve_duals`` call, then each stack takes
+    the objective test, gradient and step.
 
     If any fit fails, training stops at the end of the round in which it
     failed (a job whose set-up fails counts as failing in round 0), and
@@ -533,18 +552,18 @@ def fit_many(jobs) -> list[Model]:
     models: list[Model | None] = [None] * len(jobs)
     for batch in _batches(jobs):
         failures: dict[int, Exception] = {}
-        stacks = _stacks(jobs, batch, failures)
+        groups = _solve_groups(jobs, batch, failures)
         t = 0
-        while stacks:
-            for stack in stacks:
-                for r, message in stack.compose().items():
-                    failures.setdefault(stack.jobs[r], ValueError(message))
+        while groups:
+            for group in groups:
+                group.compose(failures)
             if failures:
                 break
-            _solve_round(stacks, t, models, failures)
+            for group in groups:
+                group.solve(t, models, failures)
             if failures:
                 break
-            stacks = [stack for stack in stacks if stack.jobs]
+            groups = [group for group in groups if group.stacks]
             t += 1
         if failures:
             raise failures[min(failures)]

@@ -7,17 +7,16 @@ subproblem exactly and preserves the simplex constraint, so the objective
 never increases and every iterate stays feasible.
 
 ``solve_duals`` solves a stack of B independent duals of one size N: Q
-is a (B, N, N) array, or a sequence of such arrays (parts) taken as they
-are, whose rows are the stack's rows in order; the rejection rates and
-warm starts are (B,) and (B, N).  A trainer hands over the Q arrays of
-all its fit stacks this way, so their duals share one lockstep without
-a copy of Q.  The set-up (feasible start, ``g = Q @ alpha``) and the
-finish (refreshed ``Q @ alpha``, objective, support and margin masks)
-each run over the whole stack in a few numpy calls per part: stacked
-``matmul`` calls the same BLAS routine per dual as a 2-D ``@``, and row
-sums reduce each row as a 1-D sum does, so every row equals its
-one-problem result bit for bit.  Only rho is computed per dual (a mean
-over a masked subset), when its ``DualSolution`` is read.
+is one (B, N, N) array, read as it is; the rejection rates and warm
+starts are (B,) and (B, N).  A trainer composes the Q of every fit that
+shares N and the inner-solver knobs into consecutive rows of one such
+array, so their duals share one lockstep.  The set-up (feasible start,
+``g = Q @ alpha``) and the finish (refreshed ``Q @ alpha``, objective,
+support and margin masks) each run over the whole stack in a few numpy
+calls: stacked ``matmul`` calls the same BLAS routine per dual as a 2-D
+``@``, and row sums reduce each row as a 1-D sum does, so every row
+equals its one-problem result bit for bit.  Only rho is computed per
+dual (a mean over a masked subset), when its ``DualSolution`` is read.
 ``check_duals`` validates a stack in one pass, and ``DualProblem`` is
 its one-problem case.
 
@@ -41,7 +40,7 @@ penalty adds, row-wise ``argmax``/``argmin`` (first-index ties, as
 above), flat ``take`` of the gaps, diagonals, ``Q[i, j]`` and
 multipliers, the per-row step and clipping, penalty ``put`` at i and j,
 and the same three-rounding gradient update on columns gathered from
-one stack of transposed Grams, the only copy of the parts' Q.
+one stack of transposed Grams, the only copy of Q.
 Converged rows are written back at once and compacted out in bulk.  A
 turn costs ~40 us of call overhead however many rows it steps, so the
 more duals share a lockstep, the fewer turns and scalar-tail steps a
@@ -75,11 +74,24 @@ LOCKSTEP_MIN_ROWS = 6
 def infeasible_nu(nu: float, n: int) -> str | None:
     """Why ``nu`` is infeasible on ``n`` rows (box 1/(nu*N) < 1/N), or None."""
     if nu * n < 1.0 - 1e-9:
-        return (
-            f"infeasible nu: nu*N = {nu * n:.6g} < 1, "
-            "the simplex constraint cannot be met under the box bound"
-        )
+        return (f"infeasible nu: nu*N = {nu * n:.6g} < 1, "
+                "the simplex constraint cannot be met under the box bound")
     return None
+
+
+def _nu_errors(nu, n: int) -> dict[int, str]:
+    """Why each rate of ``nu`` cannot be solved on ``n`` rows: not in (0, 1], then ``infeasible_nu``."""
+    rates = np.asarray(nu, dtype=float)
+    out_of_range = ~((0.0 < rates) & (rates <= 1.0))
+    return {r: f"infeasible nu: {nu[r]} not in (0, 1]" if out_of_range[r] else infeasible_nu(nu[r], n)
+            for r in np.flatnonzero(out_of_range | (rates * n < 1.0 - 1e-9)).tolist()}
+
+
+def check_tol(tol, name: str = "tol") -> None:
+    """The tolerance rule: SMO stops once the KKT gap is at most ``tol``,
+    so a ``tol`` that is not finite and > 0 is refused by ``name``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
 def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[int, str]:
@@ -89,8 +101,9 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
     rates.  A row's message is that of its first failing check, in this
     order: Q finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``,
     so the bound grows with a large Q's rounding), diagonal >= -1e-12, nu
-    in (0, 1], and ``infeasible_nu``.  ``|Q - Q^T|`` is built in
-    ``scratch`` (same shape as Q) when given, else in a new array.
+    in (0, 1], and ``infeasible_nu``; ``solve_duals`` checks the last two
+    itself.  ``|Q - Q^T|`` is built in ``scratch`` (same shape as Q) when
+    given, else in a new array.
     """
     b, n = Q.shape[0], Q.shape[-1]
     finite = np.isfinite(Q).all(axis=(1, 2))
@@ -104,9 +117,9 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
     for r in np.flatnonzero(asym).tolist():  # max|Q| is read only past the absolute bound
         asym[r] = gap[r] > 1e-12 * np.abs(Q[r]).max()
     negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
-    rates = np.asarray(nu, dtype=float)
-    out_of_range = ~((0.0 < rates) & (rates <= 1.0))
-    bad = ~finite | asym | negative | out_of_range | (rates * n < 1.0 - 1e-9)
+    nu_errors = _nu_errors(nu, n)
+    bad = ~finite | asym | negative
+    bad[list(nu_errors)] = True
     errors = {}
     for r in np.flatnonzero(bad).tolist():
         if not finite[r]:
@@ -115,10 +128,8 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
             errors[r] = "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"
         elif negative[r]:
             errors[r] = "Q has a negative diagonal entry"
-        elif out_of_range[r]:
-            errors[r] = f"infeasible nu: {nu[r]} not in (0, 1]"
         else:
-            errors[r] = infeasible_nu(nu[r], n)
+            errors[r] = nu_errors[r]
     return errors
 
 
@@ -176,11 +187,8 @@ def _feasible_start(upper: np.ndarray, alpha0: np.ndarray | None, b: int, n: int
         alpha = np.clip(alpha0, 0.0, upper[:, None])
         deficit = 1.0 - alpha.sum(axis=1)
         off = np.abs(deficit) > 1e-15
-        if off.any():
-            alpha[off] = np.clip(alpha[off] + (deficit[off] / n)[:, None], 0.0, upper[off, None])
-        restart = np.abs(alpha.sum(axis=1) - 1.0) > 1e-9  # badly infeasible input: start over
-        if restart.any():
-            alpha[restart] = 1.0 / n
+        alpha[off] = np.clip(alpha[off] + (deficit[off] / n)[:, None], 0.0, upper[off, None])
+        alpha[np.abs(alpha.sum(axis=1) - 1.0) > 1e-9] = 1.0 / n  # badly infeasible input: start over
     return np.clip(alpha, 0.0, upper[:, None], out=alpha)
 
 
@@ -192,27 +200,19 @@ def _violation(gap: float) -> float:
 class DualStack:
     """B duals of one size: their loop state while solving, then their solutions.
 
-    Row k of every array is dual k.  Q stays in its ``parts``, (B_s, N, N)
-    arrays whose rows follow one another: part s holds rows
-    ``first[s]:first[s + 1]``.  ``alpha`` and ``g = Q @ alpha`` are
-    (B, N); ``iterations``, ``gap`` and ``converged`` hold each dual's
-    step count, last KKT gap and whether it met the tolerance.  Once
-    ``solve_duals`` returns, ``g`` is refreshed and ``objective``,
-    ``support`` and ``margin`` (boolean masks) are set, and
-    ``stack[k]`` is dual k's ``DualSolution``.
+    Row k of every array is dual k: ``Q`` is (B, N, N), ``alpha`` and
+    ``g = Q @ alpha`` are (B, N); ``iterations``, ``gap`` and
+    ``converged`` hold each dual's step count, last KKT gap and whether
+    it met the tolerance.  Once ``solve_duals`` returns, ``g`` is
+    refreshed and ``objective``, ``support`` and ``margin`` (boolean
+    masks) are set, and ``stack[k]`` is dual k's ``DualSolution``.
     """
 
-    def __init__(self, parts, nu, alpha0, max_iter, record_violations: bool):
-        n = parts[0].shape[-1]
-        for part in parts:
-            if part.ndim != 3 or part.shape[1:] != (n, n):
-                raise ValueError(f"Q parts must be (B, {n}, {n}) arrays, got shape {part.shape}")
-        self.parts = parts
-        self.first = np.cumsum([0] + [len(part) for part in parts])
-        b = int(self.first[-1])
-        self.upper = 1.0 / (np.asarray(nu, dtype=float) * n)
+    def __init__(self, Q: np.ndarray, upper: np.ndarray, alpha0, max_iter, record_violations: bool):
+        b, n = Q.shape[0], Q.shape[2]
+        self.Q, self.upper = Q, upper
         self.max_iter = 100 * n * n if max_iter is None else max_iter
-        self.alpha = _feasible_start(self.upper, alpha0, b, n)
+        self.alpha = _feasible_start(upper, alpha0, b, n)
         self.g = self._matvec(self.alpha)
         self.iterations = np.zeros(b, dtype=np.int64)
         self.gap = np.full(b, math.inf)
@@ -222,21 +222,9 @@ class DualStack:
     def __len__(self) -> int:
         return self.alpha.shape[0]
 
-    def _spans(self):
-        """(part, first row, end row) of every part."""
-        return zip(self.parts, self.first[:-1].tolist(), self.first[1:].tolist())
-
-    def q(self, k: int) -> np.ndarray:
-        """Dual k's Q."""
-        s = int(np.searchsorted(self.first, k, side="right")) - 1
-        return self.parts[s][k - self.first[s]]
-
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         """Row k is ``Q_k @ x[k]``, by the BLAS call a 2-D ``@`` makes."""
-        out = np.empty_like(x)
-        for part, lo, hi in self._spans():
-            out[lo:hi] = np.matmul(part, x[lo:hi, :, None])[:, :, 0]
-        return out
+        return np.matmul(self.Q, x[:, :, None])[:, :, 0]
 
     def _finish(self, rho_mode: str) -> None:
         self.g = self._matvec(self.alpha)  # refresh: incremental updates accumulate rounding
@@ -256,12 +244,8 @@ class DualStack:
         margin = np.flatnonzero(self.margin[k])
         if support.size == 0:
             raise RuntimeError("cannot compute rho: no support vectors")
-        if self.rho_mode == "mean-all-train":
-            rho = g.mean()
-        elif margin.size > 0:
-            rho = g[margin].mean()
-        else:
-            rho = g[support].mean()
+        rows = slice(None) if self.rho_mode == "mean-all-train" else margin if margin.size else support
+        rho = g[rows].mean()
         return DualSolution(
             alpha=self.alpha[k],
             objective=float(self.objective[k]),
@@ -289,12 +273,11 @@ def solve_dual(
     ``solve_duals`` (see there), which runs it in the scalar loop.
     """
     alpha0 = None if alpha0 is None else np.asarray(alpha0, dtype=float)[None]
-    stack = solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode, record_violations)
-    return stack[0]
+    return solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode, record_violations)[0]
 
 
 def solve_duals(
-    Q,
+    Q: np.ndarray,
     nu,
     alpha0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -304,13 +287,15 @@ def solve_duals(
 ) -> DualStack:
     """Solve a stack of independent duals; each gets the iterates it would get alone.
 
-    ``Q`` is a (B, N, N) array, or a sequence of (B_s, N, N) arrays of
-    one N whose rows, in order, make up the stack; they are read, never
-    copied but for the lockstep's one transposed copy.  ``nu`` holds the
-    B rejection rates in row order; each row must pass ``check_duals``.
-    ``alpha0`` is None (every dual starts at
-    uniform multipliers) or a (B, N) array of warm starts, each projected
-    back into its feasible set first.  If ``max_iter`` pair updates elapse
+    ``Q`` is one (B, N, N) ndarray, read and never copied but for the
+    lockstep's one transposed copy; its content is the caller's to
+    check (``check_duals``, as the trainer does every round, or
+    ``DualProblem`` for ``solve_dual``).  ``nu`` holds the B rejection
+    rates in row order, each checked here by ``check_duals``' rules for
+    nu: in (0, 1] and not ``infeasible_nu``.  ``tol`` must pass
+    ``check_tol``.  ``alpha0`` is None (every dual starts at uniform
+    multipliers) or a (B, N) array of warm starts, each projected back
+    into its feasible set first.  If ``max_iter`` pair updates elapse
     before convergence the best-so-far solution is kept with
     ``converged=False``; the default cap is ``100 * N**2`` and a cap
     below 1 is rejected.
@@ -327,8 +312,16 @@ def solve_duals(
         raise ValueError(f"unknown rho mode {rho_mode!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    parts = [Q] if isinstance(Q, np.ndarray) else list(Q)
-    stack = DualStack(parts, nu, alpha0, max_iter, record_violations)
+    check_tol(tol)
+    if not isinstance(Q, np.ndarray) or Q.ndim != 3 or Q.shape[1] != Q.shape[2]:
+        raise ValueError(f"Q must be one (B, N, N) array, got {getattr(Q, 'shape', type(Q).__name__)}")
+    rates = np.asarray(nu, dtype=float)
+    if rates.shape != Q.shape[:1]:
+        raise ValueError(f"{rates.size} rejection rates for {len(Q)} problems")
+    errors = _nu_errors(nu, Q.shape[2])
+    if errors:
+        raise ValueError(errors[min(errors)])
+    stack = DualStack(Q, 1.0 / (rates * Q.shape[2]), alpha0, max_iter, record_violations)
     if len(stack) >= LOCKSTEP_MIN_ROWS:
         _lockstep(stack, tol)
     for k in np.flatnonzero(~stack.converged).tolist():
@@ -339,7 +332,7 @@ def solve_duals(
 
 def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
     """Advance dual k from its current state until it converges or hits its cap."""
-    Q = stack.q(k)
+    Q = stack.Q[k]
     n = Q.shape[0]
     upper = float(stack.upper[k])
     max_iter = stack.max_iter
@@ -415,9 +408,7 @@ def _lockstep(stack: DualStack, tol: float) -> None:
     n = stack.alpha.shape[1]
     max_iter = stack.max_iter
     traces = stack.traces
-    cols = np.empty((len(stack), n, n))  # cols[k, j] is the column Q_k[:, j]
-    for part, lo, hi in stack._spans():
-        cols[lo:hi] = part.transpose(0, 2, 1)
+    cols = stack.Q.transpose(0, 2, 1).copy()  # cols[k, j] is the column Q_k[:, j]
     diag = cols.diagonal(axis1=1, axis2=2).copy()
     cols = cols.reshape(-1, n)  # cols[k * n + j] is the column Q_k[:, j]
     live = np.arange(len(stack))
@@ -440,8 +431,7 @@ def _lockstep(stack: DualStack, tol: float) -> None:
             ij = np.empty(2 * b, dtype=np.intp)
             # positions of (r, i_r) then (r, j_r) in a flattened (B, N) array,
             # and of the columns Q_k[:, i_r] then Q_k[:, j_r] in cols
-            offsets = np.arange(b) * n
-            offsets = np.concatenate((offsets, offsets))
+            offsets = np.tile(np.arange(b) * n, 2)
             col_offsets = np.concatenate((live, live)) * n
             upper2 = np.concatenate((upper, upper))
             compacted = False

@@ -436,7 +436,11 @@ def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
     ("classifiers", {"name": "a", "kernels": "gpl"}, r"classifiers\[0\] needs a 'family'$"),
     ("classifiers", {"family": "lmkad", "gating": "rbff"}, r"classifiers\[0\]: unknown gating kind 'rbff'$"),
     ("classifiers", {"family": "ocsvm", "rho_mode": "mean"}, r"classifiers\[0\]: unknown rho mode 'mean'$"),
-], ids=["classifier-key", "dataset-key", "no-path", "no-target", "no-family", "gating", "rho-mode"])
+    ("classifiers", {"family": "ocsvm", "inner_tol": 0}, r"classifiers\[0\]: inner_tol must be finite and > 0, got 0$"),
+    ("classifiers", {"family": "lmkad", "learning_rate": float("inf")},
+     r"classifiers\[0\]: learning_rate must be >= 0 and finite, got inf$"),
+], ids=["classifier-key", "dataset-key", "no-path", "no-target", "no-family", "gating", "rho-mode", "inner-tol",
+        "learning-rate"])
 def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys, section, entry, message):
     config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
     doc = json.loads(config.read_text())

@@ -31,7 +31,7 @@ from lmkad.models import (
     train_mkad,
     train_ocsvm,
 )
-from lmkad import models as models_module
+from lmkad import kernels as kernels_module, models as models_module
 from lmkad.evaluation import ClassifierConfig, sv_fraction
 from combine_reference import reference_combine
 from decision_reference import reference_decision_values
@@ -691,6 +691,83 @@ def test_fit_many_reports_a_bad_kernel_token_in_job_order():
         fit_many([one_row, bogus])
     with pytest.raises(ValueError, match="^unrecognized kernel token 'bogus'$"):
         fit_many([bogus, one_row])
+
+
+@pytest.mark.parametrize("sizes", [(20, 20), (20, 25)], ids=["one-n", "two-n"])
+def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, sizes):
+    # three stacks (mkad, sigmoid and softmax lmkad) over two training
+    # matrices; the stacks that share N are one solve group, whose rows
+    # are composed into one Q array, checked once and solved once a round
+    calls = []
+    check, solve = models_module.check_duals, models_module.solve_duals
+
+    def spy_check(Q, nu, scratch):
+        calls.append(("check", Q.shape, Q))
+        return check(Q, nu, scratch)
+
+    def spy_solve(Q, nu, *args):
+        calls.append(("solve", Q.shape, Q))
+        return solve(Q, nu, *args)
+
+    monkeypatch.setattr(models_module, "check_duals", spy_check)
+    monkeypatch.setattr(models_module, "solve_duals", spy_solve)
+    jobs = []
+    for i, n in enumerate(sizes):
+        X = blob(50 + i, n)
+        jobs += [FitJob("mkad", X, "gpl", LmkadConfig(nu=0.2)),
+                 FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3)),
+                 FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.3, gating_kind="softmax", seed=2, max_outer=3))]
+    got = fit_many(jobs)
+
+    rounds = max(m.report.iterations for m in got)
+    assert rounds > 1
+    expected = []
+    for t in range(rounds):
+        rows = {n: sum(len(job.train_targets) == n and t < m.report.iterations for job, m in zip(jobs, got))
+                for n in dict.fromkeys(sizes)}
+        shapes = [(b, n, n) for n, b in rows.items() if b]
+        expected += [("check", shape) for shape in shapes] + [("solve", shape) for shape in shapes]
+    assert [(kind, shape) for kind, shape, _ in calls] == expected
+    groups = len(set(sizes))
+    assert len(expected) == 2 * rounds * groups  # every group lives every round here
+    for (_, _, checked), (_, _, solved) in zip(calls[:groups], calls[groups : 2 * groups]):
+        assert np.shares_memory(checked, solved)  # the group's one Q array
+
+
+@pytest.mark.parametrize("knob, message", [
+    ({"inner_tol": -1.0}, r"^inner_tol must be finite and > 0, got -1\.0$"),
+    ({"inner_tol": 0.0}, r"^inner_tol must be finite and > 0, got 0\.0$"),
+    ({"inner_tol": math.nan}, r"^inner_tol must be finite and > 0, got nan$"),
+    ({"inner_tol": math.inf}, r"^inner_tol must be finite and > 0, got inf$"),
+    ({"learning_rate": math.inf}, r"^learning_rate must be >= 0 and finite, got inf$"),
+    ({"learning_rate": math.nan}, r"^learning_rate must be >= 0 and finite, got nan$"),
+    ({"learning_rate": -1.0}, r"^learning_rate must be >= 0 and finite, got -1\.0$"),
+], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "lr-inf", "lr-nan", "lr-negative"])
+def test_lmkad_config_names_each_rejected_setting(knob, message):
+    # inner_tol <= 0 or NaN ran every dual to its 100 * N**2 cap; an infinite
+    # learning rate failed later, at a non-finite Q
+    with pytest.raises(ValueError, match=message):
+        LmkadConfig(nu=0.5, **knob)
+    if "inner_tol" in knob:
+        with pytest.raises(ValueError, match=message):
+            train_mkad(blob(29, 10), "gpl", 0.5, tol=knob["inner_tol"])
+
+
+def test_memory_check_runs_before_any_n_by_n_product(monkeypatch):
+    # gauss:auto takes its bandwidth from an N x N product of the rows,
+    # which at N = 20,000 alone is 3.2 GB: the memory check comes first
+    products = []
+    real = kernels_module.product
+
+    def spy(X, Y, out=None):
+        products.append((len(X), len(Y)))
+        return real(X, Y, out=out)
+
+    monkeypatch.setattr(kernels_module, "product", spy)
+    monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 1000)
+    with pytest.raises(ValueError, match=r"^a fit on N=300 rows with 1 kernels needs "):
+        train_ocsvm(blob(47, 300), "gauss:auto", nu=0.2)
+    assert products == []
 
 
 def test_fit_many_raises_the_earliest_failing_round(monkeypatch):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -437,7 +440,7 @@ def test_solve_duals_rejects_mismatched_warm_starts():
         solve_duals(Q, [0.5, 0.5], np.full((2, 7), 0.125))
 
 
-def _parts(iris, warm):
+def _stacks(iris, warm):
     """Three N = 40 stacks of B = 7, 3 and 1 (two of them below the
     lockstep threshold alone) and their warm starts, or None."""
     problems = _psd_nus(40, (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9), seed=1)
@@ -446,26 +449,28 @@ def _parts(iris, warm):
     sizes = (7, 3, 1)
     rng = np.random.default_rng(5)
     alpha0 = rng.dirichlet(np.ones(40), size=len(problems)) if warm else None
-    parts, bounds = [], np.cumsum((0,) + sizes)
+    stacks, bounds = [], np.cumsum((0,) + sizes)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        parts.append((np.stack([p.q for p in problems[lo:hi]]), [p.nu for p in problems[lo:hi]],
-                      None if alpha0 is None else alpha0[lo:hi]))
-    return parts
+        stacks.append((np.stack([p.q for p in problems[lo:hi]]), [p.nu for p in problems[lo:hi]],
+                       None if alpha0 is None else alpha0[lo:hi]))
+    return stacks
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_solve_duals_parts_match_each_part_alone(iris, warm, loop_spy):
-    # duals handed over as several stacks share one lockstep, yet each
-    # gets exactly what solving its own stack gives
-    parts = _parts(iris, warm)
-    nus = [nu for _, part_nus, _ in parts for nu in part_nus]
-    alpha0 = None if not warm else np.concatenate([a for _, _, a in parts])
-    together = solve_duals([Q for Q, _, _ in parts], nus, alpha0, record_violations=True)
+def test_solve_duals_rows_match_each_stack_alone(iris, warm, loop_spy):
+    # stacks composed into consecutive rows of one Q array, as a trainer's
+    # solve group does, share one lockstep, yet each row gets exactly what
+    # solving its own stack gives
+    stacks = _stacks(iris, warm)
+    Q = np.concatenate([Q for Q, _, _ in stacks])
+    nus = [nu for _, stack_nus, _ in stacks for nu in stack_nus]
+    alpha0 = None if not warm else np.concatenate([a for _, _, a in stacks])
+    together = solve_duals(Q, nus, alpha0, record_violations=True)
     assert loop_spy[1] == [11] and len(together) == 11
 
     k = 0
-    for Q, part_nus, part_alpha0 in parts:
-        alone = solve_duals(Q, part_nus, part_alpha0, record_violations=True)
+    for Q, stack_nus, stack_alpha0 in stacks:
+        alone = solve_duals(Q, stack_nus, stack_alpha0, record_violations=True)
         for r in range(len(alone)):
             a, b = together[k], alone[r]
             assert a.alpha.tobytes() == b.alpha.tobytes()
@@ -479,7 +484,42 @@ def test_solve_duals_parts_match_each_part_alone(iris, warm, loop_spy):
     assert k == 11
 
 
-def test_solve_duals_rejects_parts_of_another_size():
+def test_solve_duals_takes_one_square_stack():
     small, large = _psd_nus(8, (0.5,)), _psd_nus(9, (0.5,))
-    with pytest.raises(ValueError, match=r"Q parts must be \(B, 8, 8\) arrays, got shape \(1, 9, 9\)"):
+    with pytest.raises(ValueError, match=r"^Q must be one \(B, N, N\) array, got list$"):
         solve_duals([small[0].q[None], large[0].q[None]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^Q must be one \(B, N, N\) array, got \(1, 8, 9\)$"):
+        solve_duals(np.zeros((1, 8, 9)), [0.5])
+    with pytest.raises(ValueError, match=r"^Q must be one \(B, N, N\) array, got \(8, 8\)$"):
+        solve_duals(small[0].q, [0.5])
+    with pytest.raises(ValueError, match="^2 rejection rates for 1 problems$"):
+        solve_duals(small[0].q[None], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("nu, message", [
+    (2.0, r"^infeasible nu: 2\.0 not in \(0, 1\]$"),
+    (-1.0, r"^infeasible nu: -1\.0 not in \(0, 1\]$"),
+    (0.0, r"^infeasible nu: 0\.0 not in \(0, 1\]$"),
+    (math.nan, r"^infeasible nu: nan not in \(0, 1\]$"),
+    (0.2, r"^infeasible nu: nu\*N = 0\.8 < 1, "),
+], ids=["above-1", "negative", "zero", "nan", "nu-n-below-1"])
+def test_solve_duals_refuses_nu_it_cannot_solve(nu, message):
+    # on Q = I_4, nu = 2 once gave multipliers summing to 0.5 and nu = -1
+    # negative ones, both "converged"; nu = 0 divided by zero.  The first
+    # bad row is named by check_duals' message for it
+    Q = np.stack([np.eye(4)] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve_duals(Q, [0.5, nu, 2.0 if nu != 2.0 else 0.5])
+    assert solver.check_duals(Q[:1], [nu]) == {0: solver._nu_errors([nu], 4)[0]}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_solve_duals_refuses_a_tolerance_it_cannot_stop_at(tol):
+    # tol <= 0 or NaN ran every dual to its 100 * N**2 cap
+    Q = np.eye(4)[None]
+    with pytest.raises(ValueError, match=rf"^tol must be finite and > 0, got {tol}$"):
+        solve_duals(Q, [0.5], tol=tol)
+    with pytest.raises(ValueError, match=rf"^tol must be finite and > 0, got {tol}$"):
+        solve_dual(DualProblem(np.eye(4), 0.5), tol=tol)
