@@ -251,7 +251,7 @@ def cmd_benchmark(args) -> int:
     if complete:
         lookup = {(r.dataset, r.classifier): r.mean_gmean for r in results}
         M = np.array([[lookup[(d, c)] for c in classifier_names] for d in dataset_names])
-        evaluation.write_gmean_matrix_csv(dataset_names, classifier_names, M, out_dir / "gmean_matrix.csv")
+        M = evaluation.write_gmean_matrix_csv(dataset_names, classifier_names, M, out_dir / "gmean_matrix.csv")
         print(f"wrote {out_dir / 'gmean_matrix.csv'}")
         if len(classifier_names) >= 2 and len(dataset_names) >= 2:
             report = evaluation.friedman_test(M)

@@ -394,10 +394,11 @@ def write_results_csv(results: list[CvResult], path) -> None:
                 for r in results))
 
 
-def write_gmean_matrix_csv(dataset_names, classifier_names, matrix, path) -> None:
-    M = np.asarray(matrix, dtype=float)
-    _write_csv(path, ["dataset", *classifier_names],
-               ([name, *(_fmt(v) for v in row)] for name, row in zip(dataset_names, M)))
+def write_gmean_matrix_csv(dataset_names, classifier_names, matrix, path) -> np.ndarray:
+    """Write the wide score matrix; returns its values as written (``read_gmean_matrix_csv`` reads them)."""
+    cells = [[_fmt(v) for v in row] for row in np.asarray(matrix, dtype=float)]
+    _write_csv(path, ["dataset", *classifier_names], ([name, *row] for name, row in zip(dataset_names, cells)))
+    return np.array([[float(v) for v in row] for row in cells])
 
 
 def write_friedman_csvs(classifier_names, report: FriedmanReport, ranks_path, friedman_path) -> None:

@@ -13,8 +13,9 @@ each outer iteration of a stack is a fixed sequence of numpy calls on
 combination, the duals (lockstep SMO with a scalar tail), the per-fit
 stopping test, and the stacked gating gradient and step.  The stacks
 that share N and the inner-solver knobs form a solve group, which owns
-one Q array: each round they compose into consecutive rows of it, one
-validation pass (``solver.check_duals``) checks them, and one
+one Q array: each round they compose into consecutive rows of it, in
+cache-sized pieces (``TRAIN_TILE_BYTES``), one tiled validation pass
+(``solver.check_duals``) checks them, and one
 ``solver.solve_duals`` call solves them, so e.g. every fit of a
 benchmark worker's cells at N = 40 shares one lockstep.  Every fit
 keeps the iterates, and so the model, it gets when trained alone;
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
@@ -55,14 +57,20 @@ FAMILIES = ("ocsvm", "mkad", "lmkad")
 #: buffers (p + 2 of TILE_ROWS x SVs) stay in cache for ~100 support vectors
 TILE_ROWS = 256
 
+#: bytes of the buffer in which a training round composes Q (``_Stack.compose``):
+#: chunks of whole fits while a fit's N x N float64 fit in it (N <= 181), else
+#: tiles of one fit's rows, 32 rows at N = 1000; like a scoring tile, it stays
+#: in cache
+TRAIN_TILE_BYTES = 256 * 2**10
+
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
-#: fit holds (p + 3) N x N float64 arrays: its p base Grams, its Q, the scratch
-#: that composition and the symmetry check share, and the lockstep's transposed
-#: copy of Q.  At 128 MiB one worker's share of the iris protocol under
-#: ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or 1,600 fits at
-#: N=40, ~115 MB estimated) forms one batch, and a gpl fit at N=1000
-#: (48 MB) runs alone.  A worker's peak RSS on that protocol is ~180 MB
-#: (~54 MB at 32 MiB, which admitted ~4 cells a batch).
+#: fit holds (p + 2) N x N float64 arrays: its p base Grams, its Q and the
+#: lockstep's transposed copy of Q; composition and validation work in
+#: buffers of a few hundred KiB.  At 128 MiB one worker's share of the iris
+#: protocol under ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or
+#: 1,600 fits at N=40, 101 or 87 MB estimated) forms one batch, and a gpl
+#: fit at N=1000 (40 MB) runs alone.  A worker's peak RSS on that protocol
+#: is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
 BATCH_BYTES = 128 * 2**20
 
 #: named kernel combinations exposed on the CLI
@@ -136,9 +144,10 @@ class LmkadConfig:
     the loop stops when the relative change of the dual objective falls
     below ``outer_tol`` or after ``max_outer`` iterations.
     ``initial_gating`` overrides the seeded random init when given.
-    A setting that cannot work is refused by name: e.g. a ``learning_rate``
-    that is negative or not finite, or an ``inner_tol`` that fails
-    ``solver.check_tol``.
+    A setting that cannot work is refused by name: e.g. a float setting
+    that is not a real number (a bool is not one), an integer setting that
+    is not an integer, a ``learning_rate`` that is negative or not finite,
+    or an ``inner_tol`` that fails ``solver.check_tol``.
     """
 
     nu: float
@@ -154,6 +163,15 @@ class LmkadConfig:
     initial_gating: GatingParams | None = None
 
     def __post_init__(self):
+        for name in ("nu", "learning_rate", "lr_decay", "outer_tol", "inner_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name in ("max_outer", "inner_max_iter", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)) and not (
+                    name == "inner_max_iter" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.gating_kind not in GATING_KINDS:
             raise ValueError(f"unknown gating kind {self.gating_kind!r}")
         if self.rho_mode not in RHO_MODES:
@@ -324,11 +342,31 @@ class _Stack:
         self.nonconverged = np.zeros(b, dtype=np.int64)
         self.traces: list[list[float]] = [[] for _ in range(b)]
 
-    def compose(self, q: np.ndarray, scratch: np.ndarray) -> None:
-        """Evaluate the gates and build every fit's Q in ``q`` (B, N, N), with ``scratch`` of its shape."""
+    def compose(self, q: np.ndarray, tile: np.ndarray) -> None:
+        """Evaluate the gates and build every fit's Q in ``q`` (B, N, N), a
+        piece at a time, each piece's terms in the flat buffer ``tile``: chunks
+        of whole fits while a fit fits in ``tile``, else tiles of one fit's
+        rows (see ``TRAIN_TILE_BYTES``).  ``_combine`` computes every entry
+        alike on any piece, so Q has the same bits as when composed whole."""
         if self.kind is not None:
             self.H = gate_stack(self.kind, self.Xn, *self.pair)
-        _combine(self.grams.swapaxes(0, 1), self.weights, self.H, self.H, q, scratch)
+        b, n = q.shape[:2]
+        fits = tile.size // (n * n)
+        if fits:
+            for s in range(0, b, fits):
+                out = q[s : s + fits]
+                H = None if self.H is None else self.H[s : s + fits]
+                term = tile[: out.size].reshape(out.shape)
+                _combine(self.grams[s : s + fits].swapaxes(0, 1), self.weights, H, H, out, term)
+            return
+        rows = tile.size // n
+        for r in range(b):
+            gates = None if self.H is None else np.ascontiguousarray(self.H[r].T)  # gate m's N values contiguous
+            for s in range(0, n, rows):
+                out = q[r, s : s + rows]
+                H_X, H_Y = (None, None) if gates is None else (gates[:, s : s + rows].T, gates.T)
+                term = tile[: out.size].reshape(out.shape)
+                _combine(self.grams[r, :, s : s + rows], self.weights, H_X, H_Y, out, term)
 
     def advance(self, t: int, sols, rows: slice, models: list, failures: dict) -> None:
         """Take outer iteration ``t``'s duals (``rows`` of ``sols``), finish the
@@ -406,29 +444,31 @@ class _Stack:
 
 class _SolveGroup:
     """Stacks whose duals one ``solve_duals`` call solves each round: they
-    share N and the inner-solver knobs.  The group owns one Q array and
-    one scratch array (shared by composition and ``check_duals``), sized
-    for its fits at round 0; each round its stacks compose into
-    consecutive rows from row 0, and the rows in use are solved as they
-    are.  The stacks of a batch share the round, so a group is all cold
-    (t = 0, no warm start) or all warm.
+    share N and the inner-solver knobs.  The group owns one Q array, sized
+    for its fits at round 0, and the composition tile
+    (``TRAIN_TILE_BYTES``); each round its stacks compose into
+    consecutive rows from row 0, one tiled ``check_duals`` pass validates
+    them, and the rows in use are solved as they are.  The stacks of a
+    batch share the round, so a group is all cold (t = 0, no warm start)
+    or all warm.
     """
 
     def __init__(self, stacks: list[_Stack]):
         self.stacks = stacks
-        shape = (sum(len(stack.jobs) for stack in stacks), *stacks[0].grams.shape[2:])
-        self.q, self.scratch = np.empty(shape), np.empty(shape)  # not one (2, B, N, N) block: it raised peak RSS
+        b, n = sum(len(stack.jobs) for stack in stacks), stacks[0].grams.shape[-1]
+        self.q = np.empty((b, n, n))
+        self.tile = np.empty(max(TRAIN_TILE_BYTES // 8, n))  # at least one row
 
     def compose(self, failures: dict) -> None:
         """Build every stack's Q in its rows and validate them in one ``check_duals`` pass."""
         jobs, self.nus, self.rows = [], [], []
         for stack in self.stacks:
             rows = slice(len(jobs), len(jobs) + len(stack.jobs))
-            stack.compose(self.q[rows], self.scratch[rows])
+            stack.compose(self.q[rows], self.tile)
             jobs += stack.jobs
             self.nus += stack.nus
             self.rows.append(rows)
-        for r, message in check_duals(self.q[: len(jobs)], self.nus, self.scratch[: len(jobs)]).items():
+        for r, message in check_duals(self.q[: len(jobs)], self.nus).items():
             failures.setdefault(jobs[r], ValueError(message))
 
     def solve(self, t: int, models: list, failures: dict) -> None:
@@ -476,7 +516,7 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
 
 def _fit_bytes(n: int, p: int) -> int:
     """The estimated N x N training state of one fit (see ``BATCH_BYTES``)."""
-    return (p + 3) * n * n * 8
+    return (p + 2) * n * n * 8
 
 
 def physical_memory_bytes() -> int | None:

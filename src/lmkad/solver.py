@@ -17,8 +17,9 @@ calls: stacked ``matmul`` calls the same BLAS routine per dual as a 2-D
 ``@``, and row sums reduce each row as a 1-D sum does, so every row
 equals its one-problem result bit for bit.  Only rho is computed per
 dual (a mean over a masked subset), when its ``DualSolution`` is read.
-``check_duals`` validates a stack in one pass, and ``DualProblem`` is
-its one-problem case.
+``check_duals`` validates a stack in one pass over Q, block by block in
+a buffer that stays in cache, and ``DualProblem`` is its one-problem
+case.
 
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
@@ -70,6 +71,10 @@ RHO_MODES = ("margin", "mean-all-train")
 #: ~5x cheaper than a lockstep turn over a handful of rows
 LOCKSTEP_MIN_ROWS = 6
 
+#: side of the square blocks in which ``check_duals`` compares Q with its
+#: transpose: a 128 KiB buffer, which stays in cache
+CHECK_BLOCK = 128
+
 
 def infeasible_nu(nu: float, n: int) -> str | None:
     """Why ``nu`` is infeasible on ``n`` rows (box 1/(nu*N) < 1/N), or None."""
@@ -94,7 +99,7 @@ def check_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
-def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[int, str]:
+def check_duals(Q: np.ndarray, nu) -> dict[int, str]:
     """Why each invalid dual of a stack is invalid: ``{row: message}``, empty if all are valid.
 
     ``Q`` is a (B, N, N) float array and ``nu`` holds the B rejection
@@ -102,18 +107,16 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
     order: Q finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``,
     so the bound grows with a large Q's rounding), diagonal >= -1e-12, nu
     in (0, 1], and ``infeasible_nu``; ``solve_duals`` checks the last two
-    itself.  ``|Q - Q^T|`` is built in ``scratch`` (same shape as Q) when
-    given, else in a new array.
+    itself.  ``max|Q - Q^T|`` comes from one pass over Q (``_asymmetry``),
+    which also finds every row with a non-finite entry: only those rows
+    are tested for finiteness entry by entry.
     """
-    b, n = Q.shape[0], Q.shape[-1]
-    finite = np.isfinite(Q).all(axis=(1, 2))
-    if finite.all():
-        asym = np.subtract(Q, Q.transpose(0, 2, 1), out=scratch)
-        np.abs(asym, out=asym)
-        gap = asym.max(axis=(1, 2))
-    else:  # inf - inf would warn; only finite rows reach the symmetry check
-        gap = np.array([np.max(np.abs(Q[r] - Q[r].T)) if finite[r] else 0.0 for r in range(b)])
-    asym = gap > 1e-9
+    n = Q.shape[-1]
+    gap = _asymmetry(Q)
+    finite = np.isfinite(gap)
+    for r in np.flatnonzero(~finite).tolist():  # a non-finite entry, or a finite Q whose gap overflows
+        finite[r] = np.isfinite(Q[r]).all()
+    asym = finite & (gap > 1e-9)
     for r in np.flatnonzero(asym).tolist():  # max|Q| is read only past the absolute bound
         asym[r] = gap[r] > 1e-12 * np.abs(Q[r]).max()
     negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
@@ -131,6 +134,45 @@ def check_duals(Q: np.ndarray, nu, scratch: np.ndarray | None = None) -> dict[in
         else:
             errors[r] = nu_errors[r]
     return errors
+
+
+def _asymmetry(Q: np.ndarray) -> np.ndarray:
+    """``max|Q_k - Q_k^T|`` of every row k of a (B, N, N) stack; NaN or inf
+    where ``Q_k`` has a non-finite entry (a diagonal entry is compared with
+    itself, and inf - inf is NaN).
+
+    The differences are built in one buffer of ``CHECK_BLOCK**2`` entries
+    that stays in cache: chunks of whole rows while a row has at most that
+    many entries, else the upper-triangular pairs of square blocks
+    (``Q_k[I, J]`` against ``Q_k[J, I]^T``), which cover every entry
+    since ``|a - b| = |b - a|``.  Block maxima are combined by ``np.max``,
+    which keeps a NaN (Python's ``max(0.0, nan)`` is 0.0).
+    """
+    b, n = Q.shape[0], Q.shape[-1]
+    buf = np.empty(CHECK_BLOCK * CHECK_BLOCK, dtype=Q.dtype)
+    gap = np.empty(b, dtype=Q.dtype)
+    fits = buf.size // max(n * n, 1)
+    with np.errstate(invalid="ignore"):
+        if fits:
+            for s in range(0, b, fits):
+                chunk = Q[s : s + fits]
+                d = np.subtract(chunk, chunk.transpose(0, 2, 1), out=buf[: chunk.size].reshape(chunk.shape))
+                np.abs(d, out=d)
+                d.max(axis=(1, 2), out=gap[s : s + len(chunk)])
+            return gap
+        starts = range(0, n, CHECK_BLOCK)
+        for k in range(b):
+            maxima = []
+            for i in starts:
+                rows = slice(i, i + CHECK_BLOCK)
+                for j in starts[i // CHECK_BLOCK :]:
+                    cols = slice(j, j + CHECK_BLOCK)
+                    upper = Q[k, rows, cols]
+                    d = np.subtract(upper, Q[k, cols, rows].T, out=buf[: upper.size].reshape(upper.shape))
+                    np.abs(d, out=d)
+                    maxima.append(d.max())
+            gap[k] = np.max(maxima)
+    return gap
 
 
 @dataclass(frozen=True)

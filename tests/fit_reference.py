@@ -2,9 +2,9 @@
 
 The trainer loop as it ran one fit at a time before fits were stacked,
 kept as an oracle: per-fit normalizer, kernels and Grams, then per outer
-iteration ``gate_eval_batch``, ``_combine``, a validated ``DualProblem``,
-``solve_dual`` (warm-started), the stopping test, ``gate_gradient`` and
-``step_stack``.  ``fit_many`` must return the same model, array bytes and
+iteration ``gate_eval_batch``, ``reference_combine`` (whole arrays, not
+the trainer's tiles), a validated ``DualProblem``, ``solve_dual``
+(warm-started), the stopping test, ``gate_gradient`` and ``step_stack``.  ``fit_many`` must return the same model, array bytes and
 report included, for every job of any batch.
 """
 import numpy as np
@@ -12,8 +12,9 @@ import numpy as np
 from lmkad.dataset import apply_normalizer, fit_normalizer
 from lmkad.gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_stack
 from lmkad.kernels import gram
-from lmkad.models import Model, TrainingReport, _combine, resolve_kernels
+from lmkad.models import Model, TrainingReport, resolve_kernels
 from lmkad.solver import DualProblem, solve_dual
+from combine_reference import reference_combine
 
 
 def reference_fit(family, train_targets, kernels, config) -> Model:
@@ -44,7 +45,7 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
     for t in range(max_outer):
         if gating is not None:
             H = gate_eval_batch(gating, Xn)
-        Q = _combine(grams, weights, H, H)
+        Q = reference_combine(grams, weights, H, H)
         sol = solve_dual(DualProblem(Q, config.nu), config.inner_tol, config.inner_max_iter,
                          alpha_prev, config.rho_mode)
         inner_total += sol.iterations

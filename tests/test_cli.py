@@ -9,7 +9,7 @@ import pytest
 from lmkad import cli
 from lmkad.cli import main
 from lmkad.dataset import load_features_csv
-from lmkad.evaluation import ClassifierConfig
+from lmkad.evaluation import ClassifierConfig, CvResult
 from lmkad.gating import GATING_KINDS
 from lmkad.models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model,
                           predict_batch)
@@ -439,8 +439,16 @@ def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
     ("classifiers", {"family": "ocsvm", "inner_tol": 0}, r"classifiers\[0\]: inner_tol must be finite and > 0, got 0$"),
     ("classifiers", {"family": "lmkad", "learning_rate": float("inf")},
      r"classifiers\[0\]: learning_rate must be >= 0 and finite, got inf$"),
+    ("classifiers", {"family": "ocsvm", "inner_tol": "1e-6"},
+     r"classifiers\[0\]: inner_tol must be a real number, got '1e-6'$"),
+    ("classifiers", {"family": "lmkad", "learning_rate": "20"},
+     r"classifiers\[0\]: learning_rate must be a real number, got '20'$"),
+    ("classifiers", {"family": "lmkad", "max_outer": None},
+     r"classifiers\[0\]: max_outer must be an integer, got None$"),
+    ("classifiers", {"family": "lmkad", "max_outer": 2.5},
+     r"classifiers\[0\]: max_outer must be an integer, got 2\.5$"),
 ], ids=["classifier-key", "dataset-key", "no-path", "no-target", "no-family", "gating", "rho-mode", "inner-tol",
-        "learning-rate"])
+        "learning-rate", "inner-tol-string", "learning-rate-string", "max-outer-null", "max-outer-fraction"])
 def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys, section, entry, message):
     config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
     doc = json.loads(config.read_text())
@@ -526,6 +534,32 @@ def test_stats_on_reference_matrix(tmp_path, capsys):
     assert "df = (13, 312)" in f_line
     rows = out.read_text().splitlines()
     assert rows[0] == "chi_sq,f_stat,p_value,df1,df2,degenerate"
+
+
+def test_benchmark_ranks_what_stats_reads_back(tmp_path, iris_path, monkeypatch):
+    # Gmeans that tie at the 12 digits of gmean_matrix.csv but not in full
+    # precision: the benchmark once ranked the full-precision means, so its
+    # ranks and Friedman statistics disagreed with ``lmkad stats`` on its
+    # own matrix
+    means = {("iris-setosa", "A"): 0.5, ("iris-setosa", "B"): 0.5 + 1e-14,
+             ("iris-versicolor", "A"): 0.7, ("iris-versicolor", "B"): 0.6}
+
+    def fake_cells(cells):
+        return [CvResult(cell.dataset.name, cell.config.name, means[cell.dataset.name, cell.config.name], 0.0, 50.0)
+                for cell in cells]
+
+    monkeypatch.setattr(cli, "cross_validate_many", fake_cells)
+    config = benchmark_config(tmp_path, iris_path, [{"name": name, "family": "ocsvm"} for name in "AB"])
+    doc = json.loads(config.read_text())
+    doc["datasets"].append(dict(doc["datasets"][0], name="iris-versicolor", target_label="versicolor"))
+    config.write_text(json.dumps(doc))
+    assert run(["benchmark", "--config", config, "--jobs", "1"]) == 0
+    results = tmp_path / "results"
+    assert run(["stats", "--results", results / "gmean_matrix.csv", "--out", tmp_path / "stats.csv"]) == 0
+    assert (results / "friedman.csv").read_bytes() == (tmp_path / "stats.csv").read_bytes()
+    assert (results / "ranks.csv").read_bytes() == (tmp_path / "stats.ranks.csv").read_bytes()
+    assert read_results(results / "ranks.csv") == [{"classifier": "A", "avg_rank": "1.25"},
+                                                   {"classifier": "B", "avg_rank": "1.75"}]
 
 
 def test_stats_identical_columns(tmp_path, capsys):

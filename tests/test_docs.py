@@ -1,8 +1,9 @@
 """The README's examples run as written, and the sizes it states are the code's."""
+import math
 import re
 from pathlib import Path
 
-from lmkad import cli, models
+from lmkad import cli, models, solver
 from lmkad.evaluation import ClassifierConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -35,3 +36,13 @@ def test_readme_scoring_sizes_are_the_models():
     stated = dict((name, int(rows.replace(",", ""))) for rows, name
                   in re.findall(r"([\d,]+) rows\s+\(`lmkad\.models\.(\w+)`\)", readme))
     assert stated == {"BLOCK_ROWS": models.BLOCK_ROWS, "TILE_ROWS": models.TILE_ROWS}
+
+
+def test_readme_training_tiles_are_the_trainers():
+    readme = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    limit, kib = re.search(r"whole fits at a time up to N = (\d+) and (\d+) KiB tiles of a fit's rows above "
+                           r"\(`lmkad\.models\.TRAIN_TILE_BYTES`\)", readme).groups()
+    assert int(kib) * 2**10 == models.TRAIN_TILE_BYTES
+    assert int(limit) == math.isqrt(models.TRAIN_TILE_BYTES // 8)  # the largest N whose N x N fits a tile
+    side = re.search(r"comparing (\d+) × (\d+) blocks with their transposed partners", readme).groups()
+    assert side == (str(solver.CHECK_BLOCK),) * 2

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from lmkad.models import (
     train_mkad,
     train_ocsvm,
 )
-from lmkad import kernels as kernels_module, models as models_module
+from lmkad import kernels as kernels_module, models as models_module, solver as solver_module
 from lmkad.evaluation import ClassifierConfig, sv_fraction
 from combine_reference import reference_combine
 from decision_reference import reference_decision_values
@@ -638,7 +639,8 @@ def _model_bytes(model):
     return fields
 
 
-@pytest.mark.parametrize("batch_bytes, n_batches", [(models_module.BATCH_BYTES, 1), (200_000, 13)],
+# the split budget admits 2 gpl fits at N = 40 (5 * 40**2 * 8 = 64,000 bytes each)
+@pytest.mark.parametrize("batch_bytes, n_batches", [(models_module.BATCH_BYTES, 1), (166_000, 13)],
                          ids=["one-batch", "split"])
 def test_fit_many_matches_the_one_fit_loop_bit_for_bit(batch_bytes, n_batches, monkeypatch):
     jobs = _pin_jobs()
@@ -651,6 +653,49 @@ def test_fit_many_matches_the_one_fit_loop_bit_for_bit(batch_bytes, n_batches, m
     assert capped.inner_iterations == 5 * capped.iterations  # every solve stopped at the cap
     for job, model in zip(jobs, got):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+
+
+def _tile_jobs(n):
+    """Above the whole-fit limit of TRAIN_TILE_BYTES (N = 181) each fit is
+    composed in row tiles, at N = 300 of 109 rows, the last one of 82; below
+    it in chunks of whole fits, at N = 40 of 20 fits, and 23 fits leave 3."""
+    X = blob(48, n, 4)
+    if n * n * 8 > models_module.TRAIN_TILE_BYTES:
+        assert n % (models_module.TRAIN_TILE_BYTES // (8 * n))
+        return [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=i, max_outer=4))
+                for i, kind in enumerate(("sigmoid", "softmax", "rbf"))] + [
+                FitJob("mkad", X, "gpp", LmkadConfig(nu=0.2))]
+    jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1 + 0.02 * i, seed=i, max_outer=6)) for i in range(23)]
+    assert len(jobs) % (models_module.TRAIN_TILE_BYTES // (8 * n * n))
+    return jobs
+
+
+@pytest.mark.parametrize("n", [300, 40], ids=["row-tiles", "fit-chunks"])
+def test_fit_many_composes_in_tiles_bit_for_bit(n):
+    jobs = _tile_jobs(n)
+    for job, model in zip(jobs, fit_many(jobs)):
+        assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+
+
+def test_training_state_stays_within_the_batch_estimate(monkeypatch):
+    # _fit_bytes counts every N x N array of a fit: its p Grams, Q and the
+    # lockstep's transposed copy of Q (the lockstep is forced here for one
+    # fit).  Set-up holds the Grams and a gaussian Gram build's two N x N
+    # temporaries, as many arrays.  An N x N array that the estimate does
+    # not count, such as a scratch for Q, would exceed the slack of half of one
+    n, p = 400, 3
+    X = blob(50, n, 6)
+    train_lmkad(X[:20], "gpl", LmkadConfig(nu=0.2, max_outer=2))  # imports scipy outside the trace
+    monkeypatch.setattr(solver_module, "LOCKSTEP_MIN_ROWS", 1)
+    tracemalloc.start()
+    try:
+        model = train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.report.iterations == 3
+    assert models_module._fit_bytes(n, p) == (p + 2) * n * n * 8
+    assert peak <= models_module._fit_bytes(n, p) + n * n * 8 // 2
 
 
 def test_fit_many_shares_set_up_per_training_matrix(monkeypatch):
@@ -701,9 +746,9 @@ def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, s
     calls = []
     check, solve = models_module.check_duals, models_module.solve_duals
 
-    def spy_check(Q, nu, scratch):
+    def spy_check(Q, nu):
         calls.append(("check", Q.shape, Q))
-        return check(Q, nu, scratch)
+        return check(Q, nu)
 
     def spy_solve(Q, nu, *args):
         calls.append(("solve", Q.shape, Q))
@@ -742,15 +787,34 @@ def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, s
     ({"learning_rate": math.inf}, r"^learning_rate must be >= 0 and finite, got inf$"),
     ({"learning_rate": math.nan}, r"^learning_rate must be >= 0 and finite, got nan$"),
     ({"learning_rate": -1.0}, r"^learning_rate must be >= 0 and finite, got -1\.0$"),
-], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "lr-inf", "lr-nan", "lr-negative"])
+    ({"inner_tol": "1e-6"}, r"^inner_tol must be a real number, got '1e-6'$"),
+    ({"learning_rate": "20"}, r"^learning_rate must be a real number, got '20'$"),
+    ({"lr_decay": True}, r"^lr_decay must be a real number, got True$"),
+    ({"outer_tol": None}, r"^outer_tol must be a real number, got None$"),
+    ({"nu": "0.5"}, r"^nu must be a real number, got '0\.5'$"),
+    ({"max_outer": 2.5}, r"^max_outer must be an integer, got 2\.5$"),
+    ({"max_outer": True}, r"^max_outer must be an integer, got True$"),
+    ({"max_outer": None}, r"^max_outer must be an integer, got None$"),
+    ({"inner_max_iter": 10.0}, r"^inner_max_iter must be an integer, got 10\.0$"),
+    ({"seed": "1"}, r"^seed must be an integer, got '1'$"),
+], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "lr-inf", "lr-nan", "lr-negative", "tol-string",
+        "lr-string", "decay-bool", "outer-tol-none", "nu-string", "max-outer-fraction", "max-outer-bool",
+        "max-outer-none", "inner-max-iter-float", "seed-string"])
 def test_lmkad_config_names_each_rejected_setting(knob, message):
     # inner_tol <= 0 or NaN ran every dual to its 100 * N**2 cap; an infinite
-    # learning rate failed later, at a non-finite Q
+    # learning rate failed later, at a non-finite Q.  A setting of the wrong
+    # type raised a TypeError from a comparison, or none: max_outer=2.5
+    # never met the last-round test and ran until the objective settled
     with pytest.raises(ValueError, match=message):
-        LmkadConfig(nu=0.5, **knob)
+        LmkadConfig(**{"nu": 0.5, **knob})
     if "inner_tol" in knob:
         with pytest.raises(ValueError, match=message):
             train_mkad(blob(29, 10), "gpl", 0.5, tol=knob["inner_tol"])
+
+
+def test_lmkad_config_takes_numpy_numbers():
+    config = LmkadConfig(nu=np.float64(0.5), max_outer=np.int64(3), seed=np.uint32(7), learning_rate=np.int64(2))
+    assert train_lmkad(blob(29, 10), "gpl", config).report.iterations <= 3
 
 
 def test_memory_check_runs_before_any_n_by_n_product(monkeypatch):
@@ -782,9 +846,9 @@ def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
         grad_vector[1] = np.nan
         return grad_matrix, grad_vector
 
-    def late_failure(Q, nu, scratch):
+    def late_failure(Q, nu):
         checks.append(len(nu))
-        return {0: "round 1 failure"} if len(checks) == 2 else check(Q, nu, scratch)
+        return {0: "round 1 failure"} if len(checks) == 2 else check(Q, nu)
 
     monkeypatch.setattr(models_module, "gradient_stack", nan_row_1)
     monkeypatch.setattr(models_module, "check_duals", late_failure)
@@ -816,7 +880,7 @@ def test_inner_nonconvergence_round_trips(tmp_path):
 
 
 def test_fit_beyond_physical_memory_fails_at_setup_in_job_order(monkeypatch):
-    # (3 + 3) * 200**2 * 8 B = 1.9 MB of training state against 1 MiB of memory
+    # (3 + 2) * 200**2 * 8 B = 1.6 MB of training state against 1 MiB of memory
     def no_state(*args):
         raise AssertionError("training state was allocated")
 
@@ -824,7 +888,7 @@ def test_fit_beyond_physical_memory_fails_at_setup_in_job_order(monkeypatch):
     monkeypatch.setattr(models_module, "_Stack", no_state)
     big = FitJob("mkad", blob(46, 200), "gpl", LmkadConfig(nu=0.2))
     bogus = FitJob("mkad", blob(46, 20), "bogus", LmkadConfig(nu=0.2))
-    message = (r"^a fit on N=200 rows with 3 kernels needs ~0\.00179 GiB of training state, "
+    message = (r"^a fit on N=200 rows with 3 kernels needs ~0\.00149 GiB of training state, "
                r"more than the 0\.000977 GiB of physical memory$")
     with pytest.raises(ValueError, match=message):
         fit_many([big, bogus])

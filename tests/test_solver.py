@@ -13,6 +13,7 @@ from lmkad.solver import DualProblem, solve_dual, solve_duals
 from oracles import compute_rho, kkt_violation
 from qp_oracle import brute_force_qp, random_psd_gram
 from smo_reference import reference_solve_dual
+from check_reference import reference_check_duals
 
 
 def sym2(k):
@@ -77,6 +78,61 @@ def test_symmetry_bound_scales_with_q():
     assert "symmetric" in solver.check_duals(Q[None], [1.0])[0]
     small = np.array([[1.0, 0.0], [2e-9, 1.0]])
     assert "symmetric" in solver.check_duals(small[None], [1.0])[0]
+
+
+#: sizes around CHECK_BLOCK (one block per fit vs block pairs) and the
+#: trainer's whole-fit composition limit (181), 300 with a ragged last block
+CHECK_SIZES = (1, 2, 3, 40, 128, 129, 181, 182, 300)
+FAULTS = ("nan", "inf", "-inf", "asym", "negative-diagonal")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_duals_matches_the_whole_stack_check(data):
+    n = data.draw(st.sampled_from(CHECK_SIZES), label="n")
+    b = data.draw(st.integers(1, 3 if n > solver.CHECK_BLOCK else 25), label="b")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.normal(size=(b, n, n))
+    Q = (A + A.transpose(0, 2, 1)) * data.draw(st.sampled_from([1.0, 1e6]), label="scale")  # exactly symmetric
+    for r in range(b):
+        for fault in data.draw(st.lists(st.sampled_from(FAULTS), max_size=2), label=f"faults of row {r}"):
+            i = data.draw(st.integers(0, n - 1))
+            j = data.draw(st.sampled_from(["upper", "lower", "diagonal"]))
+            j = i if j == "diagonal" else rng.integers(i, n) if j == "upper" else rng.integers(0, i + 1)
+            if fault == "asym":  # just above or below the absolute and the relative bound
+                bound = max(1e-9, 1e-12 * np.abs(Q[r]).max())
+                with np.errstate(invalid="ignore"):  # the bound is inf after an inf fault
+                    Q[r, i, j] += data.draw(st.sampled_from([0.5, 0.99, 1.01, 2.0])) * bound
+            elif fault == "negative-diagonal":
+                Q[r, i, i] = -data.draw(st.sampled_from([1e-13, 1e-11, 1.0]))
+            else:
+                Q[r, i, j] = float(fault)
+    nu = data.draw(st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.01, 0.0, -1.0, 2.0, math.nan]), min_size=b,
+                            max_size=b), label="nu")
+    assert solver.check_duals(Q, nu) == reference_check_duals(Q, nu)
+    finite = np.isfinite(Q).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        exact = np.abs(Q - Q.transpose(0, 2, 1)).max(axis=(1, 2))
+    assert np.array_equal(solver._asymmetry(Q)[finite], exact[finite])
+    assert not np.isfinite(solver._asymmetry(Q)[~finite]).any()
+
+
+def test_check_duals_keeps_a_nan_block_behind_finite_ones():
+    # a NaN in a block pair that is not the first: Python's max(0.0, nan)
+    # is 0.0, so the block maxima must be combined by np.max
+    n = 3 * solver.CHECK_BLOCK
+    Q = np.zeros((1, n, n))
+    Q[0, n - 1, n - 2] = math.nan
+    assert solver.check_duals(Q, [1.0]) == {0: "Q contains non-finite entries"}
+
+
+def test_check_duals_names_a_finite_q_whose_asymmetry_overflows():
+    # every entry is finite, but 1e308 - (-1e308) overflows to inf
+    Q = np.eye(3)[None].copy()
+    Q[0, 0, 2], Q[0, 2, 0] = 1e308, -1e308
+    with np.errstate(over="ignore"):
+        assert solver.check_duals(Q, [1.0]) == reference_check_duals(Q, [1.0]) == {
+            0: "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"}
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "softmax", "rbf"])
