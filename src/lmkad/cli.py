@@ -121,8 +121,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-#: classifier keys of a benchmark config, and ``lmkad fit`` flags, that set the
-#: ``LmkadConfig`` field of the same name (``gating`` sets ``gating_kind``)
+#: classifier keys of a benchmark config that set the ``LmkadConfig`` field of
+#: the same name (``gating`` sets ``gating_kind``); ``lmkad fit`` has a flag
+#: for each but ``inner_tol``
 _TRAINER_KEYS = (
     "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
 )
@@ -182,7 +183,10 @@ def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
     if isinstance(kernels, list):
         kernels = tuple(kernels)
     name = spec.get("name") or f"{spec['family']}({kernels})"
-    grid = [float(v) for v in spec.get("nu_grid", evaluation.DEFAULT_NU_GRID)]
+    grid = spec.get("nu_grid", evaluation.DEFAULT_NU_GRID)
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError(f"nu_grid must be a list of numbers, got {grid!r}")
+    grid = [float(v) for v in evaluation.check_nu_grid(grid)]
     return ClassifierConfig(name, spec["family"], kernels, _trainer(spec)), grid
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -33,7 +34,7 @@ from .models import (
     resolve_kernels,
     sv_count,
 )
-from .solver import infeasible_nu
+from .solver import infeasible_nu, nu_out_of_range
 
 DEFAULT_NU_GRID = (0.02, 0.05, 0.1, 0.2, 0.3)
 
@@ -106,6 +107,22 @@ def train_for_config(config: ClassifierConfig, train_targets, nu: float, seed: i
     return fit_many([_fit_job(config, train_targets, nu, seed)])[0]
 
 
+def check_nu_grid(nu_grid) -> list:
+    """``nu_grid`` as a list, if it holds at least one rate and every rate is a
+    real number (not a bool) that passes ``solver.nu_out_of_range``; else
+    raise, naming the first bad entry.  Whether nu*N >= 1 depends on the
+    fold, so that is left to ``_plan_cell``."""
+    grid = list(nu_grid)
+    if not grid:
+        raise ValueError("nu_grid is empty")
+    for i, nu in enumerate(grid):
+        real = isinstance(nu, numbers.Real) and not isinstance(nu, bool)
+        reason = nu_out_of_range(nu) if real else f"must be a real number, got {nu!r}"
+        if reason is not None:
+            raise ValueError(f"nu_grid[{i}]: {reason}")
+    return grid
+
+
 def _derived_seed(base_seed: int, run: int, fold: int, grid_index: int) -> int:
     ss = np.random.SeedSequence([int(base_seed), run, fold, grid_index])
     return int(ss.generate_state(1)[0])
@@ -163,9 +180,10 @@ def cross_validate(
 ) -> CvResult:
     """Run the full repeated-CV grid-search protocol for one classifier.
 
-    Grid candidates with an infeasible nu on a fold (nu*N < 1) are skipped
-    for that fold; any other training error propagates.  Ties on
-    validation Gmean keep the first grid point.  Folds where every
+    A grid that fails ``check_nu_grid`` is refused before any fold is
+    split.  Grid candidates with an infeasible nu on a fold (nu*N < 1)
+    are skipped for that fold; any other training error propagates.
+    Ties on validation Gmean keep the first grid point.  Folds where every
     candidate is skipped are flagged and excluded from the aggregate.
     This is the one-cell case of ``cross_validate_many``.
     """
@@ -195,9 +213,7 @@ def _plan_cell(cell: CvCell, jobs: list[FitJob]) -> list[tuple]:
     per fold, where a candidate is ``(nu, job index)``.
     """
     dataset, config, nu_grid, plan, base_seed = cell
-    nu_grid = list(nu_grid)
-    if not nu_grid:
-        raise ValueError("empty hyperparameter grid")
+    nu_grid = check_nu_grid(nu_grid)
     folds = []
     for run in range(plan.n_runs):
         for fold in range(plan.n_folds):

@@ -47,7 +47,7 @@ from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, g
                      init_gating, step_stack)
 from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
                       row_sq_norms)
-from .solver import DEFAULT_TOL, RHO_MODES, check_duals, check_tol, solve_duals
+from .solver import DEFAULT_TOL, RHO_MODES, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -468,7 +468,7 @@ class _SolveGroup:
             jobs += stack.jobs
             self.nus += stack.nus
             self.rows.append(rows)
-        for r, message in check_duals(self.q[: len(jobs)], self.nus).items():
+        for r, message in check_duals(self.q[: len(jobs)]).items():
             failures.setdefault(jobs[r], ValueError(message))
 
     def solve(self, t: int, models: list, failures: dict) -> None:
@@ -488,8 +488,9 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
     The normalizer, the resolved kernels and the Grams are computed once
     per distinct training matrix (the same object: a fold's candidates
     share one).  A job whose set-up raises, the family rule
-    (``check_family``) and the memory check (``_check_memory``) included,
-    goes to ``failures``.
+    (``check_family``), the memory check (``_check_memory``) and the nu
+    rule of ``solve_duals`` on its N included, goes to ``failures``: each
+    fit's nu is checked here once, not every round.
     """
     prepared: dict[tuple, tuple] = {}
     groups: dict[tuple, dict[tuple, list]] = {}
@@ -503,6 +504,9 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
                 prepared[key] = _prepare(train_targets, specs)
             Xn = prepared[key][1]
             gating = _initial_gating(family, config, len(specs), Xn)
+            reason = nu_out_of_range(config.nu) or infeasible_nu(config.nu, Xn.shape[0])
+            if reason is not None:
+                raise ValueError(reason)
         except Exception as exc:  # noqa: BLE001 - re-raised by fit_many in job order
             failures.setdefault(k, exc)
             continue

@@ -17,9 +17,10 @@ calls: stacked ``matmul`` calls the same BLAS routine per dual as a 2-D
 ``@``, and row sums reduce each row as a 1-D sum does, so every row
 equals its one-problem result bit for bit.  Only rho is computed per
 dual (a mean over a masked subset), when its ``DualSolution`` is read.
-``check_duals`` validates a stack in one pass over Q, block by block in
-a buffer that stays in cache, and ``DualProblem`` is its one-problem
-case.
+``check_duals`` validates the matrices of a stack in one pass over Q,
+block by block in a buffer that stays in cache; the rejection rates are
+checked where they enter.  ``DualProblem`` is the one-problem case of
+both checks.
 
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
@@ -56,7 +57,7 @@ scalar loop alone.  Both loop forms are pinned to the plain loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,12 +85,18 @@ def infeasible_nu(nu: float, n: int) -> str | None:
     return None
 
 
+def nu_out_of_range(nu) -> str | None:
+    """Why ``nu`` is not a rejection rate in (0, 1], or None."""
+    if not 0.0 < nu <= 1.0:
+        return f"infeasible nu: {nu} not in (0, 1]"
+    return None
+
+
 def _nu_errors(nu, n: int) -> dict[int, str]:
-    """Why each rate of ``nu`` cannot be solved on ``n`` rows: not in (0, 1], then ``infeasible_nu``."""
+    """Why each rate of ``nu`` cannot be solved on ``n`` rows: ``nu_out_of_range``, then ``infeasible_nu``."""
     rates = np.asarray(nu, dtype=float)
-    out_of_range = ~((0.0 < rates) & (rates <= 1.0))
-    return {r: f"infeasible nu: {nu[r]} not in (0, 1]" if out_of_range[r] else infeasible_nu(nu[r], n)
-            for r in np.flatnonzero(out_of_range | (rates * n < 1.0 - 1e-9)).tolist()}
+    bad = ~((0.0 < rates) & (rates <= 1.0)) | (rates * n < 1.0 - 1e-9)
+    return {r: nu_out_of_range(nu[r]) or infeasible_nu(nu[r], n) for r in np.flatnonzero(bad).tolist()}
 
 
 def check_tol(tol, name: str = "tol") -> None:
@@ -99,19 +106,18 @@ def check_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
-def check_duals(Q: np.ndarray, nu) -> dict[int, str]:
-    """Why each invalid dual of a stack is invalid: ``{row: message}``, empty if all are valid.
+def check_duals(Q: np.ndarray) -> dict[int, str]:
+    """Why each invalid matrix of a stack is invalid: ``{row: message}``, empty if all are valid.
 
-    ``Q`` is a (B, N, N) float array and ``nu`` holds the B rejection
-    rates.  A row's message is that of its first failing check, in this
-    order: Q finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``,
-    so the bound grows with a large Q's rounding), diagonal >= -1e-12, nu
-    in (0, 1], and ``infeasible_nu``; ``solve_duals`` checks the last two
-    itself.  ``max|Q - Q^T|`` comes from one pass over Q (``_asymmetry``),
-    which also finds every row with a non-finite entry: only those rows
-    are tested for finiteness entry by entry.
+    ``Q`` is a (B, N, N) float array.  A row's message is that of its
+    first failing check, in this order: Q finite, symmetric
+    (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``, so the bound grows with a
+    large Q's rounding), diagonal >= -1e-12.  The rejection rates are
+    checked where they enter (``solve_duals``, the trainer's set-up).
+    ``max|Q - Q^T|`` comes from one pass over Q (``_asymmetry``), which
+    also finds every row with a non-finite entry: only those rows are
+    tested for finiteness entry by entry.
     """
-    n = Q.shape[-1]
     gap = _asymmetry(Q)
     finite = np.isfinite(gap)
     for r in np.flatnonzero(~finite).tolist():  # a non-finite entry, or a finite Q whose gap overflows
@@ -120,19 +126,14 @@ def check_duals(Q: np.ndarray, nu) -> dict[int, str]:
     for r in np.flatnonzero(asym).tolist():  # max|Q| is read only past the absolute bound
         asym[r] = gap[r] > 1e-12 * np.abs(Q[r]).max()
     negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
-    nu_errors = _nu_errors(nu, n)
-    bad = ~finite | asym | negative
-    bad[list(nu_errors)] = True
     errors = {}
-    for r in np.flatnonzero(bad).tolist():
+    for r in np.flatnonzero(~finite | asym | negative).tolist():
         if not finite[r]:
             errors[r] = "Q contains non-finite entries"
         elif asym[r]:
             errors[r] = "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"
-        elif negative[r]:
-            errors[r] = "Q has a negative diagonal entry"
         else:
-            errors[r] = nu_errors[r]
+            errors[r] = "Q has a negative diagonal entry"
     return errors
 
 
@@ -179,7 +180,8 @@ def _asymmetry(Q: np.ndarray) -> np.ndarray:
 class DualProblem:
     """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N).
 
-    Validated as the one-problem case of ``check_duals``.
+    Validated as the one-problem case of ``check_duals``, then its nu by
+    ``solve_duals``' rule.
     """
 
     q: np.ndarray
@@ -189,7 +191,7 @@ class DualProblem:
         Q = np.asarray(self.q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
-        errors = check_duals(Q[None], [self.nu])
+        errors = check_duals(Q[None]) or _nu_errors([self.nu], Q.shape[0])
         if errors:
             raise ValueError(errors[0])
         object.__setattr__(self, "q", Q)
@@ -213,7 +215,6 @@ class DualSolution:
     converged: bool
     iterations: int
     final_violation: float
-    violation_trace: list[float] = field(default_factory=list, repr=False)
 
 
 def _feasible_start(upper: np.ndarray, alpha0: np.ndarray | None, b: int, n: int) -> np.ndarray:
@@ -234,11 +235,6 @@ def _feasible_start(upper: np.ndarray, alpha0: np.ndarray | None, b: int, n: int
     return np.clip(alpha, 0.0, upper[:, None], out=alpha)
 
 
-def _violation(gap: float) -> float:
-    """The KKT gap as reported: floored at 0, and 0 when not finite."""
-    return max(0.0, gap if math.isfinite(gap) else 0.0)
-
-
 class DualStack:
     """B duals of one size: their loop state while solving, then their solutions.
 
@@ -250,7 +246,7 @@ class DualStack:
     masks) are set, and ``stack[k]`` is dual k's ``DualSolution``.
     """
 
-    def __init__(self, Q: np.ndarray, upper: np.ndarray, alpha0, max_iter, record_violations: bool):
+    def __init__(self, Q: np.ndarray, upper: np.ndarray, alpha0, max_iter):
         b, n = Q.shape[0], Q.shape[2]
         self.Q, self.upper = Q, upper
         self.max_iter = 100 * n * n if max_iter is None else max_iter
@@ -259,7 +255,6 @@ class DualStack:
         self.iterations = np.zeros(b, dtype=np.int64)
         self.gap = np.full(b, math.inf)
         self.converged = np.zeros(b, dtype=bool)
-        self.traces = [[] for _ in range(b)] if record_violations else None
 
     def __len__(self) -> int:
         return self.alpha.shape[0]
@@ -288,6 +283,7 @@ class DualStack:
             raise RuntimeError("cannot compute rho: no support vectors")
         rows = slice(None) if self.rho_mode == "mean-all-train" else margin if margin.size else support
         rho = g[rows].mean()
+        gap = float(self.gap[k])  # reported floored at 0, and as 0 when not finite
         return DualSolution(
             alpha=self.alpha[k],
             objective=float(self.objective[k]),
@@ -296,8 +292,7 @@ class DualStack:
             rho=float(rho),
             converged=bool(self.converged[k]),
             iterations=int(self.iterations[k]),
-            final_violation=_violation(float(self.gap[k])),
-            violation_trace=[] if self.traces is None else self.traces[k],
+            final_violation=max(0.0, gap if math.isfinite(gap) else 0.0),
         )
 
 
@@ -307,7 +302,6 @@ def solve_dual(
     max_iter: int | None = None,
     alpha0: np.ndarray | None = None,
     rho_mode: str = "margin",
-    record_violations: bool = False,
 ) -> DualSolution:
     """Run maximal-violating-pair SMO until the KKT gap is below ``tol``.
 
@@ -315,7 +309,7 @@ def solve_dual(
     ``solve_duals`` (see there), which runs it in the scalar loop.
     """
     alpha0 = None if alpha0 is None else np.asarray(alpha0, dtype=float)[None]
-    return solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode, record_violations)[0]
+    return solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode)[0]
 
 
 def solve_duals(
@@ -325,7 +319,6 @@ def solve_duals(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     rho_mode: str = "margin",
-    record_violations: bool = False,
 ) -> DualStack:
     """Solve a stack of independent duals; each gets the iterates it would get alone.
 
@@ -333,9 +326,9 @@ def solve_duals(
     lockstep's one transposed copy; its content is the caller's to
     check (``check_duals``, as the trainer does every round, or
     ``DualProblem`` for ``solve_dual``).  ``nu`` holds the B rejection
-    rates in row order, each checked here by ``check_duals``' rules for
-    nu: in (0, 1] and not ``infeasible_nu``.  ``tol`` must pass
-    ``check_tol``.  ``alpha0`` is None (every dual starts at uniform
+    rates in row order, each checked here (``nu_out_of_range``, then
+    ``infeasible_nu``; the first bad row's message is raised).  ``tol``
+    must pass ``check_tol``.  ``alpha0`` is None (every dual starts at uniform
     multipliers) or a (B, N) array of warm starts, each projected back
     into its feasible set first.  If ``max_iter`` pair updates elapse
     before convergence the best-so-far solution is kept with
@@ -348,7 +341,7 @@ def solve_duals(
     finishes in the scalar loop from its exact state.  In both loop forms
     the pair rule, the step and its floating-point operations are those
     of the plain loop that rebuilds both masks every step, so every
-    solution's iterates, step count and violation trace equal its own.
+    solution's iterates and step count equal its own.
     """
     if rho_mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {rho_mode!r}")
@@ -363,7 +356,7 @@ def solve_duals(
     errors = _nu_errors(nu, Q.shape[2])
     if errors:
         raise ValueError(errors[min(errors)])
-    stack = DualStack(Q, 1.0 / (rates * Q.shape[2]), alpha0, max_iter, record_violations)
+    stack = DualStack(Q, 1.0 / (rates * Q.shape[2]), alpha0, max_iter)
     if len(stack) >= LOCKSTEP_MIN_ROWS:
         _lockstep(stack, tol)
     for k in np.flatnonzero(~stack.converged).tolist():
@@ -378,7 +371,6 @@ def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
     n = Q.shape[0]
     upper = float(stack.upper[k])
     max_iter = stack.max_iter
-    trace = None if stack.traces is None else stack.traces[k]
     # loop state (see the module docstring): Python floats, penalty masks, buffers
     alpha = stack.alpha[k].tolist()
     diag = Q.diagonal().tolist()
@@ -399,8 +391,6 @@ def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
         i = g_dec.argmax()
         j = g_inc.argmin()
         gap = float(g_dec[i]) - float(g_inc[j])
-        if trace is not None:
-            trace.append(_violation(gap))
         if gap <= tol:
             converged = True
             break
@@ -449,7 +439,6 @@ def _lockstep(stack: DualStack, tol: float) -> None:
     """
     n = stack.alpha.shape[1]
     max_iter = stack.max_iter
-    traces = stack.traces
     cols = stack.Q.transpose(0, 2, 1).copy()  # cols[k, j] is the column Q_k[:, j]
     diag = cols.diagonal(axis1=1, axis2=2).copy()
     cols = cols.reshape(-1, n)  # cols[k * n + j] is the column Q_k[:, j]
@@ -493,9 +482,6 @@ def _lockstep(stack: DualStack, tol: float) -> None:
             stack.iterations[rows] = turn
             stack.gap[rows] = gap[done]
             stack.converged[rows] = True
-            if traces is not None:
-                for k, value in zip(rows.tolist(), gap[done].tolist()):
-                    traces[k].append(_violation(value))
             dead |= done
             gap[done] = math.inf
             alive -= rows.size
@@ -506,10 +492,6 @@ def _lockstep(stack: DualStack, tol: float) -> None:
                 gap, dead = gap[keep], dead[keep]
                 compacted = True
                 continue
-        if traces is not None:
-            for k, value in zip(live.tolist(), gap.tolist()):
-                if value != math.inf:  # dead rows record nothing
-                    traces[k].append(_violation(value))
         # exact minimizer of the 2-variable subproblem, then box clipping
         col_ij = cols.take(col_offsets + ij, axis=0)
         col_i = col_ij[:b]

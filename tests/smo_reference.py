@@ -22,7 +22,6 @@ def reference_solve_dual(
     max_iter=None,
     alpha0=None,
     rho_mode="margin",
-    record_violations=False,
 ):
     if rho_mode not in RHO_MODES:
         raise ValueError(f"unknown rho mode {rho_mode!r}")
@@ -34,7 +33,6 @@ def reference_solve_dual(
 
     alpha = feasible_start(n, upper, alpha0)
     g = Q @ alpha
-    trace = []
 
     converged = False
     iterations = 0
@@ -45,8 +43,6 @@ def reference_solve_dual(
         i = int(np.argmax(g_dec))
         j = int(np.argmin(g_inc))
         gap = g_dec[i] - g_inc[j]
-        if record_violations:
-            trace.append(max(0.0, gap if np.isfinite(gap) else 0.0))
         if gap <= tol:
             converged = True
             break
@@ -72,5 +68,4 @@ def reference_solve_dual(
         converged=converged,
         iterations=iterations,
         final_violation=float(max(0.0, gap if np.isfinite(gap) else 0.0)),
-        violation_trace=trace,
     )

@@ -22,9 +22,13 @@ labels agree with MKAD(gpl) on 96.8-97.4 % of the 150 rows.  With
 z-scores fit on the training targets, iris outliers land at z ~ +10..+30,
 where the poly(2) and linear kernels accept them; normalization alone
 moves MKAD(gpl) by up to 0.45 without leakage, while LMKAD(S_gpl) stays
-within 0.012 of MKAD(gpl) in all 15 measured cells.  The directional
-clauses (LMKAD beats MKAD on Gmean on the same folds, criterion 6, and
-uses fewer support vectors, criterion 9) do hold and are asserted.
+within 0.012 of MKAD(gpl) in all 15 measured cells.  Criterion 6's
+directional clause (LMKAD beats MKAD on Gmean on the same folds) is
+asserted and passes, but its 0.0064 gap is within noise: paired over the
+25 setosa folds, LMKAD is higher on 3, lower on 1 and tied on 21
+(Wilcoxon signed-rank p = 0.144, corrected resampled t-test p = 0.666).
+Criterion 9's clause (fewer support vectors on the same folds) is
+asserted as well.
 
 There is deliberately no test reproducing the full published 25-dataset
 result tables; the bundled reference matrix covers the statistics path

@@ -447,8 +447,28 @@ def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
      r"classifiers\[0\]: max_outer must be an integer, got None$"),
     ("classifiers", {"family": "lmkad", "max_outer": 2.5},
      r"classifiers\[0\]: max_outer must be an integer, got 2\.5$"),
+    # a null grid or entry raised a TypeError, a string was read digit by
+    # digit, true trained at nu = 1, 0 and -0.5 were skipped on every fold,
+    # and 2 and [] failed later without naming the classifier
+    ("classifiers", {"family": "ocsvm", "nu_grid": None},
+     r"classifiers\[0\]: nu_grid must be a list of numbers, got None$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": "0.1"},
+     r"classifiers\[0\]: nu_grid must be a list of numbers, got '0\.1'$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": [0.1, None]},
+     r"classifiers\[0\]: nu_grid\[1\]: must be a real number, got None$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": [True]},
+     r"classifiers\[0\]: nu_grid\[0\]: must be a real number, got True$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": [0.1, 0]},
+     r"classifiers\[0\]: nu_grid\[1\]: infeasible nu: 0 not in \(0, 1\]$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": [0.1, -0.5]},
+     r"classifiers\[0\]: nu_grid\[1\]: infeasible nu: -0\.5 not in \(0, 1\]$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": [0.1, 2]},
+     r"classifiers\[0\]: nu_grid\[1\]: infeasible nu: 2 not in \(0, 1\]$"),
+    ("classifiers", {"family": "ocsvm", "nu_grid": []}, r"classifiers\[0\]: nu_grid is empty$"),
 ], ids=["classifier-key", "dataset-key", "no-path", "no-target", "no-family", "gating", "rho-mode", "inner-tol",
-        "learning-rate", "inner-tol-string", "learning-rate-string", "max-outer-null", "max-outer-fraction"])
+        "learning-rate", "inner-tol-string", "learning-rate-string", "max-outer-null", "max-outer-fraction",
+        "nu-grid-null", "nu-grid-string", "nu-grid-null-entry", "nu-grid-bool", "nu-grid-zero", "nu-grid-negative",
+        "nu-grid-above-1", "nu-grid-empty"])
 def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys, section, entry, message):
     config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
     doc = json.loads(config.read_text())

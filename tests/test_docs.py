@@ -1,4 +1,5 @@
 """The README's examples run as written, and the sizes it states are the code's."""
+import argparse
 import math
 import re
 from pathlib import Path
@@ -36,6 +37,15 @@ def test_readme_scoring_sizes_are_the_models():
     stated = dict((name, int(rows.replace(",", ""))) for rows, name
                   in re.findall(r"([\d,]+) rows\s+\(`lmkad\.models\.(\w+)`\)", readme))
     assert stated == {"BLOCK_ROWS": models.BLOCK_ROWS, "TILE_ROWS": models.TILE_ROWS}
+
+
+def test_readme_names_the_trainer_settings_lmkad_fit_takes():
+    readme = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    unflagged, flags = re.search(r"`lmkad fit` takes all of them but `(\w+)` as flags \(([^)]*)\)", readme).groups()
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {a.dest: a.option_strings[0] for a in commands.choices["fit"]._actions if a.dest in cli._TRAINER_KEYS}
+    assert set(re.findall(r"`(--[\w-]+)`", flags)) == set(taken.values())
+    assert set(cli._TRAINER_KEYS) - set(taken) == {unflagged}
 
 
 def test_readme_training_tiles_are_the_trainers():

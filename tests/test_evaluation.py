@@ -142,6 +142,21 @@ def test_cross_validate_skips_infeasible_candidates():
     assert failed.warnings
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.5, 0.0], r"^nu_grid\[1\]: infeasible nu: 0\.0 not in \(0, 1\]$"),
+    ((0.5, 1.5), r"^nu_grid\[1\]: infeasible nu: 1\.5 not in \(0, 1\]$"),
+    ([True], r"^nu_grid\[0\]: must be a real number, got True$"),
+    ([], r"^nu_grid is empty$"),
+], ids=["zero", "above-1", "bool", "empty"])
+def test_cross_validate_refuses_a_grid_point_that_is_not_a_rate(monkeypatch, grid, message):
+    # only nu*N < 1 depends on the fold and skips a candidate; a grid point
+    # outside (0, 1] is refused before any fold is split or trained
+    monkeypatch.setattr(evaluation, "split_for_occ", None)
+    ds = tiny_dataset()
+    with pytest.raises(ValueError, match=message):
+        cross_validate(ds, OCSVM_G, grid, plan_folds(ds, 5, 1, seed=3), base_seed=1)
+
+
 def test_cross_validate_training_error_propagates(monkeypatch):
     # only an infeasible nu skips a candidate; any other failure is loud
     def broken(jobs):

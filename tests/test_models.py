@@ -728,6 +728,33 @@ def test_fit_many_raises_the_lowest_failing_job():
             reference_fit(*job)
 
 
+@pytest.mark.parametrize("nu, message", [
+    (2.0, r"^infeasible nu: 2\.0 not in \(0, 1\]$"),
+    (0.01, r"^infeasible nu: nu\*N = 0\.2 < 1, "),
+], ids=["out-of-range", "nu-n-below-1"])
+def test_fit_many_checks_nu_once_at_set_up(monkeypatch, nu, message):
+    # a fit's nu is checked in its set-up, so a job whose nu is bad and whose
+    # Q would hold a NaN reports the nu, as solve_duals does for that nu,
+    # and no Q is checked; a bad-nu job still loses to a lower failing job
+    X = blob(42, 20)
+    bad_q = X.copy()
+    bad_q[3, 1] = np.nan
+    checks = []
+    check = models_module.check_duals
+    monkeypatch.setattr(models_module, "check_duals", lambda Q: checks.append(len(Q)) or check(Q))
+    both = FitJob("lmkad", bad_q, "poly:q=2,linear", LmkadConfig(nu=nu))
+    with pytest.raises(ValueError, match=message):
+        fit_many([both])
+    with pytest.raises(ValueError, match=message):
+        solver_module.solve_duals(np.eye(20)[None], [nu])
+    assert checks == []
+    nan_q = FitJob("lmkad", bad_q, "poly:q=2,linear", LmkadConfig(nu=0.2))
+    with pytest.raises(ValueError, match="^Q contains non-finite entries$"):
+        fit_many([nan_q, both])
+    with pytest.raises(ValueError, match=message):
+        fit_many([both, nan_q])
+
+
 def test_fit_many_reports_a_bad_kernel_token_in_job_order():
     X = blob(44, 20)
     one_row = FitJob("lmkad", X[:1], "gpl", LmkadConfig(nu=1.0))  # no bandwidth on one row
@@ -746,9 +773,9 @@ def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, s
     calls = []
     check, solve = models_module.check_duals, models_module.solve_duals
 
-    def spy_check(Q, nu):
+    def spy_check(Q):
         calls.append(("check", Q.shape, Q))
-        return check(Q, nu)
+        return check(Q)
 
     def spy_solve(Q, nu, *args):
         calls.append(("solve", Q.shape, Q))
@@ -846,9 +873,9 @@ def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
         grad_vector[1] = np.nan
         return grad_matrix, grad_vector
 
-    def late_failure(Q, nu):
-        checks.append(len(nu))
-        return {0: "round 1 failure"} if len(checks) == 2 else check(Q, nu)
+    def late_failure(Q):
+        checks.append(len(Q))
+        return {0: "round 1 failure"} if len(checks) == 2 else check(Q)
 
     monkeypatch.setattr(models_module, "gradient_stack", nan_row_1)
     monkeypatch.setattr(models_module, "check_duals", late_failure)

@@ -3,6 +3,7 @@ interpreter, with its output under ``tmp_path``, and must exit 0 with the
 files and lines its docstring promises."""
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,21 @@ def _run(script, *args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, str(REPO / "scripts" / script), *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_code_lines(tmp_path):
+    done = _run("code_lines.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = sorted(p.name for p in (REPO / "src" / "lmkad").glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    counts = [int(count) for count, _ in rows]
+    assert min(counts) > 0 and counts[-1] == sum(counts[:-1])
+    assert list(tmp_path.iterdir()) == []  # it only prints
+    code_lines = runpy.run_path(str(REPO / "scripts" / "code_lines.py"))["code_lines"]
+    source = '"""Module\ndocstring."""\nx = 1  # a comment\n\n# a comment line\ndef f():\n    """Doc."""\n' \
+             '    return (x,\n            """not a docstring""")\n'
+    assert code_lines(source) == 4  # x = 1, def f():, and the two lines of the return
 
 
 def test_reference_stats(tmp_path):

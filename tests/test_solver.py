@@ -73,11 +73,11 @@ def test_symmetry_bound_scales_with_q():
     # less than the absolute 1e-9 a small Q is held to
     Q = np.array([[1e6, 1.0], [1.0, 1e6]])
     Q[0, 1] += 5e-7
-    assert solver.check_duals(Q[None], [1.0]) == {}
+    assert solver.check_duals(Q[None]) == {}
     Q[0, 1] += 1e-6
-    assert "symmetric" in solver.check_duals(Q[None], [1.0])[0]
+    assert "symmetric" in solver.check_duals(Q[None])[0]
     small = np.array([[1.0, 0.0], [2e-9, 1.0]])
-    assert "symmetric" in solver.check_duals(small[None], [1.0])[0]
+    assert "symmetric" in solver.check_duals(small[None])[0]
 
 
 #: sizes around CHECK_BLOCK (one block per fit vs block pairs) and the
@@ -107,9 +107,7 @@ def test_check_duals_matches_the_whole_stack_check(data):
                 Q[r, i, i] = -data.draw(st.sampled_from([1e-13, 1e-11, 1.0]))
             else:
                 Q[r, i, j] = float(fault)
-    nu = data.draw(st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.01, 0.0, -1.0, 2.0, math.nan]), min_size=b,
-                            max_size=b), label="nu")
-    assert solver.check_duals(Q, nu) == reference_check_duals(Q, nu)
+    assert solver.check_duals(Q) == reference_check_duals(Q)
     finite = np.isfinite(Q).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):
         exact = np.abs(Q - Q.transpose(0, 2, 1)).max(axis=(1, 2))
@@ -123,7 +121,7 @@ def test_check_duals_keeps_a_nan_block_behind_finite_ones():
     n = 3 * solver.CHECK_BLOCK
     Q = np.zeros((1, n, n))
     Q[0, n - 1, n - 2] = math.nan
-    assert solver.check_duals(Q, [1.0]) == {0: "Q contains non-finite entries"}
+    assert solver.check_duals(Q) == {0: "Q contains non-finite entries"}
 
 
 def test_check_duals_names_a_finite_q_whose_asymmetry_overflows():
@@ -131,7 +129,7 @@ def test_check_duals_names_a_finite_q_whose_asymmetry_overflows():
     Q = np.eye(3)[None].copy()
     Q[0, 0, 2], Q[0, 2, 0] = 1e308, -1e308
     with np.errstate(over="ignore"):
-        assert solver.check_duals(Q, [1.0]) == reference_check_duals(Q, [1.0]) == {
+        assert solver.check_duals(Q) == reference_check_duals(Q) == {
             0: "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"}
 
 
@@ -177,9 +175,9 @@ def test_violation_reaches_tolerance():
     rng = np.random.default_rng(11)
     for _ in range(5):
         Q = random_psd_gram(rng, 9)
-        sol = solve_dual(DualProblem(Q, nu=0.5), tol=1e-6, record_violations=True)
+        sol = solve_dual(DualProblem(Q, nu=0.5), tol=1e-6)
         assert sol.converged
-        assert sol.violation_trace[-1] <= 1e-6
+        assert sol.final_violation <= 1e-6
         assert kkt_violation(sol.alpha, Q, DualProblem(Q, nu=0.5).upper_bound) <= 1e-6
 
 
@@ -256,6 +254,34 @@ def test_margin_sv_kkt_recheck():
     g = Q @ sol.alpha
     for i in sol.margin_indices:
         assert g[i] - sol.rho >= -10 * tol
+
+
+@pytest.mark.parametrize("n, kind, nus", [
+    (50, "linear", (0.05, 0.1, 0.2, 0.3, 0.5, 0.8)),  # a lockstep stack
+    (50, "gaussian", (0.1, 0.5)),
+    (100, "gaussian", (0.05, 0.3)),
+    (200, "gaussian", (0.1, 0.5)),
+], ids=["50-linear-lockstep", "50-gaussian", "100-gaussian", "200-gaussian"])
+def test_solve_duals_matches_a_general_qp_solver(n, kind, nus):
+    # a KKT gap of at most tol bounds the objective's distance to the
+    # optimum by tol (both iterates sum to 1, so g'(a - a*) <= gap), and
+    # SLSQP reaches the optimum by another path; alpha is not compared,
+    # because a flat optimum's alpha depends on the path
+    from scipy.optimize import minimize
+
+    tol = 1e-7
+    Q = random_psd_gram(np.random.default_rng(n), n, kind)
+    stack = solve_duals(np.stack([Q] * len(nus)), nus, tol=tol)
+    for k, nu in enumerate(nus):
+        upper = 1.0 / (nu * n)
+        res = minimize(lambda a: 0.5 * a @ Q @ a, np.full(n, 1.0 / n), jac=lambda a: Q @ a, method="SLSQP",
+                       bounds=[(0.0, upper)] * n, options={"ftol": 1e-14, "maxiter": 500},
+                       constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0, "jac": lambda a: np.ones(n)}])
+        a = res.x
+        assert abs(a.sum() - 1.0) <= 1e-9 and a.min() >= -1e-12 and a.max() <= upper + 1e-12
+        sol = stack[k]
+        assert sol.converged and sol.final_violation <= tol
+        assert abs(sol.objective - 0.5 * a @ Q @ a) <= tol
 
 
 @settings(max_examples=20, deadline=None)
@@ -345,9 +371,9 @@ def loop_spy(monkeypatch):
     return entries, lockstep_rows
 
 
-def _assert_reference_path(new, problem, kwargs, record):
+def _assert_reference_path(new, problem, kwargs):
     """``new`` equals the plain loop's solution of ``problem`` in every field."""
-    ref = reference_solve_dual(problem, record_violations=record, **kwargs)
+    ref = reference_solve_dual(problem, **kwargs)
     assert np.array_equal(new.alpha, ref.alpha)
     assert new.iterations == ref.iterations
     assert new.converged == ref.converged
@@ -356,19 +382,33 @@ def _assert_reference_path(new, problem, kwargs, record):
     assert new.rho == ref.rho
     assert np.array_equal(new.support_indices, ref.support_indices)
     assert np.array_equal(new.margin_indices, ref.margin_indices)
-    assert new.violation_trace == ref.violation_trace
-    assert len(new.violation_trace) == (new.iterations + new.converged if record else 0)
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
+def _stops(steps):
+    """Step counts along a path of ``steps`` steps at which the "trace" cases cut it."""
+    return sorted({1, max(1, steps // 3), max(1, 2 * steps // 3)})
+
+
+def _capped(kwargs, cap):
+    """``kwargs`` with ``max_iter`` lowered to ``cap``."""
+    return {**kwargs, "max_iter": min(cap, kwargs.get("max_iter", cap))}
+
+
+#: "plain" compares the end of each path with the plain loop's; "trace" also
+#: cuts the path at ``_stops`` (``max_iter``) and compares each cut the same
+#: way, which pins the path between the start and the end
+ALONG_PATH = pytest.mark.parametrize("along", [False, True], ids=["plain", "trace"])
+
+
+@ALONG_PATH
 @pytest.mark.parametrize("case", sorted(SMO_PATH_CASES))
-def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record, loop_spy):
+def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, along, loop_spy):
     # solve_dual (the scalar loop) and a lockstep batch of LOCKSTEP_MIN_ROWS
     # copies must each take exactly the steps of the plain loop in
     # smo_reference.py: same pairs, same roundings, same stopping step
     problem, kwargs = SMO_PATH_CASES[case](iris)
-    new = solve_dual(problem, record_violations=record, **kwargs)
-    _assert_reference_path(new, problem, kwargs, record)
+    new = solve_dual(problem, **kwargs)
+    _assert_reference_path(new, problem, kwargs)
     if "max_iter" in kwargs:
         assert not new.converged and new.iterations == kwargs["max_iter"]
     elif case == "mkad-gpl-iris":
@@ -376,11 +416,16 @@ def test_solve_dual_matches_reference_loop_bit_for_bit(iris, case, record, loop_
 
     rows = solver.LOCKSTEP_MIN_ROWS
     solver_kwargs = {k: v for k, v in kwargs.items() if k != "alpha0"}
-    batch = _solve_stacked([problem] * rows, [kwargs.get("alpha0")] * rows,
-                           record_violations=record, **solver_kwargs)
+    batch = _solve_stacked([problem] * rows, [kwargs.get("alpha0")] * rows, **solver_kwargs)
     assert loop_spy[1] == [rows]
     for sol in batch:
-        _assert_reference_path(sol, problem, kwargs, record)
+        _assert_reference_path(sol, problem, kwargs)
+
+    for cap in _stops(new.iterations) if along else ():
+        capped = _capped(kwargs, cap)
+        _assert_reference_path(solve_dual(problem, **capped), problem, capped)
+        for sol in _solve_stacked([problem] * rows, [kwargs.get("alpha0")] * rows, **_capped(solver_kwargs, cap)):
+            _assert_reference_path(sol, problem, capped)
 
 
 def _solve_stacked(problems, alpha0s, **kwargs):
@@ -460,13 +505,13 @@ BATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["plain", "trace"])
+@ALONG_PATH
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, record, loop_spy):
+def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, along, loop_spy):
     problems, alpha0s, kwargs = BATCH_CASES[case](iris)
-    sols = _solve_stacked(problems, alpha0s, record_violations=record, **kwargs)
+    sols = _solve_stacked(problems, alpha0s, **kwargs)
     for problem, alpha0, sol in zip(problems, alpha0s, sols):
-        _assert_reference_path(sol, problem, {**kwargs, "alpha0": alpha0}, record)
+        _assert_reference_path(sol, problem, {**kwargs, "alpha0": alpha0})
 
     entries, lockstep_rows = loop_spy
     steps = [sol.iterations for sol in sols]
@@ -485,6 +530,11 @@ def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, record
         assert max(steps) == cap and sum(not s.converged for s in sols) >= 1
         if cap > 1:
             assert min(steps) < cap  # some rows converge before the cap cuts the rest
+
+    for cap in _stops(max(steps)) if along else ():
+        capped = _capped(kwargs, cap)
+        for problem, alpha0, sol in zip(problems, alpha0s, _solve_stacked(problems, alpha0s, **capped)):
+            _assert_reference_path(sol, problem, {**capped, "alpha0": alpha0})
 
 
 def test_solve_duals_rejects_mismatched_warm_starts():
@@ -521,18 +571,17 @@ def test_solve_duals_rows_match_each_stack_alone(iris, warm, loop_spy):
     Q = np.concatenate([Q for Q, _, _ in stacks])
     nus = [nu for _, stack_nus, _ in stacks for nu in stack_nus]
     alpha0 = None if not warm else np.concatenate([a for _, _, a in stacks])
-    together = solve_duals(Q, nus, alpha0, record_violations=True)
+    together = solve_duals(Q, nus, alpha0)
     assert loop_spy[1] == [11] and len(together) == 11
 
     k = 0
     for Q, stack_nus, stack_alpha0 in stacks:
-        alone = solve_duals(Q, stack_nus, stack_alpha0, record_violations=True)
+        alone = solve_duals(Q, stack_nus, stack_alpha0)
         for r in range(len(alone)):
             a, b = together[k], alone[r]
             assert a.alpha.tobytes() == b.alpha.tobytes()
             assert together.g[k].tobytes() == alone.g[r].tobytes()
             assert (a.iterations, a.converged, a.final_violation) == (b.iterations, b.converged, b.final_violation)
-            assert a.violation_trace == b.violation_trace
             assert (a.objective, a.rho) == (b.objective, b.rho)
             assert np.array_equal(a.support_indices, b.support_indices)
             assert np.array_equal(a.margin_indices, b.margin_indices)
@@ -562,13 +611,15 @@ def test_solve_duals_takes_one_square_stack():
 def test_solve_duals_refuses_nu_it_cannot_solve(nu, message):
     # on Q = I_4, nu = 2 once gave multipliers summing to 0.5 and nu = -1
     # negative ones, both "converged"; nu = 0 divided by zero.  The first
-    # bad row is named by check_duals' message for it
+    # bad row is named, by the message DualProblem gives for it
     Q = np.stack([np.eye(4)] * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             solve_duals(Q, [0.5, nu, 2.0 if nu != 2.0 else 0.5])
-    assert solver.check_duals(Q[:1], [nu]) == {0: solver._nu_errors([nu], 4)[0]}
+        with pytest.raises(ValueError, match=message):
+            DualProblem(np.eye(4), nu)
+    assert solver.check_duals(Q) == {}  # the matrices are fine
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
