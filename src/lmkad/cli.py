@@ -40,7 +40,7 @@ def _default_seed() -> int | None:
         raise ValueError(f"LMKAD_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_label_column(value: str):
+def _parse_label_column(value: int | str) -> int | str:
     try:
         return int(value)
     except ValueError:
@@ -127,47 +127,75 @@ def cmd_predict(args) -> int:
 _TRAINER_KEYS = (
     "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
 )
-#: every key a classifier or dataset entry of a benchmark config may hold
-_CLASSIFIER_KEYS = ("name", "family", "kernels", "nu_grid", *_TRAINER_KEYS)
-_DATASET_KEYS = ("name", "path", "label_column", "target_label", "header")
-#: every top-level key of a benchmark config
-_CONFIG_KEYS = ("seed", "n_folds", "n_runs", "output_dir", "datasets", "classifiers")
+
+#: (what a value must be, its JSON types) for the kinds of value that several keys take
+_INT, _REAL, _STR = ("an integer", (int,)), ("a real number", (int, float)), ("a string", (str,))
+#: every key of a benchmark config, by section: the top level ("config"), a
+#: dataset entry and a classifier entry.  Each maps to what its value must be,
+#: the JSON types the value may have (its exact type: true/false is not a
+#: number), and its default: ``...`` for a required key, a value, or a
+#: function of the entry's keys before it.  The README's grammar states it.
+CONFIG_KEYS = {
+    "config": {
+        "seed": (*_INT, lambda config: _default_seed()),  # LMKAD_SEED; None if unset, then refused
+        "n_folds": (*_INT, 5), "n_runs": (*_INT, 5), "output_dir": (*_STR, "results"),
+        "datasets": ("a non-empty list", (list,), ...), "classifiers": ("a non-empty list", (list,), ...),
+    },
+    "datasets": {
+        "path": (*_STR, ...), "label_column": ("an integer or a string", (int, str), -1),
+        "target_label": ("a string or a number", (str, int, float), ...),
+        "header": ("true or false", (bool,), False), "name": (*_STR, lambda entry: entry["path"]),
+    },
+    "classifiers": {
+        "family": (*_STR, ...), "kernels": ("a string or a list of strings", (str, list), ClassifierConfig.kernels),
+        "nu_grid": ("a list of numbers", (list,), evaluation.DEFAULT_NU_GRID),
+        "gating": (*_STR, LmkadConfig.gating_kind), "learning_rate": (*_REAL, LmkadConfig.learning_rate),
+        "lr_decay": (*_REAL, LmkadConfig.lr_decay), "outer_tol": (*_REAL, LmkadConfig.outer_tol),
+        "max_outer": (*_INT, LmkadConfig.max_outer), "inner_tol": (*_REAL, LmkadConfig.inner_tol),
+        "rho_mode": (*_STR, LmkadConfig.rho_mode),
+        "name": (*_STR, lambda entry: f"{entry['family']}({entry['kernels']})"),
+    },
+}
+
+
+def _checked(where: str, entry, keys: dict) -> dict:
+    """``entry`` checked against ``keys``, a section of ``CONFIG_KEYS``, with
+    every absent key set to its default and every list as a tuple (as the
+    frozen ``ClassifierConfig`` takes ``kernels``).  An entry that is not a
+    JSON object, an unknown key, an absent required key or a value of
+    another JSON type is refused in one line that starts with ``where``."""
+    if type(entry) is not dict:
+        raise ValueError(f"{where} is not a JSON object")
+    for key in entry:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r} (known: {', '.join(keys)})")
+    checked = {}
+    for key, (what, types, default) in keys.items():
+        if key not in entry:
+            if default is ...:
+                raise ValueError(f"{where} needs a {key!r}")
+            value = default(checked) if callable(default) else default
+        elif type(value := entry[key]) not in types:
+            raise ValueError(f"{where}: {key} must be {what}, got {value!r}")
+        checked[key] = tuple(value) if type(value) is list else value
+    return checked
 
 
 def _load_experiment_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    for key in config:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}: config has unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
-    for key in ("datasets", "classifiers"):
-        if not config.get(key) or not isinstance(config[key], list):
-            raise ValueError(f"{path}: config needs a non-empty {key!r} list")
-    for section, known, required in (("datasets", _DATASET_KEYS, ("path", "target_label")),
-                                     ("classifiers", _CLASSIFIER_KEYS, ("family",))):
-        for k, entry in enumerate(config[section]):
-            where = f"{path}: {section}[{k}]"
-            if not isinstance(entry, dict):
-                raise ValueError(f"{where} is not a JSON object")
-            for key in entry:
-                if key not in known:
-                    raise ValueError(f"{where} has unknown key {key!r} (known: {', '.join(known)})")
-            for key in required:
-                if key not in entry:
-                    raise ValueError(f"{where} needs a {key!r}")
-    if "seed" not in config:
-        env = _default_seed()
-        if env is None:
-            raise ValueError(f"{path}: config needs a 'seed' (or set LMKAD_SEED)")
-        config["seed"] = env
-    config.setdefault("n_folds", 5)
-    config.setdefault("n_runs", 5)
-    config.setdefault("output_dir", "results")
-    for key in ("seed", "n_folds", "n_runs"):
-        if isinstance(config[key], bool) or not isinstance(config[key], int):
-            raise ValueError(f"{path}: {key!r} must be an integer, got {config[key]!r}")
+    """The benchmark config at ``path`` and each of its entries, ``_checked``
+    and filled in; two entries of a section may not share a name."""
+    config = _checked(f"{path}: config", json.loads(Path(path).read_text(encoding="utf-8")), CONFIG_KEYS["config"])
+    if config["seed"] is None:
+        raise ValueError(f"{path}: config needs a 'seed' (or set LMKAD_SEED)")
+    for section in ("datasets", "classifiers"):
+        if not config[section]:
+            raise ValueError(f"{path}: config: {section} must be a non-empty list, got []")
+        config[section] = [_checked(f"{path}: {section}[{k}]", entry, CONFIG_KEYS[section])
+                           for k, entry in enumerate(config[section])]
+        names = [entry["name"] for entry in config[section]]
+        for k, name in enumerate(names):
+            if names.index(name) != k:
+                raise ValueError(f"{path}: {section}[{names.index(name)}] and {section}[{k}] are both named {name!r}")
     return config
 
 
@@ -179,15 +207,9 @@ def _trainer(settings: dict) -> LmkadConfig:
 
 
 def _classifier_from_dict(spec: dict) -> tuple[ClassifierConfig, list[float]]:
-    kernels = spec.get("kernels", "gauss:auto")
-    if isinstance(kernels, list):
-        kernels = tuple(kernels)
-    name = spec.get("name") or f"{spec['family']}({kernels})"
-    grid = spec.get("nu_grid", evaluation.DEFAULT_NU_GRID)
-    if not isinstance(grid, (list, tuple)):
-        raise ValueError(f"nu_grid must be a list of numbers, got {grid!r}")
-    grid = [float(v) for v in evaluation.check_nu_grid(grid)]
-    return ClassifierConfig(name, spec["family"], kernels, _trainer(spec)), grid
+    """The column and nu grid of a classifier entry that ``_checked`` filled in."""
+    grid = [float(v) for v in evaluation.check_nu_grid(spec["nu_grid"])]
+    return ClassifierConfig(spec["name"], spec["family"], spec["kernels"], _trainer(spec)), grid
 
 
 def _shares(cells: list, n: int) -> list[list]:
@@ -198,34 +220,26 @@ def _shares(cells: list, n: int) -> list[list]:
 
 def cmd_benchmark(args) -> int:
     config = _load_experiment_config(args.config)
-    out_dir = Path(args.output_dir or config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = config["seed"]
-
     classifiers = []
     for k, spec in enumerate(config["classifiers"]):
         try:
             classifiers.append(_classifier_from_dict(spec))
         except ValueError as exc:
             raise ValueError(f"{args.config}: classifiers[{k}]: {exc}") from None
-    datasets = [
-        load_csv(
-            spec["path"],
-            label_column=_parse_label_column(str(spec.get("label_column", -1))),
-            target_label=spec["target_label"],
-            has_header=bool(spec.get("header", False)),
-            name=spec.get("name"),
-        )
-        for spec in config["datasets"]
-    ]
-    for spec, data in zip(config["datasets"], datasets):
+    datasets = []
+    for spec in config["datasets"]:
+        data = load_csv(spec["path"], label_column=_parse_label_column(spec["label_column"]),
+                        target_label=spec["target_label"], has_header=spec["header"], name=spec["name"])
         _check_normalizer(spec["path"], data)  # every fold's training targets are a share of these
+        datasets.append(data)
+    out_dir = Path(args.output_dir or config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
     for data in datasets:
-        plan = plan_folds(data, n_folds=config["n_folds"], n_runs=config["n_runs"], seed=seed)
+        plan = plan_folds(data, n_folds=config["n_folds"], n_runs=config["n_runs"], seed=config["seed"])
         for clf, grid in classifiers:
-            cells.append(CvCell(data, clf, grid, plan, seed))
+            cells.append(CvCell(data, clf, grid, plan, config["seed"]))
 
     # a failing share raises fit_many's error over its jobs; of several, the first share's
     shares = _shares(cells, min(args.jobs or os.cpu_count() or 1, len(cells)))
@@ -251,8 +265,7 @@ def cmd_benchmark(args) -> int:
     failed = [r for r in results if not np.isfinite(r.mean_gmean)]
     dataset_names = [d.name for d in datasets]
     classifier_names = [c.name for c, _ in classifiers]
-    complete = not failed and len(dataset_names) >= 1
-    if complete:
+    if not failed:
         lookup = {(r.dataset, r.classifier): r.mean_gmean for r in results}
         M = np.array([[lookup[(d, c)] for c in classifier_names] for d in dataset_names])
         M = evaluation.write_gmean_matrix_csv(dataset_names, classifier_names, M, out_dir / "gmean_matrix.csv")

@@ -69,6 +69,8 @@ def parse_kernel_spec(token: str) -> KernelSpec:
     Accepted forms: ``linear``, ``poly:q=2``, ``poly:q=3``, ``gauss:auto``,
     ``gauss:sigma_sq=<float>``.
     """
+    if not isinstance(token, str):
+        raise ValueError(f"kernel token must be a string, got {token!r}")
     token = token.strip()
     if token == "linear":
         return KernelSpec("linear")

@@ -94,9 +94,7 @@ def nu_out_of_range(nu) -> str | None:
 
 def _nu_errors(nu, n: int) -> dict[int, str]:
     """Why each rate of ``nu`` cannot be solved on ``n`` rows: ``nu_out_of_range``, then ``infeasible_nu``."""
-    rates = np.asarray(nu, dtype=float)
-    bad = ~((0.0 < rates) & (rates <= 1.0)) | (rates * n < 1.0 - 1e-9)
-    return {r: nu_out_of_range(nu[r]) or infeasible_nu(nu[r], n) for r in np.flatnonzero(bad).tolist()}
+    return {r: reason for r, rate in enumerate(nu) if (reason := nu_out_of_range(rate) or infeasible_nu(rate, n))}
 
 
 def check_tol(tol, name: str = "tol") -> None:

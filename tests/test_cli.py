@@ -1,11 +1,13 @@
 import io
 import json
 import csv
+import os
 import re
 
 import numpy as np
 import pytest
 
+from conftest import IRIS_CSV
 from lmkad import cli
 from lmkad.cli import main
 from lmkad.dataset import load_features_csv
@@ -234,6 +236,9 @@ def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model, monkeypatch):
     assert [len(v) for v in scored] == [BLOCK_ROWS, 40]
     assert isinstance(buffers[0], ScoreBuffers) and buffers[1] is buffers[0]  # allocated once
     assert out.read_bytes() == csv_writer_predictions(np.concatenate(scored).tolist())
+
+
+IRIS_SETOSA = {"path": str(IRIS_CSV), "label_column": "species", "target_label": "setosa", "header": True}
 
 
 def benchmark_config(tmp_path, iris_path, classifiers, n_runs=1, grid=(0.1, 0.3)):
@@ -481,18 +486,66 @@ def test_benchmark_config_entries_fail_early_by_name(tmp_path, iris_path, capsys
     assert not (tmp_path / "results" / "results.csv").exists()
 
 
+@pytest.fixture()
+def iris_on_stdin(iris_path):
+    """File descriptor 0 reads the iris rows, as in ``lmkad benchmark < iris.csv``."""
+    read, write = os.pipe()
+    os.write(write, iris_path.read_bytes())  # smaller than a pipe's buffer
+    os.close(write)
+    saved = os.dup(0)
+    os.dup2(read, 0)
+    os.close(read)
+    yield
+    os.dup2(saved, 0)
+    os.close(saved)
+
+
+# Besides the key names and integers, each case below once ran: a
+# non-string path was opened as a file descriptor (0 read the piped stdin
+# as the data file and exited 0), "false" counted as a true header and
+# dropped a data row, non-string output_dir and kernels raised TypeError or
+# AttributeError tracebacks, and entries named alike wrote one row or
+# column's Gmeans under both names.
 @pytest.mark.parametrize("change, message", [
     ({"n_fold": 3}, r"config has unknown key 'n_fold' \(known: seed, n_folds, "),
-    ({"n_folds": 2.7}, r"'n_folds' must be an integer, got 2.7$"),
-    ({"n_runs": True}, r"'n_runs' must be an integer, got True$"),
-    ({"seed": "x"}, r"'seed' must be an integer, got 'x'$"),
-], ids=["unknown", "fraction", "bool", "string"])
-def test_benchmark_config_top_level_keys_fail_early_by_name(tmp_path, iris_path, capsys, change, message):
+    ({"n_folds": 2.7}, r"config: n_folds must be an integer, got 2\.7$"),
+    ({"n_runs": True}, r"config: n_runs must be an integer, got True$"),
+    ({"seed": "x"}, r"config: seed must be an integer, got 'x'$"),
+    ({"output_dir": 5}, r"config: output_dir must be a string, got 5$"),
+    ({"datasets": []}, r"config: datasets must be a non-empty list, got \[\]$"),
+    ({"datasets": [{"path": 0, "target_label": "setosa"}]}, r"datasets\[0\]: path must be a string, got 0$"),
+    ({"datasets": [{"path": 7, "target_label": "setosa"}]}, r"datasets\[0\]: path must be a string, got 7$"),
+    ({"datasets": [dict(IRIS_SETOSA, header="false")]}, r"datasets\[0\]: header must be true or false, got 'false'$"),
+    ({"datasets": [dict(IRIS_SETOSA, header=1)]}, r"datasets\[0\]: header must be true or false, got 1$"),
+    ({"datasets": [dict(IRIS_SETOSA, name=5)]}, r"datasets\[0\]: name must be a string, got 5$"),
+    ({"datasets": [dict(IRIS_SETOSA, target_label=None)]},
+     r"datasets\[0\]: target_label must be a string or a number, got None$"),
+    ({"datasets": [dict(IRIS_SETOSA, label_column=True)]},
+     r"datasets\[0\]: label_column must be an integer or a string, got True$"),
+    ({"datasets": [dict(IRIS_SETOSA, target_label=t) for t in ("setosa", "versicolor", "virginica")]},
+     r"datasets\[0\] and datasets\[1\] are both named '[^']*iris\.csv'$"),
+    ({"classifiers": [{"family": "ocsvm", "kernels": 5}]},
+     r"classifiers\[0\]: kernels must be a string or a list of strings, got 5$"),
+    ({"classifiers": [{"family": "ocsvm", "kernels": [5]}]}, r"classifiers\[0\]: kernel token must be a string, got 5$"),
+    ({"classifiers": [{"family": "ocsvm", "name": 5}]}, r"classifiers\[0\]: name must be a string, got 5$"),
+    ({"classifiers": [{"family": "ocsvm", "name": "x"}, {"family": "mkad", "kernels": "gpl", "name": "x"}]},
+     r"classifiers\[0\] and classifiers\[1\] are both named 'x'$"),
+    ({"classifiers": [{"family": "ocsvm"}, {"family": "ocsvm", "kernels": "linear"}, {"family": "ocsvm"}]},
+     r"classifiers\[0\] and classifiers\[2\] are both named 'ocsvm\(gauss:auto\)'$"),
+], ids=["unknown", "fraction", "bool", "string", "output-dir", "no-datasets", "path-stdin", "path-fd",
+        "header-string", "header-int", "dataset-name", "target-null", "label-column-bool", "dataset-names-by-path",
+        "kernels-int", "kernel-token-int", "classifier-name", "classifier-names", "classifier-names-by-default"])
+def test_benchmark_config_top_level_keys_fail_early_by_name(tmp_path, iris_path, iris_on_stdin, monkeypatch, capsys,
+                                                            change, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(cli, "load_csv", no_data)
     config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
     config.write_text(json.dumps(dict(json.loads(config.read_text()), **change)))
     assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1 and "Traceback" not in err
     assert re.search(message, err.strip())
     assert not (tmp_path / "results").exists()
 

@@ -25,6 +25,17 @@ def test_readme_benchmark_config_loads(tmp_path):
     assert classifiers[1][0].trainer == ClassifierConfig.trainer  # the example spells the defaults
 
 
+def test_readme_config_grammar_states_the_key_table():
+    grammar = (REPO / "README.md").read_text(encoding="utf-8").split("### Benchmark config grammar (JSON)", 1)[1]
+    for heading, section in (("top-level", "config"), ("dataset", "datasets"), ("classifier", "classifiers")):
+        table = grammar.split(f"| {heading} key | value | default |\n", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", table, re.MULTILINE)
+        keys = cli.CONFIG_KEYS[section]
+        assert [(key, what) for key, what, _ in rows] == [(key, what) for key, (what, _, _) in keys.items()]
+        assert [key for key, _, default in rows if default == "required"] == [
+            key for key, (_, _, default) in keys.items() if default is ...]
+
+
 def test_readme_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     exec(_block("## Library use", "python"), {})

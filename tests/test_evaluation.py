@@ -124,8 +124,9 @@ def test_cross_validate_deterministic():
 ], ids=["gating", "rho-mode", "learning-rate"])
 def test_classifier_config_rejects_an_unknown_knob_value(family, knob, message):
     # checked when a benchmark config's classifier is built, before cross_validate trains anything
+    spec = cli._checked("classifiers[0]", {"name": "x", "family": family, **knob}, cli.CONFIG_KEYS["classifiers"])
     with pytest.raises(ValueError, match=message):
-        cli._classifier_from_dict({"name": "x", "family": family, **knob})
+        cli._classifier_from_dict(spec)
 
 
 def test_cross_validate_skips_infeasible_candidates():

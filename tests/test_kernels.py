@@ -31,9 +31,9 @@ def test_parse_round_trip():
         assert format_kernel_spec(parse_kernel_spec(token)) == token
 
 
-@pytest.mark.parametrize("bad", ["poly:q=4", "poly:q=0", "gauss:sigma_sq=-1", "rbf", "gauss:", ""])
+@pytest.mark.parametrize("bad", ["poly:q=4", "poly:q=0", "gauss:sigma_sq=-1", "rbf", "gauss:", "", 5, None])
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a token that is not a string once raised AttributeError
         parse_kernel_spec(bad)
 
 

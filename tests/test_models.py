@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -753,6 +754,41 @@ def test_fit_many_checks_nu_once_at_set_up(monkeypatch, nu, message):
         fit_many([nan_q, both])
     with pytest.raises(ValueError, match=message):
         fit_many([both, nan_q])
+
+
+def test_fit_many_checks_every_round_when_gates_turn_nan(monkeypatch):
+    # the other non-finite Q cases put the NaN in X, so they fail at round 0;
+    # here gates turn NaN at round 1, which only that round's Q check sees
+    X = blob(46, 20)
+    poisoned = {}  # gating kind -> the stack row whose gates turn NaN at round 1
+    rounds, solved = collections.Counter(), []
+    gate_stack, check, solve = models_module.gate_stack, models_module.check_duals, models_module.solve_duals
+
+    def gates(kind, *args):
+        H = gate_stack(kind, *args)
+        rounds[kind] += 1
+        if rounds[kind] == 2 and kind in poisoned:
+            H[poisoned[kind]] = np.nan
+        return H
+
+    monkeypatch.setattr(models_module, "gate_stack", gates)
+    monkeypatch.setattr(models_module, "solve_duals", lambda Q, *args: solved.append(len(Q)) or solve(Q, *args))
+    sigmoid = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=nu, seed=1)) for nu in (0.2, 0.3)]
+    poisoned["sigmoid"] = 1
+    with pytest.raises(ValueError, match="^Q contains non-finite entries$"):
+        fit_many(sigmoid)
+    assert rounds == {"sigmoid": 2} and solved == [2]  # round 1 composed, then training stopped
+
+    # job 2's stack composes first, but job 1 (its own softmax stack) fails in
+    # the same round and is lower; each row's message is tagged to tell them apart
+    rounds.clear()
+    solved.clear()
+    poisoned["softmax"] = 0
+    monkeypatch.setattr(models_module, "check_duals", lambda Q: {r: f"{m} (row {r})" for r, m in check(Q).items()})
+    softmax = FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.2, seed=1, gating_kind="softmax"))
+    with pytest.raises(ValueError, match=r"^Q contains non-finite entries \(row 2\)$"):
+        fit_many([sigmoid[0], softmax, sigmoid[1]])
+    assert rounds == {"sigmoid": 2, "softmax": 2} and solved == [3]
 
 
 def test_fit_many_reports_a_bad_kernel_token_in_job_order():

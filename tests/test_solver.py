@@ -620,6 +620,7 @@ def test_solve_duals_refuses_nu_it_cannot_solve(nu, message):
         with pytest.raises(ValueError, match=message):
             DualProblem(np.eye(4), nu)
     assert solver.check_duals(Q) == {}  # the matrices are fine
+    assert list(solver._nu_errors([0.25, nu], 4)) == [1]  # nu*N = 1 is feasible
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
