@@ -1,5 +1,12 @@
 """Command-line interface: fit, predict, benchmark, stats.
 
+``predict`` reads and writes its input in blocks of ``BLOCK_ROWS`` rows.
+An input of one block is scored in this process.  A longer one is scored
+in one worker process, which scores block k while this process reads
+block k + 1 and writes block k - 1, so at most two blocks are in flight;
+the output bytes and error texts are those of scoring each block before
+reading the next.
+
 ``benchmark`` consumes a JSON experiment config (schema documented in the
 README) and writes results/ranks/friedman CSVs plus the raw Gmean matrix.
 Its (dataset, classifier) cells are split, in config order, into
@@ -17,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,36 +91,102 @@ def cmd_fit(args) -> int:
     return 0
 
 
+#: the model and the one ``ScoreBuffers`` of a ``predict`` worker process
+_scorer: tuple | None = None
+
+
+def _start_scorer(model) -> None:
+    """Initializer of ``predict``'s worker process: keep ``model``, which comes
+    pickled, so that any start method works, and allocate the process's one
+    ``ScoreBuffers``."""
+    global _scorer
+    _scorer = (model, ScoreBuffers(model))
+
+
+def _score_block(X: np.ndarray) -> np.ndarray:
+    """The decision values of one block, in the buffers of ``_start_scorer``."""
+    model, buffers = _scorer
+    return decision_values(model, X, buffers)
+
+
+def _format_block(start: int, values: np.ndarray) -> str:
+    """The lines ``index,decision_value,label`` of ``values``, indexed from
+    ``start``: the bytes ``csv.writer`` would give, as no field can hold a
+    comma, quote or line break."""
+    k = len(values)
+    fields = [0] * (3 * k)
+    fields[0::3] = range(start, start + k)
+    fields[1::3] = values.tolist()
+    fields[2::3] = np.where(values >= 0.0, 1, -1).tolist()  # NaN scores -1
+    return ("%d,%.12g,%d\n" * k) % tuple(fields)
+
+
+def _scored_blocks(model, blocks):
+    """Yield the decision values of each of ``blocks``, in order.
+
+    One block is scored here.  From a second block on, one worker process
+    (``_start_scorer``) scores block k while this process reads block k + 1
+    and the caller writes block k - 1; at most two blocks are in flight.
+    Of a read error and the scoring errors of the blocks before it, the
+    earliest block's is raised, as when each block is scored before the
+    next is read.
+    """
+    first = next(blocks, None)
+    if first is None:
+        return
+    try:
+        X = next(blocks, None)
+    except Exception:
+        decision_values(model, first)  # the first block's scoring error comes first
+        raise
+    if X is None:
+        yield decision_values(model, first)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only a multi-block predict pays for this import
+
+    pool = ProcessPoolExecutor(max_workers=1, initializer=_start_scorer, initargs=(model,))
+    try:
+        pending = [pool.submit(_score_block, first)]
+        while X is not None:
+            pending.append(pool.submit(_score_block, X))
+            try:
+                X = next(blocks, None)
+            except Exception:
+                for future in pending:
+                    future.result()  # an earlier block's scoring error comes first
+                raise
+            yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_predict(args) -> int:
     """Score ``--data`` block by block into a temp file, renamed to ``--out`` on success.
 
     Each block of ``BLOCK_ROWS`` rows is read (``iter_feature_blocks``),
-    scored by one ``decision_values`` call in buffers allocated once, and
-    written with one ``write`` call.  The written lines are
-    ``index,decision_value,label``, the bytes ``csv.writer`` would give:
-    no field can hold a comma, quote or line break.
+    scored by one ``decision_values`` call and written with one ``write``
+    call (``_format_block``).  An input of one block is scored in this
+    process; a longer one in one worker process, overlapped with reading
+    and writing (``_scored_blocks``).  Either way the output bytes and
+    the error texts are the same, and no process or temp file outlives
+    the call.
     """
     model = load_model(args.model)
     label_column = _parse_label_column(args.label_column) if args.label_column else None
     blocks = iter_feature_blocks(
         args.data, BLOCK_ROWS, has_header=args.header, label_column=label_column
     )
-    buffers = ScoreBuffers(model)
     out = Path(args.out)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     n = 0
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh, closing(_scored_blocks(model, blocks)) as scored:
             fh.write("index,decision_value,label\n")
-            for X in blocks:
-                values = decision_values(model, X, buffers)
-                k = len(values)
-                fields = [0] * (3 * k)
-                fields[0::3] = range(n, n + k)
-                fields[1::3] = values.tolist()
-                fields[2::3] = np.where(values >= 0.0, 1, -1).tolist()  # NaN scores -1
-                fh.write(("%d,%.12g,%d\n" * k) % tuple(fields))
-                n += k
+            for values in scored:
+                fh.write(_format_block(n, values))
+                n += len(values)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -61,10 +61,10 @@ class ConfusionCounts:
         if y_true.shape != y_pred.shape:
             raise ValueError("label/prediction length mismatch")
         return cls(
-            tp=int(np.sum((y_true == 1) & (y_pred == 1))),
-            fp=int(np.sum((y_true == -1) & (y_pred == 1))),
-            tn=int(np.sum((y_true == -1) & (y_pred == -1))),
-            fn=int(np.sum((y_true == 1) & (y_pred == -1))),
+            tp=int(np.count_nonzero((y_true == 1) & (y_pred == 1))),
+            fp=int(np.count_nonzero((y_true == -1) & (y_pred == 1))),
+            tn=int(np.count_nonzero((y_true == -1) & (y_pred == -1))),
+            fn=int(np.count_nonzero((y_true == 1) & (y_pred == -1))),
         )
 
 

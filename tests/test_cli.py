@@ -1,8 +1,12 @@
 import io
 import json
 import csv
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from lmkad.gating import GATING_KINDS
 from lmkad.models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model,
                           predict_batch)
 from lmkad.solver import RHO_MODES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -215,7 +221,7 @@ SPECIAL_VALUES = [-0.0, 0.0, float("nan"), 1e-300, 1e300, -1e300, float("inf"), 
                   5e-324, -2.5, 0.1 + 0.2, 123456789.123456789]
 
 
-def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model, monkeypatch):
+def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model):
     rows = np.random.default_rng(8).normal(loc=4.0, scale=2.0, size=(BLOCK_ROWS + 40, 4))
     data = tmp_path / "rows.csv"
     np.savetxt(data, rows, fmt="%.9g", delimiter=",")
@@ -224,18 +230,145 @@ def test_predict_writes_csv_writer_bytes(tmp_path, fitted_model, monkeypatch):
     expected = decision_values(load_model(fitted_model), load_features_csv(data))
     assert out.read_bytes() == csv_writer_predictions(expected.tolist())
 
-    scored, buffers = [], []
 
-    def special(model, X, block_buffers):
-        buffers.append(block_buffers)
-        scored.append(np.resize(SPECIAL_VALUES, len(X)))
-        return scored[-1]
+def test_block_formatter_writes_csv_writer_bytes():
+    values = np.array(SPECIAL_VALUES)
+    header = b"index,decision_value,label\n"
+    assert header + cli._format_block(0, values).encode() == csv_writer_predictions(SPECIAL_VALUES)
+    # a later block carries on the row index
+    blocks = cli._format_block(0, values[:5]) + cli._format_block(5, values[5:])
+    assert header + blocks.encode() == csv_writer_predictions(SPECIAL_VALUES)
 
-    monkeypatch.setattr(cli, "decision_values", special)
+
+def test_predict_worker_allocates_its_buffers_once(fitted_model, monkeypatch):
+    model = load_model(fitted_model)
+    allocated, used = [], []
+
+    class CountedBuffers(ScoreBuffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            allocated.append(self)
+
+    def spy(model, X, buffers):
+        used.append(buffers)
+        return decision_values(model, X, buffers)
+
+    monkeypatch.setattr(cli, "_scorer", None)
+    monkeypatch.setattr(cli, "ScoreBuffers", CountedBuffers)
+    monkeypatch.setattr(cli, "decision_values", spy)
+    cli._start_scorer(model)
+    rng = np.random.default_rng(9)
+    for rows in (BLOCK_ROWS, 40):
+        X = rng.normal(loc=4.0, scale=2.0, size=(rows, 4))
+        assert np.array_equal(cli._score_block(X), decision_values(model, X))
+    assert len(allocated) == 1 and used == allocated * 2
+
+
+def block_rows_csv(path, n_rows, width=4, bad_row=None):
+    """``n_rows`` rows of ``width`` seeded features, with a non-numeric cell at ``bad_row``."""
+    lines = [",".join(f"{v:.9g}" for v in row)
+             for row in np.random.default_rng(n_rows).normal(4.0, 2.0, size=(n_rows, width))]
+    if bad_row is not None:
+        lines[bad_row] = "x" + lines[bad_row][lines[bad_row].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_predict_first_scoring_error_beats_a_later_bad_row(tmp_path, fitted_model, capsys, blocks):
+    # three columns for a four-feature model: block 1 fails to score; the
+    # reader fails in the last block, after a worker started for 3 blocks
+    bad_row = (blocks - 1) * BLOCK_ROWS + 3
+    data = block_rows_csv(tmp_path / "bad.csv", blocks * BLOCK_ROWS, width=3, bad_row=bad_row)
+    assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, data, capsys,
+                                           "error: normalizer fitted on 4 columns, got 3\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_predict_leaves_no_process_or_temp_file(tmp_path, fitted_model, capsys):
+    data = block_rows_csv(tmp_path / "rows.csv", 2 * BLOCK_ROWS + 7)
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
     assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
-    assert [len(v) for v in scored] == [BLOCK_ROWS, 40]
-    assert isinstance(buffers[0], ScoreBuffers) and buffers[1] is buffers[0]  # allocated once
-    assert out.read_bytes() == csv_writer_predictions(np.concatenate(scored).tolist())
+    assert list(out.parent.iterdir()) == [out] and multiprocessing.active_children() == []
+    values = decision_values(load_model(fitted_model), load_features_csv(data))
+    assert out.read_bytes() == csv_writer_predictions(values.tolist())
+
+    bad = block_rows_csv(tmp_path / "bad.csv", 3 * BLOCK_ROWS, bad_row=2 * BLOCK_ROWS + 1)
+    (tmp_path / "failed").mkdir()
+    assert_failed_predict_leaves_out_alone(tmp_path / "failed", fitted_model, bad, capsys,
+                                           f"non-numeric value 'x' at row {2 * BLOCK_ROWS + 1}, column 0")
+    assert multiprocessing.active_children() == []
+
+
+def test_predict_keeps_two_blocks_in_flight_in_one_worker(tmp_path, fitted_model, monkeypatch):
+    import concurrent.futures
+
+    events, pools = [], []
+    real_blocks, real_result = cli.iter_feature_blocks, concurrent.futures.Future.result
+
+    def blocks(*args, **kwargs):
+        for k, X in enumerate(real_blocks(*args, **kwargs)):
+            events.append(f"read {k}")
+            yield X
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            pools.append(kwargs)
+
+        def submit(self, fn, X):
+            future = super().submit(fn, X)
+            future.block = sum(e.startswith("submit") for e in events)
+            events.append(f"submit {future.block}")
+            return future
+
+        def shutdown(self, **kwargs):
+            events.append(f"shutdown {kwargs}")
+            super().shutdown(**kwargs)
+
+    def result(future, timeout=None):
+        events.append(f"collect {future.block}")
+        return real_result(future, timeout)
+
+    monkeypatch.setattr(cli, "iter_feature_blocks", blocks)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures.Future, "result", result)
+    data = block_rows_csv(tmp_path / "rows.csv", 3 * BLOCK_ROWS + 1)
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", tmp_path / "p.csv"]) == 0
+    assert [(kwargs["max_workers"], kwargs["initializer"]) for kwargs in pools] == [(1, cli._start_scorer)]
+    # the worker scores block k while block k + 1 is read and block k - 1 written
+    assert events == ["read 0", "read 1", "submit 0", "submit 1", "read 2", "collect 0",
+                      "submit 2", "read 3", "collect 1", "submit 3", "collect 2", "collect 3",
+                      "shutdown {'cancel_futures': True}"]
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS])
+def test_predict_of_one_block_starts_no_process(tmp_path, fitted_model, monkeypatch, rows):
+    import concurrent.futures
+
+    def no_pool(**kwargs):
+        raise AssertionError("a one-block predict started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    data = block_rows_csv(tmp_path / "rows.csv", rows)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
+    values = decision_values(load_model(fitted_model), load_features_csv(data))
+    assert out.read_bytes() == csv_writer_predictions(values.tolist())
+
+
+def test_predict_worker_scores_sigmoid_gates_when_spawned(tmp_path):
+    # a spawned worker inherits nothing: the model must reach it pickled, gate and all
+    model = Path(__file__).parent / "data" / "v1_lmkad.json"
+    data = block_rows_csv(tmp_path / "rows.csv", BLOCK_ROWS + 3, width=3)
+    argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "spawned.csv")]
+    code = (f"import multiprocessing\nfrom lmkad import cli\nmultiprocessing.set_start_method('spawn')\n"
+            f"assert cli.main({argv!r}) == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120, check=True)
+    values = decision_values(load_model(model), load_features_csv(data))
+    assert (tmp_path / "spawned.csv").read_bytes() == csv_writer_predictions(values.tolist())
 
 
 IRIS_SETOSA = {"path": str(IRIS_CSV), "label_column": "species", "target_label": "setosa", "header": True}

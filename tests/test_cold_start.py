@@ -1,7 +1,8 @@
 """What a fresh interpreter loads.  scipy is imported only where a sigmoid
 gate or the Friedman test needs it, and the process pool only by a
-``lmkad benchmark`` run that uses one; these tests check module contents
-(``sys.modules``), not import time."""
+``lmkad benchmark`` run that uses one or a ``lmkad predict`` of more than
+one block; these tests check module contents (``sys.modules``), not
+import time."""
 import json
 import os
 import subprocess
@@ -35,9 +36,9 @@ def loaded_by(code: str) -> list[str]:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def predict_code(stem: str, tmp_path) -> str:
+def predict_code(stem: str, tmp_path, n_rows: int = 2) -> str:
     rows = tmp_path / "rows.csv"
-    rows.write_text("0.5,1.0,-1.0\n2.0,0.0,0.5\n")
+    rows.write_text("0.5,1.0,-1.0\n2.0,0.0,0.5\n" * (n_rows // 2) + "0.5,1.0,-1.0\n" * (n_rows % 2))
     argv = ["predict", "--model", str(V1_DIR / f"v1_{stem}.json"), "--data", str(rows),
             "--out", str(tmp_path / "out.csv")]
     return f"from lmkad import cli\nassert cli.main({argv!r}) == 0\n"
@@ -71,3 +72,9 @@ def test_sigmoid_model_loads_scipy_special_before_scoring(tmp_path):
     code = ("import sys\nfrom lmkad import load_model\nload_model(%r)\n"
             "assert 'scipy.special' in sys.modules\n" % str(V1_DIR / "v1_lmkad.json"))
     assert "scipy.special" in loaded_by(code + predict_code("lmkad", tmp_path))
+
+
+def test_predict_of_two_blocks_loads_the_pool(tmp_path):
+    from lmkad.dataset import BLOCK_ROWS
+
+    assert loaded_by(predict_code("ocsvm", tmp_path, BLOCK_ROWS + 1)) == ["concurrent.futures.process"]

@@ -76,6 +76,20 @@ def test_confusion_from_predictions():
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
 
 
+@given(st.lists(st.tuples(st.sampled_from([1, -1, 0, 2]), st.sampled_from([1, -1, 0, -2])), min_size=1))
+def test_confusion_counts_are_the_four_sums(pairs):
+    # labels outside +-1 fall in no cell
+    y, p = np.array(pairs).T
+    sums = [int(np.sum((y == a) & (p == b))) for a, b in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    if not any(sums):
+        with pytest.raises(ValueError, match="all counts are zero"):
+            ConfusionCounts.from_predictions(y, p)
+        return
+    c = ConfusionCounts.from_predictions(y, p)
+    assert [c.tp, c.fp, c.tn, c.fn] == sums
+    assert all(type(count) is int for count in (c.tp, c.fp, c.tn, c.fn))
+
+
 def tiny_dataset(seed=0, n_t=15, n_o=10):
     rng = np.random.default_rng(seed)
     targets = rng.normal(0.0, 1.0, size=(n_t, 2))
