@@ -2,10 +2,12 @@
 
 ``predict`` reads and writes its input in blocks of ``BLOCK_ROWS`` rows.
 An input of one block is scored in this process.  A longer one is scored
-in one worker process, which scores block k while this process reads
-block k + 1 and writes block k - 1, so at most two blocks are in flight;
-the output bytes and error texts are those of scoring each block before
-reading the next.
+in one forked worker process where that pays (``_worker_pays``: at least
+two usable CPUs and the ``fork`` start method), which scores block k
+while this process reads block k + 1 and writes block k - 1, so at most
+two blocks are in flight; elsewhere in this process, block by block.
+Either way the output bytes and error texts are those of scoring each
+block before reading the next.
 
 ``benchmark`` consumes a JSON experiment config (schema documented in the
 README) and writes results/ranks/friedman CSVs plus the raw Gmean matrix.
@@ -14,8 +16,8 @@ Its (dataset, classifier) cells are split, in config order, into
 at most one); each share is trained as one program
 (``evaluation.cross_validate_many``), the shares in a process pool when
 there are several.  All commands are deterministic given their flags and
-seed, whatever ``--jobs``; the env var ``LMKAD_SEED`` supplies a default
-seed, flags override it.
+their config, whose ``seed`` is required (``fit --seed`` defaults to 0),
+whatever ``--jobs`` and whatever the environment.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +38,12 @@ from .dataset import BLOCK_ROWS, fit_normalizer, iter_feature_blocks, load_csv, 
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS, prepare_kind
 from .models import FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model, sv_count
-from .solver import RHO_MODES
 
 
-def _default_seed() -> int | None:
-    env = os.environ.get("LMKAD_SEED")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"LMKAD_SEED must be an integer, got {env!r}") from None
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    tells it, else every CPU of the machine."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _parse_label_column(value: int | str) -> int | str:
@@ -72,9 +70,8 @@ def cmd_fit(args) -> int:
     )
     _check_normalizer(args.data, data)
     train_targets = data.features[data.labels == 1]
-    seed = args.seed if args.seed is not None else (_default_seed() or 0)
     config = ClassifierConfig(args.family, args.family, args.kernels, _trainer(vars(args)))
-    model = evaluation.train_for_config(config, train_targets, args.nu, seed)
+    model = evaluation.train_for_config(config, train_targets, args.nu, args.seed)
     save_model(model, args.out)
 
     report = model.report
@@ -96,9 +93,8 @@ _scorer: tuple | None = None
 
 
 def _start_scorer(model) -> None:
-    """Initializer of ``predict``'s worker process: keep ``model``, which comes
-    pickled, so that any start method works, and allocate the process's one
-    ``ScoreBuffers``."""
+    """Initializer of ``predict``'s forked worker process: keep ``model`` and
+    allocate the process's one ``ScoreBuffers``."""
     global _scorer
     _scorer = (model, ScoreBuffers(model))
 
@@ -121,15 +117,28 @@ def _format_block(start: int, values: np.ndarray) -> str:
     return ("%d,%.12g,%d\n" * k) % tuple(fields)
 
 
+def _worker_pays() -> bool:
+    """Whether a multi-block predict gains from a worker process: only with
+    two usable CPUs to overlap on, and under ``fork``, where the worker costs
+    no fresh interpreter and inherits the model unpickled.  Measured on a
+    100k-row predict (2-vCPU Linux host): pinned to one CPU, 0.48 s with the
+    worker against 0.42 s without; ``spawn`` 0.65 s and ``forkserver``
+    0.70 s against 0.34 s under ``fork``."""
+    import multiprocessing  # only a multi-block predict pays for this import
+
+    return usable_cpus() >= 2 and multiprocessing.get_start_method() == "fork"
+
+
 def _scored_blocks(model, blocks):
     """Yield the decision values of each of ``blocks``, in order.
 
-    One block is scored here.  From a second block on, one worker process
-    (``_start_scorer``) scores block k while this process reads block k + 1
-    and the caller writes block k - 1; at most two blocks are in flight.
-    Of a read error and the scoring errors of the blocks before it, the
-    earliest block's is raised, as when each block is scored before the
-    next is read.
+    One block is scored here.  From a second block on, where
+    ``_worker_pays``, one worker process (``_start_scorer``) scores block k
+    while this process reads block k + 1 and the caller writes block
+    k - 1; at most two blocks are in flight.  Elsewhere every block is
+    scored here, in one ``ScoreBuffers``.  Of a read error and the scoring
+    errors of the blocks before it, the earliest block's is raised, as
+    when each block is scored before the next is read.
     """
     first = next(blocks, None)
     if first is None:
@@ -141,6 +150,11 @@ def _scored_blocks(model, blocks):
         raise
     if X is None:
         yield decision_values(model, first)
+        return
+    if not _worker_pays():
+        buffers = ScoreBuffers(model)
+        for block in chain((first, X), blocks):
+            yield decision_values(model, block, buffers)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a multi-block predict pays for this import
 
@@ -168,10 +182,10 @@ def cmd_predict(args) -> int:
     Each block of ``BLOCK_ROWS`` rows is read (``iter_feature_blocks``),
     scored by one ``decision_values`` call and written with one ``write``
     call (``_format_block``).  An input of one block is scored in this
-    process; a longer one in one worker process, overlapped with reading
-    and writing (``_scored_blocks``).  Either way the output bytes and
-    the error texts are the same, and no process or temp file outlives
-    the call.
+    process; a longer one in one worker process where that pays,
+    overlapped with reading and writing (``_scored_blocks``).  Either way
+    the output bytes and the error texts are the same, and no process or
+    temp file outlives the call.
     """
     model = load_model(args.model)
     label_column = _parse_label_column(args.label_column) if args.label_column else None
@@ -198,9 +212,7 @@ def cmd_predict(args) -> int:
 #: classifier keys of a benchmark config that set the ``LmkadConfig`` field of
 #: the same name (``gating`` sets ``gating_kind``); ``lmkad fit`` has a flag
 #: for each but ``inner_tol``
-_TRAINER_KEYS = (
-    "gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol", "rho_mode",
-)
+_TRAINER_KEYS = ("gating", "learning_rate", "lr_decay", "outer_tol", "max_outer", "inner_tol")
 
 #: (what a value must be, its JSON types) for the kinds of value that several keys take
 _INT, _REAL, _STR = ("an integer", (int,)), ("a real number", (int, float)), ("a string", (str,))
@@ -211,7 +223,7 @@ _INT, _REAL, _STR = ("an integer", (int,)), ("a real number", (int, float)), ("a
 #: function of the entry's keys before it.  The README's grammar states it.
 CONFIG_KEYS = {
     "config": {
-        "seed": (*_INT, lambda config: _default_seed()),  # LMKAD_SEED; None if unset, then refused
+        "seed": (*_INT, ...),
         "n_folds": (*_INT, 5), "n_runs": (*_INT, 5), "output_dir": (*_STR, "results"),
         "datasets": ("a non-empty list", (list,), ...), "classifiers": ("a non-empty list", (list,), ...),
     },
@@ -226,7 +238,6 @@ CONFIG_KEYS = {
         "gating": (*_STR, LmkadConfig.gating_kind), "learning_rate": (*_REAL, LmkadConfig.learning_rate),
         "lr_decay": (*_REAL, LmkadConfig.lr_decay), "outer_tol": (*_REAL, LmkadConfig.outer_tol),
         "max_outer": (*_INT, LmkadConfig.max_outer), "inner_tol": (*_REAL, LmkadConfig.inner_tol),
-        "rho_mode": (*_STR, LmkadConfig.rho_mode),
         "name": (*_STR, lambda entry: f"{entry['family']}({entry['kernels']})"),
     },
 }
@@ -259,8 +270,6 @@ def _load_experiment_config(path) -> dict:
     """The benchmark config at ``path`` and each of its entries, ``_checked``
     and filled in; two entries of a section may not share a name."""
     config = _checked(f"{path}: config", json.loads(Path(path).read_text(encoding="utf-8")), CONFIG_KEYS["config"])
-    if config["seed"] is None:
-        raise ValueError(f"{path}: config needs a 'seed' (or set LMKAD_SEED)")
     for section in ("datasets", "classifiers"):
         if not config[section]:
             raise ValueError(f"{path}: config: {section} must be a non-empty list, got []")
@@ -316,7 +325,7 @@ def cmd_benchmark(args) -> int:
             cells.append(CvCell(data, clf, grid, plan, config["seed"]))
 
     # a failing share raises fit_many's error over its jobs; of several, the first share's
-    shares = _shares(cells, min(args.jobs or os.cpu_count() or 1, len(cells)))
+    shares = _shares(cells, min(args.jobs or usable_cpus(), len(cells)))
     if len(shares) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for this import
 
@@ -408,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--lr-decay", type=float, default=LmkadConfig.lr_decay)
     fit.add_argument("--max-outer", type=int, default=LmkadConfig.max_outer)
     fit.add_argument("--outer-tol", type=float, default=LmkadConfig.outer_tol)
-    fit.add_argument("--rho-mode", choices=RHO_MODES, default=LmkadConfig.rho_mode)
-    fit.add_argument("--seed", type=int, default=None, help="defaults to $LMKAD_SEED, then 0")
+    fit.add_argument("--seed", type=int, default=LmkadConfig.seed)
     fit.add_argument("--out", required=True, help="model file to write")
     fit.set_defaults(func=cmd_fit)
 
@@ -426,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--output-dir", default=None, help="overrides the config's output_dir")
     bench.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes; the cells are split into this many contiguous "
-                            "shares, each trained as one program (default: all cores)")
+                            "shares, each trained as one program (default: the CPUs this "
+                            "process may use)")
     bench.set_defaults(func=cmd_benchmark)
 
     stats = sub.add_parser("stats", help="Friedman / Iman-Davenport test on a score matrix CSV")

@@ -12,9 +12,10 @@ each outer iteration of a stack is a fixed sequence of numpy calls on
 (B, ...) arrays, however many fits it holds: stacked gates and kernel
 combination, the duals (lockstep SMO with a scalar tail), the per-fit
 stopping test, and the stacked gating gradient and step.  The stacks
-that share N and the inner-solver knobs form a solve group, which owns
-one Q array: each round they compose into consecutive rows of it, in
-cache-sized pieces (``TRAIN_TILE_BYTES``), one tiled validation pass
+that share N and the inner-solver knobs (``inner_tol``,
+``inner_max_iter``) form a solve group, which owns one Q array: each
+round they compose into consecutive rows of it, in cache-sized pieces
+(``TRAIN_TILE_BYTES``), one tiled validation pass
 (``solver.check_duals``) checks them, and one
 ``solver.solve_duals`` call solves them, so e.g. every fit of a
 benchmark worker's cells at N = 40 shares one lockstep.  Every fit
@@ -47,7 +48,7 @@ from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, g
                      init_gating, step_stack)
 from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
                       row_sq_norms)
-from .solver import DEFAULT_TOL, RHO_MODES, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
+from .solver import DEFAULT_TOL, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -72,6 +73,10 @@ TRAIN_TILE_BYTES = 256 * 2**10
 #: fit at N=1000 (40 MB) runs alone.  A worker's peak RSS on that protocol
 #: is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
 BATCH_BYTES = 128 * 2**20
+
+#: files that hold this process's cgroup memory limit, v2 then v1: an integer
+#: of bytes, or ``max`` for none (``memory_bound``)
+CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 #: named kernel combinations exposed on the CLI
 KERNEL_PRESETS = {
@@ -159,7 +164,6 @@ class LmkadConfig:
     inner_tol: float = DEFAULT_TOL
     inner_max_iter: int | None = None
     seed: int = 0
-    rho_mode: str = "margin"
     initial_gating: GatingParams | None = None
 
     def __post_init__(self):
@@ -174,8 +178,6 @@ class LmkadConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.gating_kind not in GATING_KINDS:
             raise ValueError(f"unknown gating kind {self.gating_kind!r}")
-        if self.rho_mode not in RHO_MODES:
-            raise ValueError(f"unknown rho mode {self.rho_mode!r}")
         if not (self.learning_rate >= 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
@@ -475,7 +477,7 @@ class _SolveGroup:
         """Solve the composed duals and advance every stack; drop the stacks left without fits."""
         c = self.stacks[0].config
         alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in self.stacks])
-        sols = solve_duals(self.q[: len(self.nus)], self.nus, alpha0, c.inner_tol, c.inner_max_iter, c.rho_mode)
+        sols = solve_duals(self.q[: len(self.nus)], self.nus, alpha0, c.inner_tol, c.inner_max_iter)
         for stack, rows in zip(self.stacks, self.rows):
             stack.advance(t, sols, rows, models, failures)
         self.stacks = [stack for stack in self.stacks if stack.jobs]
@@ -483,7 +485,7 @@ class _SolveGroup:
 
 def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[_SolveGroup]:
     """Set up a batch's jobs, group them into stacks and the stacks into
-    solve groups (N and the inner-solver knobs), each in job order.
+    solve groups (N, ``inner_tol`` and ``inner_max_iter``), each in job order.
 
     The normalizer, the resolved kernels and the Grams are computed once
     per distinct training matrix (the same object: a fold's candidates
@@ -512,7 +514,7 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
             continue
         knobs = tuple(getattr(config, f.name) for f in fields(config) if f.name not in PER_FIT_FIELDS)
         stack = (family, specs, Xn.shape, None if gating is None else gating.kind, knobs)
-        solve = (Xn.shape[0], config.inner_tol, config.inner_max_iter, config.rho_mode)
+        solve = (Xn.shape[0], config.inner_tol, config.inner_max_iter)
         groups.setdefault(solve, {}).setdefault(stack, []).append((k, key, gating))
     return [_SolveGroup([_Stack(jobs, members, prepared) for members in stacks.values()])
             for stacks in groups.values()]
@@ -531,13 +533,28 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def memory_bound() -> tuple[int, str] | None:
+    """The memory a fit may use and what bounds it: the smaller of physical
+    memory and the cgroup limit in the first of ``CGROUP_MEMORY_FILES`` that
+    holds an integer (``max`` is no limit); None where neither is known."""
+    bounds = [] if (physical := physical_memory_bytes()) is None else [(physical, "physical memory")]
+    for path in CGROUP_MEMORY_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                bounds.append((int(fh.read()), f"the cgroup memory limit ({path})"))
+            break
+        except (OSError, ValueError):
+            continue
+    return min(bounds, default=None)
+
+
 def _check_memory(n: int, p: int) -> None:
     """Refuse, before anything N x N is allocated, a fit whose training state
-    exceeds physical memory: it would end in a ``MemoryError`` or an OOM kill."""
-    need, have = _fit_bytes(n, p), physical_memory_bytes()
-    if have is not None and need > have:
+    exceeds ``memory_bound``: it would end in a ``MemoryError`` or an OOM kill."""
+    need, bound = _fit_bytes(n, p), memory_bound()
+    if bound is not None and need > bound[0]:
         raise ValueError(f"a fit on N={n} rows with {p} kernels needs ~{need / 2**30:.3g} GiB of "
-                         f"training state, more than the {have / 2**30:.3g} GiB of physical memory")
+                         f"training state, more than the {bound[0] / 2**30:.3g} GiB of {bound[1]}")
 
 
 def _state_bytes(job: FitJob) -> int:
@@ -620,10 +637,9 @@ def train_ocsvm(
     nu: float,
     tol: float = LmkadConfig.inner_tol,
     max_iter: int | None = LmkadConfig.inner_max_iter,
-    rho_mode: str = LmkadConfig.rho_mode,
 ) -> Model:
     """Fit a one-class SVM on target-class rows; ``kernel`` is one spec or token."""
-    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
+    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter)
     return fit_many([FitJob("ocsvm", train_targets, kernel, config)])[0]
 
 
@@ -633,10 +649,9 @@ def train_mkad(
     nu: float,
     tol: float = LmkadConfig.inner_tol,
     max_iter: int | None = LmkadConfig.inner_max_iter,
-    rho_mode: str = LmkadConfig.rho_mode,
 ) -> Model:
     """One-class SVM over the uniform fixed-weight kernel combination."""
-    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter, rho_mode=rho_mode)
+    config = LmkadConfig(nu=nu, inner_tol=tol, inner_max_iter=max_iter)
     return fit_many([FitJob("mkad", train_targets, kernels, config)])[0]
 
 

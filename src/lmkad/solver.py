@@ -16,7 +16,10 @@ support and margin masks) each run over the whole stack in a few numpy
 calls: stacked ``matmul`` calls the same BLAS routine per dual as a 2-D
 ``@``, and row sums reduce each row as a 1-D sum does, so every row
 equals its one-problem result bit for bit.  Only rho is computed per
-dual (a mean over a masked subset), when its ``DualSolution`` is read.
+dual, when its ``DualSolution`` is read: the mean of ``g`` over the
+margin support vectors, or over all support vectors when no multiplier
+is strictly inside the box, as for the nu-one-class SVM (Schölkopf et
+al., Neural Computation 13(7), 2001).
 ``check_duals`` validates the matrices of a stack in one pass over Q,
 block by block in a buffer that stays in cache; the rejection rates are
 checked where they enter.  ``DualProblem`` is the one-problem case of
@@ -64,8 +67,6 @@ import numpy as np
 #: multipliers above EPS_SV_FACTOR * C count as support vectors
 EPS_SV_FACTOR = 1e-8
 DEFAULT_TOL = 1e-6
-
-RHO_MODES = ("margin", "mean-all-train")
 
 #: fewest unfinished duals of one size that ``solve_duals`` advances in
 #: lockstep; below it each finishes in the scalar loop, whose step is
@@ -261,26 +262,23 @@ class DualStack:
         """Row k is ``Q_k @ x[k]``, by the BLAS call a 2-D ``@`` makes."""
         return np.matmul(self.Q, x[:, :, None])[:, :, 0]
 
-    def _finish(self, rho_mode: str) -> None:
+    def _finish(self) -> None:
         self.g = self._matvec(self.alpha)  # refresh: incremental updates accumulate rounding
         self.objective = 0.5 * np.matmul(self.alpha[:, None, :], self.g[:, :, None])[:, 0, 0]
         eps_sv = EPS_SV_FACTOR * self.upper[:, None]
         self.support = self.alpha > eps_sv
         self.margin = self.support & (self.alpha < self.upper[:, None] - eps_sv)
-        self.rho_mode = rho_mode
 
     def __getitem__(self, k: int) -> DualSolution:
-        """Dual k's solution.  Default rho is the mean of ``g`` over margin
-        support vectors (the KKT-consistent estimator), falling back to all
-        support vectors when no multiplier is strictly inside the box;
-        ``mean-all-train`` is the mean of ``g`` over every row."""
+        """Dual k's solution.  rho is the mean of ``g`` over margin support
+        vectors (the KKT-consistent estimator), falling back to all support
+        vectors when no multiplier is strictly inside the box."""
         g = self.g[k]
         support = np.flatnonzero(self.support[k])
         margin = np.flatnonzero(self.margin[k])
         if support.size == 0:
             raise RuntimeError("cannot compute rho: no support vectors")
-        rows = slice(None) if self.rho_mode == "mean-all-train" else margin if margin.size else support
-        rho = g[rows].mean()
+        rho = g[margin if margin.size else support].mean()
         gap = float(self.gap[k])  # reported floored at 0, and as 0 when not finite
         return DualSolution(
             alpha=self.alpha[k],
@@ -299,7 +297,6 @@ def solve_dual(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     alpha0: np.ndarray | None = None,
-    rho_mode: str = "margin",
 ) -> DualSolution:
     """Run maximal-violating-pair SMO until the KKT gap is below ``tol``.
 
@@ -307,7 +304,7 @@ def solve_dual(
     ``solve_duals`` (see there), which runs it in the scalar loop.
     """
     alpha0 = None if alpha0 is None else np.asarray(alpha0, dtype=float)[None]
-    return solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter, rho_mode)[0]
+    return solve_duals(problem.q[None], [problem.nu], alpha0, tol, max_iter)[0]
 
 
 def solve_duals(
@@ -316,7 +313,6 @@ def solve_duals(
     alpha0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    rho_mode: str = "margin",
 ) -> DualStack:
     """Solve a stack of independent duals; each gets the iterates it would get alone.
 
@@ -341,8 +337,6 @@ def solve_duals(
     of the plain loop that rebuilds both masks every step, so every
     solution's iterates and step count equal its own.
     """
-    if rho_mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {rho_mode!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_tol(tol)
@@ -359,7 +353,7 @@ def solve_duals(
         _lockstep(stack, tol)
     for k in np.flatnonzero(~stack.converged).tolist():
         _scalar_loop(stack, k, tol)
-    stack._finish(rho_mode)
+    stack._finish()
     return stack
 
 

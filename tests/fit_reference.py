@@ -46,8 +46,7 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
         if gating is not None:
             H = gate_eval_batch(gating, Xn)
         Q = reference_combine(grams, weights, H, H)
-        sol = solve_dual(DualProblem(Q, config.nu), config.inner_tol, config.inner_max_iter,
-                         alpha_prev, config.rho_mode)
+        sol = solve_dual(DualProblem(Q, config.nu), config.inner_tol, config.inner_max_iter, alpha_prev)
         inner_total += sol.iterations
         nonconverged += not sol.converged
         trace.append(-sol.objective)

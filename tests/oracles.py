@@ -8,7 +8,7 @@ computation that ``smo_reference.py`` shares.
 import numpy as np
 
 from lmkad.gating import gate_eval_batch
-from lmkad.solver import EPS_SV_FACTOR, RHO_MODES
+from lmkad.solver import EPS_SV_FACTOR
 
 
 def kernel_eval(spec, x, y) -> float:
@@ -49,28 +49,19 @@ def feasible_start(n, upper, alpha0):
     return np.clip(alpha, 0.0, upper)
 
 
-def support_and_rho(alpha, g, upper, rho_mode):
-    """Support and margin indices of ``alpha``, and rho from ``g = Q @ alpha``."""
+def support_and_rho(alpha, g, upper):
+    """Support and margin indices of ``alpha``, and rho from ``g = Q @ alpha``:
+    the mean over the margin support vectors, else over all support vectors."""
     eps_sv = EPS_SV_FACTOR * upper
     support = np.flatnonzero(alpha > eps_sv)
     margin = np.flatnonzero((alpha > eps_sv) & (alpha < upper - eps_sv))
     if support.size == 0:
         raise RuntimeError("cannot compute rho: no support vectors")
-    if rho_mode == "mean-all-train":
-        rho = g.mean()
-    elif margin.size > 0:
+    if margin.size > 0:
         rho = g[margin].mean()
     else:
         rho = g[support].mean()
     return support, margin, float(rho)
-
-
-def compute_rho(alpha, Q, upper, rho_mode="margin") -> float:
-    """Bias from a solved multiplier vector, as ``solve_dual`` computes it."""
-    if rho_mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {rho_mode!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    return support_and_rho(alpha, np.asarray(Q, dtype=float) @ alpha, upper, rho_mode)[2]
 
 
 def kkt_violation(alpha, Q, upper) -> float:

@@ -12,7 +12,7 @@ solver's stacked set-up and finish are checked as well.
 """
 import numpy as np
 
-from lmkad.solver import RHO_MODES, DEFAULT_TOL, DualSolution
+from lmkad.solver import DEFAULT_TOL, DualSolution
 from oracles import feasible_start, support_and_rho
 
 
@@ -21,10 +21,7 @@ def reference_solve_dual(
     tol=DEFAULT_TOL,
     max_iter=None,
     alpha0=None,
-    rho_mode="margin",
 ):
-    if rho_mode not in RHO_MODES:
-        raise ValueError(f"unknown rho mode {rho_mode!r}")
     Q = problem.q
     n = problem.n
     upper = problem.upper_bound
@@ -58,7 +55,7 @@ def reference_solve_dual(
 
     g = Q @ alpha  # refresh: incremental updates accumulate rounding
     objective = 0.5 * float(alpha @ g)
-    support, margin, rho = support_and_rho(alpha, g, upper, rho_mode)
+    support, margin, rho = support_and_rho(alpha, g, upper)
     return DualSolution(
         alpha=alpha,
         objective=objective,

@@ -19,7 +19,6 @@ from lmkad.evaluation import ClassifierConfig, CvResult
 from lmkad.gating import GATING_KINDS
 from lmkad.models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model,
                           predict_batch)
-from lmkad.solver import RHO_MODES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,32 +68,6 @@ def test_fit_infeasible_nu(tmp_path, iris_path, capsys):
                 "--nu", "0", "--out", tmp_path / "m.json"])
     assert code == 1
     assert "infeasible nu" in capsys.readouterr().err
-
-
-def test_fit_seed_from_env(tmp_path, iris_path, monkeypatch):
-    monkeypatch.setenv("LMKAD_SEED", "123")
-    out = tmp_path / "m.json"
-    code = run(["fit", "--data", iris_path, "--label-column", "species",
-                "--target-label", "setosa", "--header", "--family", "lmkad",
-                "--kernels", "gpl", "--nu", "0.1", "--out", out])
-    assert code == 0
-
-
-@pytest.mark.parametrize("command", ["fit", "benchmark"])
-def test_non_integer_seed_env_names_the_variable(tmp_path, iris_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("LMKAD_SEED", "x")
-    if command == "fit":
-        argv = ["fit", "--data", iris_path, "--label-column", "species", "--target-label", "setosa",
-                "--header", "--family", "ocsvm", "--nu", "0.1", "--out", tmp_path / "m.json"]
-    else:
-        config = json.loads(benchmark_config(tmp_path, iris_path, [{"name": "a", "family": "ocsvm"}]).read_text())
-        del config["seed"]
-        path = tmp_path / "noseed.json"
-        path.write_text(json.dumps(config))
-        argv = ["benchmark", "--config", path]
-    assert run(argv) == 1
-    assert capsys.readouterr().err == "error: LMKAD_SEED must be an integer, got 'x'\n"
-    assert not (tmp_path / "m.json").exists() and not (tmp_path / "results").exists()
 
 
 def test_predict_training_set(tmp_path, iris_path, fitted_model):
@@ -264,6 +237,13 @@ def test_predict_worker_allocates_its_buffers_once(fitted_model, monkeypatch):
     assert len(allocated) == 1 and used == allocated * 2
 
 
+@pytest.fixture()
+def worker_path(monkeypatch):
+    """A multi-block predict scores in its worker, whatever this host's CPUs and start method."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "fork")
+
+
 def block_rows_csv(path, n_rows, width=4, bad_row=None):
     """``n_rows`` rows of ``width`` seeded features, with a non-numeric cell at ``bad_row``."""
     lines = [",".join(f"{v:.9g}" for v in row)
@@ -275,7 +255,7 @@ def block_rows_csv(path, n_rows, width=4, bad_row=None):
 
 
 @pytest.mark.parametrize("blocks", [2, 3])
-def test_predict_first_scoring_error_beats_a_later_bad_row(tmp_path, fitted_model, capsys, blocks):
+def test_predict_first_scoring_error_beats_a_later_bad_row(tmp_path, fitted_model, capsys, worker_path, blocks):
     # three columns for a four-feature model: block 1 fails to score; the
     # reader fails in the last block, after a worker started for 3 blocks
     bad_row = (blocks - 1) * BLOCK_ROWS + 3
@@ -285,7 +265,7 @@ def test_predict_first_scoring_error_beats_a_later_bad_row(tmp_path, fitted_mode
     assert multiprocessing.active_children() == []
 
 
-def test_predict_leaves_no_process_or_temp_file(tmp_path, fitted_model, capsys):
+def test_predict_leaves_no_process_or_temp_file(tmp_path, fitted_model, capsys, worker_path):
     data = block_rows_csv(tmp_path / "rows.csv", 2 * BLOCK_ROWS + 7)
     out = tmp_path / "out" / "p.csv"
     out.parent.mkdir()
@@ -301,7 +281,7 @@ def test_predict_leaves_no_process_or_temp_file(tmp_path, fitted_model, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_predict_keeps_two_blocks_in_flight_in_one_worker(tmp_path, fitted_model, monkeypatch):
+def test_predict_keeps_two_blocks_in_flight_in_one_worker(tmp_path, fitted_model, monkeypatch, worker_path):
     import concurrent.futures
 
     events, pools = [], []
@@ -358,17 +338,60 @@ def test_predict_of_one_block_starts_no_process(tmp_path, fitted_model, monkeypa
     assert out.read_bytes() == csv_writer_predictions(values.tolist())
 
 
-def test_predict_worker_scores_sigmoid_gates_when_spawned(tmp_path):
-    # a spawned worker inherits nothing: the model must reach it pickled, gate and all
+def test_predict_scores_sigmoid_gates_in_the_parent_when_spawned(tmp_path):
+    # a spawned worker would start a fresh interpreter per predict, so none is started
     model = Path(__file__).parent / "data" / "v1_lmkad.json"
     data = block_rows_csv(tmp_path / "rows.csv", BLOCK_ROWS + 3, width=3)
     argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "spawned.csv")]
-    code = (f"import multiprocessing\nfrom lmkad import cli\nmultiprocessing.set_start_method('spawn')\n"
-            f"assert cli.main({argv!r}) == 0\n")
+    code = (f"import multiprocessing, sys\nfrom lmkad import cli\nmultiprocessing.set_start_method('spawn')\n"
+            f"assert cli.main({argv!r}) == 0\nassert 'concurrent.futures.process' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120, check=True)
     values = decision_values(load_model(model), load_features_csv(data))
     assert (tmp_path / "spawned.csv").read_bytes() == csv_writer_predictions(values.tolist())
+
+
+@pytest.mark.parametrize("cpus, method", [(1, "fork"), (2, "spawn"), (2, "forkserver")],
+                         ids=["one-cpu", "spawn", "forkserver"])
+def test_predict_scores_in_the_parent_where_a_worker_does_not_pay(tmp_path, fitted_model, monkeypatch, capsys,
+                                                                 cpus, method):
+    import concurrent.futures
+
+    def no_pool(**kwargs):
+        raise AssertionError("a predict started a process pool where it does not pay")
+
+    allocated, used = [], []
+
+    class CountedBuffers(ScoreBuffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            allocated.append(self)
+
+    def spy(model, X, buffers=None):
+        used.append(buffers)
+        return decision_values(model, X, buffers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "ScoreBuffers", CountedBuffers)
+    monkeypatch.setattr(cli, "decision_values", spy)
+    data = block_rows_csv(tmp_path / "rows.csv", 2 * BLOCK_ROWS + 7)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
+    values = decision_values(load_model(fitted_model), load_features_csv(data))
+    assert out.read_bytes() == csv_writer_predictions(values.tolist())
+    assert len(allocated) == 1 and used == allocated * 3  # one ScoreBuffers for every block
+
+    # the same errors as the worker path: the first block's scoring error beats a later bad row
+    bad = block_rows_csv(tmp_path / "bad.csv", 3 * BLOCK_ROWS, width=3, bad_row=2 * BLOCK_ROWS + 3)
+    (tmp_path / "width").mkdir()
+    assert_failed_predict_leaves_out_alone(tmp_path / "width", fitted_model, bad, capsys,
+                                           "error: normalizer fitted on 4 columns, got 3\n")
+    bad = block_rows_csv(tmp_path / "bad_row.csv", 3 * BLOCK_ROWS, bad_row=2 * BLOCK_ROWS + 1)
+    (tmp_path / "row").mkdir()
+    assert_failed_predict_leaves_out_alone(tmp_path / "row", fitted_model, bad, capsys,
+                                           f"non-numeric value 'x' at row {2 * BLOCK_ROWS + 1}, column 0")
 
 
 IRIS_SETOSA = {"path": str(IRIS_CSV), "label_column": "species", "target_label": "setosa", "header": True}
@@ -538,6 +561,20 @@ def test_benchmark_shares_are_contiguous_and_even():
     assert cli._shares(cells[:3], 3) == [[0], [1], [2]]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_benchmark_jobs_default_to_the_usable_cpus(tmp_path, iris_path, monkeypatch, cpus):
+    # a process pinned to fewer CPUs than the machine has starts no more workers than it can run
+    shares = []
+    real = cli._shares
+    monkeypatch.setattr(cli, "_shares", lambda cells, n: shares.append(n) or real(cells, n))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    clfs = [{"family": "ocsvm"}, {"family": "ocsvm", "kernels": "linear"}, {"family": "mkad", "kernels": "gpl"}]
+    config = benchmark_config(tmp_path, iris_path, clfs, grid=(0.3,))
+    assert run(["benchmark", "--config", config]) == 0
+    assert shares == [cpus]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_benchmark_rejects_jobs_below_one(tmp_path, iris_path, capsys, jobs):
     config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
@@ -573,7 +610,8 @@ def test_benchmark_invalid_classifier_fails_loudly(tmp_path, iris_path, capsys):
     ("datasets", {"path": "x.csv"}, r"datasets\[0\] needs a 'target_label'$"),
     ("classifiers", {"name": "a", "kernels": "gpl"}, r"classifiers\[0\] needs a 'family'$"),
     ("classifiers", {"family": "lmkad", "gating": "rbff"}, r"classifiers\[0\]: unknown gating kind 'rbff'$"),
-    ("classifiers", {"family": "ocsvm", "rho_mode": "mean"}, r"classifiers\[0\]: unknown rho mode 'mean'$"),
+    # rho is always the margin mean: the key that once chose another rule is unknown
+    ("classifiers", {"family": "ocsvm", "rho_mode": "margin"}, r"classifiers\[0\] has unknown key 'rho_mode'"),
     ("classifiers", {"family": "ocsvm", "inner_tol": 0}, r"classifiers\[0\]: inner_tol must be finite and > 0, got 0$"),
     ("classifiers", {"family": "lmkad", "learning_rate": float("inf")},
      r"classifiers\[0\]: learning_rate must be >= 0 and finite, got inf$"),
@@ -687,24 +725,37 @@ def test_fit_defaults_are_the_trainers():
     args = cli.build_parser().parse_args(
         ["fit", "--data", "x.csv", "--target-label", "a", "--family", "lmkad", "--nu", "0.1", "--out", "m.json"])
     assert cli._trainer(vars(args)) == ClassifierConfig.trainer == LmkadConfig(nu=1.0)
+    assert args.seed == 0
+
+
+def test_fit_rho_mode_flag_is_a_usage_error(tmp_path, iris_path, capsys):
+    # rho is always the margin mean: the flag that once chose another rule is unknown
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--data", iris_path, "--label-column", "species", "--target-label", "setosa", "--header",
+             "--family", "ocsvm", "--nu", "0.1", "--rho-mode", "margin", "--out", tmp_path / "m.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rho-mode margin" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_choices_are_the_modules_names():
     fit = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["fit"]
     choices = {a.dest: a.choices for a in fit._actions if a.choices}
-    assert choices.keys() == {"family", "gating", "rho_mode"}
-    assert choices["family"] is FAMILIES and choices["gating"] is GATING_KINDS and choices["rho_mode"] is RHO_MODES
+    assert choices.keys() == {"family", "gating"}
+    assert choices["family"] is FAMILIES and choices["gating"] is GATING_KINDS
 
 
 def test_benchmark_requires_seed(tmp_path, iris_path, monkeypatch, capsys):
-    monkeypatch.delenv("LMKAD_SEED", raising=False)
+    # the config alone decides the results: an environment variable once supplied the seed
+    monkeypatch.setenv("LMKAD_SEED", "11")
     config = json.loads(benchmark_config(tmp_path, iris_path,
                         [{"name": "a", "family": "ocsvm"}]).read_text())
     del config["seed"]
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps(config))
     assert run(["benchmark", "--config", path]) == 1
-    assert "seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: config needs a 'seed'\n"
+    assert not (tmp_path / "results").exists()
 
 
 def test_benchmark_iris_lmkad_beats_mkad(tmp_path, iris_path):

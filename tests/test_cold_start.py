@@ -1,8 +1,9 @@
 """What a fresh interpreter loads.  scipy is imported only where a sigmoid
 gate or the Friedman test needs it, and the process pool only by a
 ``lmkad benchmark`` run that uses one or a ``lmkad predict`` of more than
-one block; these tests check module contents (``sys.modules``), not
-import time."""
+one block where its worker pays (two usable CPUs, the ``fork`` start
+method); these tests check module contents (``sys.modules``), not import
+time."""
 import json
 import os
 import subprocess
@@ -75,6 +76,19 @@ def test_sigmoid_model_loads_scipy_special_before_scoring(tmp_path):
 
 
 def test_predict_of_two_blocks_loads_the_pool(tmp_path):
+    import multiprocessing
+
+    from lmkad.cli import usable_cpus
     from lmkad.dataset import BLOCK_ROWS
 
-    assert loaded_by(predict_code("ocsvm", tmp_path, BLOCK_ROWS + 1)) == ["concurrent.futures.process"]
+    worker = usable_cpus() >= 2 and multiprocessing.get_start_method() == "fork"
+    expected = ["concurrent.futures.process"] if worker else []
+    assert loaded_by(predict_code("ocsvm", tmp_path, BLOCK_ROWS + 1)) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a settable CPU affinity")
+def test_predict_of_two_blocks_pinned_to_one_cpu_loads_no_pool(tmp_path):
+    from lmkad.dataset import BLOCK_ROWS
+
+    pin = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    assert loaded_by(pin + predict_code("ocsvm", tmp_path, BLOCK_ROWS + 1)) == []

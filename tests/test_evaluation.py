@@ -133,14 +133,15 @@ def test_cross_validate_deterministic():
 @pytest.mark.parametrize("family", ["ocsvm", "lmkad"])
 @pytest.mark.parametrize("knob, message", [
     ({"gating": "rbff"}, "unknown gating kind 'rbff'"),
-    ({"rho_mode": "mean"}, "unknown rho mode 'mean'"),
+    # rho is always the margin mean: the knob that once chose another rule is unknown
+    ({"rho_mode": "margin"}, "has unknown key 'rho_mode'"),
     ({"learning_rate": -1.0}, "learning_rate must be >= 0"),
 ], ids=["gating", "rho-mode", "learning-rate"])
 def test_classifier_config_rejects_an_unknown_knob_value(family, knob, message):
     # checked when a benchmark config's classifier is built, before cross_validate trains anything
-    spec = cli._checked("classifiers[0]", {"name": "x", "family": family, **knob}, cli.CONFIG_KEYS["classifiers"])
     with pytest.raises(ValueError, match=message):
-        cli._classifier_from_dict(spec)
+        cli._classifier_from_dict(cli._checked("classifiers[0]", {"name": "x", "family": family, **knob},
+                                               cli.CONFIG_KEYS["classifiers"]))
 
 
 def test_cross_validate_skips_infeasible_candidates():

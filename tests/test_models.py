@@ -536,8 +536,6 @@ def test_sv_fraction_nu_lower_bound_iris(iris, iris_plan):
 def test_lmkad_config_validation():
     with pytest.raises(ValueError, match="unknown gating kind 'rbff'"):
         LmkadConfig(nu=0.5, gating_kind="rbff")
-    with pytest.raises(ValueError, match="unknown rho mode 'mean'"):
-        LmkadConfig(nu=0.5, rho_mode="mean")
     with pytest.raises(ValueError):
         LmkadConfig(nu=0.5, lr_decay=0.0)
     with pytest.raises(ValueError):
@@ -585,7 +583,7 @@ def _pin_jobs():
     jobs = [
         FitJob("ocsvm", a, (KernelSpec("gaussian"),), fixed(0.1)),
         FitJob("mkad", a, "gpl", fixed(0.2)),
-        FitJob("mkad", b, "gpp", fixed(0.1, rho_mode="mean-all-train")),
+        FitJob("mkad", b, "gpp", fixed(0.1, inner_tol=1e-7)),
         FitJob("ocsvm", one, "gauss:sigma_sq=2.0", fixed(1.0)),
         FitJob("mkad", two, "gpl", fixed(0.5)),
     ]
@@ -600,7 +598,7 @@ def _pin_jobs():
     for i, nu in enumerate((0.1, 0.2, 0.3)):
         jobs.append(FitJob("lmkad", b, "gpp", lm("softmax", nu, seed=20 + i)))
         jobs.append(FitJob("lmkad", b, "gpl", lm("rbf", nu, seed=30 + i, max_outer=15)))
-        jobs.append(FitJob("lmkad", a, "gpp", lm("rbf", nu, seed=40 + i, rho_mode="mean-all-train")))
+        jobs.append(FitJob("lmkad", a, "gpp", lm("rbf", nu, seed=40 + i, inner_tol=1e-7)))
     frozen = GatingParams("softmax", np.zeros((3, 4)), np.zeros(3))
     jobs += [
         FitJob("lmkad", a, "gpl", lm("sigmoid", 0.2, seed=0, initial_gating=frozen, learning_rate=0.0)),
@@ -957,6 +955,36 @@ def test_fit_beyond_physical_memory_fails_at_setup_in_job_order(monkeypatch):
         fit_many([big, bogus])
     with pytest.raises(ValueError, match="^unrecognized kernel token 'bogus'$"):
         fit_many([bogus, big])
+
+
+@pytest.mark.parametrize("content, applies", [("1048576\n", True), ("4194304", False), ("max\n", False),
+                                              (None, False)], ids=["below", "above", "max", "absent"])
+@pytest.mark.parametrize("version", ["v2", "v1"])
+def test_memory_bound_is_the_smaller_of_a_cgroup_limit_and_physical_memory(tmp_path, monkeypatch, version,
+                                                                          content, applies):
+    # a temp file stands in for the cgroup file; v1's is read where v2's is absent
+    limit = tmp_path / "limit"
+    if content is not None:
+        limit.write_text(content)
+    files = (str(limit), "/nonexistent/v1") if version == "v2" else (str(tmp_path / "no_v2"), str(limit))
+    monkeypatch.setattr(models_module, "CGROUP_MEMORY_FILES", files)
+    monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**21)
+    expected = (2**20, f"the cgroup memory limit ({limit})") if applies else (2**21, "physical memory")
+    assert models_module.memory_bound() == expected
+
+
+def test_fit_beyond_a_cgroup_limit_fails_at_setup_naming_it(tmp_path, monkeypatch):
+    # 1.6 MB of training state fits 2 MiB of physical memory but not a 1 MiB cgroup limit
+    limit = tmp_path / "memory.max"
+    limit.write_text("1048576\n")
+    monkeypatch.setattr(models_module, "CGROUP_MEMORY_FILES", (str(limit),))
+    monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**21)
+    message = (r"^a fit on N=200 rows with 3 kernels needs ~0\.00149 GiB of training state, "
+               rf"more than the 0\.000977 GiB of the cgroup memory limit \({re.escape(str(limit))}\)$")
+    with pytest.raises(ValueError, match=message):
+        train_mkad(blob(46, 200), "gpl", nu=0.2)
+    limit.write_text("max\n")
+    assert train_mkad(blob(46, 200), "gpl", nu=0.2).n_train == 200
 
 
 def test_physical_memory_is_known_here():

@@ -10,7 +10,7 @@ from lmkad.gating import gate_eval_batch, init_gating
 from lmkad.models import LmkadConfig, composite_gram_fixed, composite_gram_localized, resolve_kernels, train_lmkad
 from lmkad import solver
 from lmkad.solver import DualProblem, solve_dual, solve_duals
-from oracles import compute_rho, kkt_violation
+from oracles import kkt_violation
 from qp_oracle import brute_force_qp, random_psd_gram
 from smo_reference import reference_solve_dual
 from check_reference import reference_check_duals
@@ -231,20 +231,6 @@ def test_warm_start_matches_cold():
     assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
 
 
-def test_rho_modes():
-    rng = np.random.default_rng(31)
-    Q = random_psd_gram(rng, 8)
-    problem = DualProblem(Q, nu=0.5)
-    sol = solve_dual(problem, rho_mode="mean-all-train")
-    g = Q @ sol.alpha
-    assert sol.rho == pytest.approx(g.mean(), abs=1e-12)
-    assert compute_rho(sol.alpha, Q, problem.upper_bound, "mean-all-train") == pytest.approx(g.mean())
-    sol_m = solve_dual(problem)
-    assert sol_m.rho == pytest.approx(g[sol_m.margin_indices].mean(), abs=1e-9)
-    with pytest.raises(ValueError):
-        solve_dual(problem, rho_mode="bogus")
-
-
 def test_margin_sv_kkt_recheck():
     # decision values at margin SVs sit on the boundary within 10*tol
     rng = np.random.default_rng(37)
@@ -347,7 +333,7 @@ SMO_PATH_CASES = {
     "nu-1": lambda iris: (_psd(6, 1.0), {}),
     "max-iter-1": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 1}),
     "max-iter-500": lambda iris: (_mkad_gpl(iris, 0.05), {"max_iter": 500}),
-    "tol-1e-9-mean-all-train": lambda iris: (_psd(40, 0.3), {"tol": 1e-9, "rho_mode": "mean-all-train"}),
+    "tol-1e-9": lambda iris: (_psd(40, 0.3), {"tol": 1e-9}),
 }
 
 
@@ -501,7 +487,7 @@ BATCH_CASES = {
     "warm-bounds": _warm_bounds,
     "max-iter-1": _cap(1),
     "max-iter-cut": _cap(150),
-    "tol-1e-9-mean-all-train": lambda iris: (*_finish_apart(iris)[:2], {"tol": 1e-9, "rho_mode": "mean-all-train"}),
+    "tol-1e-9": lambda iris: (*_finish_apart(iris)[:2], {"tol": 1e-9}),
 }
 
 
@@ -519,7 +505,7 @@ def test_solve_duals_batch_matches_reference_loop_bit_for_bit(iris, case, along,
         assert lockstep_rows == [] and entries == [0] * len(problems)
     elif case == "mixed-n":
         assert lockstep_rows == [7]  # only the N = 40 group
-    elif case in ("finish-apart", "tol-1e-9-mean-all-train"):
+    elif case in ("finish-apart", "tol-1e-9"):
         assert lockstep_rows == [len(problems)]
         assert len(set(steps)) == len(steps)  # every row finishes on its own turn
         assert len(entries) == solver.LOCKSTEP_MIN_ROWS - 1 and min(entries) > 0
