@@ -84,6 +84,7 @@ def cmd_fit(args) -> int:
               f"inner solves not converged: {report.inner_nonconverged}")
         print(f"dual objective: first={trace[0]:.6g} last={trace[-1]:.6g}")
     print(f"final KKT violation: {report.final_violation:.3g}")
+    print(f"Q columns composed: {report.q_columns} of {report.iterations * model.n_train}")
     print(f"model written to {args.out}")
     return 0
 

@@ -15,10 +15,13 @@ stopping test, and the stacked gating gradient and step.  The stacks
 that share N and the inner-solver knobs (``inner_tol``,
 ``inner_max_iter``) form a solve group, which owns one Q array: each
 round they compose into consecutive rows of it, in cache-sized pieces
-(``TRAIN_TILE_BYTES``), one tiled validation pass
-(``solver.check_duals``) checks them, and one
-``solver.solve_duals`` call solves them, so e.g. every fit of a
-benchmark worker's cells at N = 40 shares one lockstep.  Every fit
+(``TRAIN_TILE_BYTES``), and one ``solver.solve_duals`` call solves
+them, so e.g. every fit of a benchmark worker's cells at N = 40 shares
+one lockstep.  A fit is validated once: its base Grams at set-up by
+``solver.check_duals``' rule (``_gram_error``), then each round only its
+gates, for finiteness (``_gate_errors``).  A warm round of a group small
+enough for the scalar loop at N > 181 composes only the Q columns SMO
+reads (``_LazyColumns``).  Every fit
 keeps the iterates, and so the model, it gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
@@ -48,7 +51,8 @@ from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, g
                      init_gating, step_stack)
 from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
                       row_sq_norms)
-from .solver import DEFAULT_TOL, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
+from . import solver
+from .solver import CHECK_MESSAGES, DEFAULT_TOL, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -61,12 +65,12 @@ TILE_ROWS = 256
 #: bytes of the buffer in which a training round composes Q (``_Stack.compose``):
 #: chunks of whole fits while a fit's N x N float64 fit in it (N <= 181), else
 #: tiles of one fit's rows, 32 rows at N = 1000; like a scoring tile, it stays
-#: in cache
+#: in cache.  Above N = 181 a lazy round composes columns in it (``_LazyColumns``).
 TRAIN_TILE_BYTES = 256 * 2**10
 
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
 #: fit holds (p + 2) N x N float64 arrays: its p base Grams, its Q and the
-#: lockstep's transposed copy of Q; composition and validation work in
+#: lockstep's transposed copy of Q; composition and the set-up check work in
 #: buffers of a few hundred KiB.  At 128 MiB one worker's share of the iris
 #: protocol under ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or
 #: 1,600 fits at N=40, 101 or 87 MB estimated) forms one batch, and a gpl
@@ -74,9 +78,14 @@ TRAIN_TILE_BYTES = 256 * 2**10
 #: is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
 BATCH_BYTES = 128 * 2**20
 
-#: files that hold this process's cgroup memory limit, v2 then v1: an integer
-#: of bytes, or ``max`` for none (``memory_bound``)
-CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+#: the file naming this process's cgroups, one ``hierarchy:controllers:path`` line each
+PROC_CGROUP = "/proc/self/cgroup"
+
+#: per cgroup version, the mount its paths are under and the file in each
+#: cgroup directory that holds a memory limit: an integer of bytes, or ``max``
+#: for none.  v2 names the process's cgroup on its ``0::`` line, v1 on the
+#: line whose controllers include ``memory`` (``memory_bound``).
+CGROUP_MEMORY = {"v2": ("/sys/fs/cgroup", "memory.max"), "v1": ("/sys/fs/cgroup/memory", "memory.limit_in_bytes")}
 
 #: named kernel combinations exposed on the CLI
 KERNEL_PRESETS = {
@@ -111,7 +120,9 @@ class TrainingReport:
     whether it converged (a gated fit: the outer stopping test; a fixed-weight
     fit: its one dual), the last dual's KKT violation, the SMO steps of all
     rounds, and the number of rounds whose dual stopped at ``inner_max_iter``
-    unconverged."""
+    unconverged.  ``q_columns`` counts the columns of Q composed over all
+    rounds, N for a round composed whole; it measures the work, not the
+    model, so it is neither saved nor compared."""
 
     iterations: int
     objective_trace: list[float]
@@ -119,6 +130,7 @@ class TrainingReport:
     final_violation: float
     inner_iterations: int = 0
     inner_nonconverged: int = 0
+    q_columns: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -266,13 +278,13 @@ class FitJob(NamedTuple):
 PER_FIT_FIELDS = ("nu", "seed", "initial_gating")
 
 
-def _prepare(train_targets, specs):
+def _prepare(train_targets, specs, bound):
     """Z-score the target rows and resolve auto bandwidths on them, once
-    ``_check_memory`` has passed on their row count."""
+    ``_check_memory`` has passed on their row count against ``bound``."""
     X = np.atleast_2d(np.asarray(train_targets, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
-    _check_memory(X.shape[0], len(specs))
+    _check_memory(X.shape[0], len(specs), bound)
     norm = fit_normalizer(X)
     Xn = apply_normalizer(norm, X)
     return norm, Xn, tuple(k.resolved(Xn) for k in specs)
@@ -298,6 +310,82 @@ def _compact(a: np.ndarray, keep: list[int]) -> np.ndarray:
     return a[: len(keep)]
 
 
+def _gram_error(grams: np.ndarray, weights: np.ndarray | None) -> str | None:
+    """Why a fit's base Grams (p, N, N) can make a Q that fails ``check_duals``, or None.
+
+    Run once per training matrix at set-up, in place of a check of every
+    round's Q.  Q sums each Gram scaled entry by entry by its fixed weight
+    or by gates in [0, 1] (``_combine``), so it can fail only where a Gram
+    does: the message is that of the first check (``CHECK_MESSAGES``) any
+    Gram fails.  Or a sum of finite terms overflows: the bound
+    sum_m w_m max|K_m| (w_m = 1 under gates), summed in Q's order, must
+    be finite.
+    """
+    errors = check_duals(grams)
+    if errors:
+        return min(errors.values(), key=CHECK_MESSAGES.index)
+    bound = 0.0
+    for m, K in enumerate(grams):
+        bound += (1.0 if weights is None else float(weights[m])) * max(float(K.max()), -float(K.min()))
+    return None if math.isfinite(bound) else "Q may overflow: the sum over kernels of max|K_m| is not finite"
+
+
+def _gate_errors(H: np.ndarray) -> dict[int, str]:
+    """Why each fit of a (B, N, p) gate stack cannot be solved this round:
+    ``{row: message}`` for the rows with a non-finite gate (an rbf gate can
+    reach 0/0), which would make Q non-finite.  Finite gates lie in [0, 1],
+    so once ``_gram_error`` has passed they make a Q that passes ``check_duals``."""
+    return {r: CHECK_MESSAGES[0] for r in np.flatnonzero(~np.isfinite(H).all(axis=(1, 2))).tolist()}
+
+
+class _LazyColumns(dict):
+    """One fit's Q (N, N) in a warm round, composed from its bitwise-symmetric
+    Grams (p, N, N) and gates H (N, p) only where the scalar loop reads it
+    (``solver.solve_duals``' ``columns``): key j holds the column ``q[:, j]``
+    once composed, and a missing key is composed on first read.  ``stale``
+    lists the columns of ``q`` composed in the last round (None: all of
+    them); ``start`` zeroes those it does not compose again, so ``q``
+    holds zeros off the composed columns and the diagonal."""
+
+    def __init__(self, q, grams, H, tile, stale):
+        super().__init__()
+        self.q, self.grams, self.H, self.tile, self.stale = q, grams, H, tile, stale
+
+    def start(self, alpha: np.ndarray) -> None:
+        """Zero the stale columns, compose the whole diagonal, then the columns
+        where ``alpha`` is nonzero."""
+        n, js = self.q.shape[0], np.flatnonzero(alpha)
+        if self.stale is None:
+            self.q.fill(0.0)
+        else:
+            self.q[:, np.setdiff1d(self.stale, js, assume_unique=True)] = 0.0
+        diag, term = self.tile[:n].reshape(n, 1, 1), self.tile[n : 2 * n].reshape(n, 1, 1)
+        H = self.H[:, None]  # each diagonal entry as a 1 x 1 block
+        _combine((K.diagonal()[:, None, None] for K in self.grams), None, H, H, diag, term)
+        np.fill_diagonal(self.q, diag.ravel())
+        self.compose(js)
+
+    def compose(self, js: np.ndarray) -> None:
+        """Columns ``js``, each entry as ``_combine`` computes it, in pieces
+        whose two (N, width) terms share the flat buffer ``tile``, each held
+        column by column so that every operand is read along N."""
+        n = self.q.shape[0]
+        width = self.tile.size // (2 * n)
+        for s in range(0, len(js), width):
+            cols = js[s : s + width]
+            out = self.tile[: n * len(cols)].reshape(len(cols), n).T
+            term = self.tile[out.size : 2 * out.size].reshape(len(cols), n).T
+            # K_m[:, cols] read as the rows K_m[cols].T of a bitwise-symmetric Gram, one at a time
+            _combine((K[cols].T for K in self.grams), None, self.H, self.H[cols], out, term)
+            self.q[:, cols] = out
+        columns = self.q.T
+        self.update((j, columns[j]) for j in js.tolist())
+
+    def __missing__(self, j):
+        self.compose(np.array([j]))
+        return self[j]
+
+
 class _Stack:
     """Fits that train as one array program; row r is job ``jobs[r]``.
 
@@ -307,10 +395,14 @@ class _Stack:
     base Grams (B, p, N, N), the gating pair (B, p, d) and (B, p), gates
     ``H`` (B, N, p) and warm starts (B, N).  Its Q rows are lent by its
     ``_SolveGroup`` each round; fits that stop are compacted out of every
-    array.
+    array.  The Grams of each training matrix are computed and checked
+    (``_gram_error``) once; a fit whose Grams fail goes to ``failures``.
+    Above N = 181, where lazy rounds run, ``symmetric`` tells whether
+    every Gram equals its transpose bit for bit, as ``gram`` builds them
+    (one symmetric product, elementwise maps).
     """
 
-    def __init__(self, jobs, members, prepared):
+    def __init__(self, jobs, members, prepared, failures: dict):
         self.jobs = [k for k, _, _ in members]
         first = jobs[self.jobs[0]]
         self.family = first.family
@@ -323,35 +415,48 @@ class _Stack:
         p = len(self.kernels[0])
         self.Xn = np.empty((b, n, d))
         self.grams = np.empty((b, p, n, n))
-        filled: dict[tuple, int] = {}  # the Grams of a training matrix are computed once
-        for r, (_, key, _) in enumerate(members):
+        gatings = [gating for _, _, gating in members]
+        self.kind = None if gatings[0] is None else gatings[0].kind
+        self.weights = np.full(p, 1.0 / p) if self.kind is None else None
+        filled: dict[tuple, int] = {}  # the Grams of a training matrix are computed and checked once
+        errors: dict[tuple, str | None] = {}
+        self.symmetric = True
+        for r, (k, key, _) in enumerate(members):
             Xn = prepared[key][1]
             self.Xn[r] = Xn
             if key in filled:
                 self.grams[r] = self.grams[filled[key]]
-                continue
-            filled[key] = r
-            for m, spec in enumerate(self.kernels[r]):
-                self.grams[r, m] = gram(spec, Xn, Xn)
-        gatings = [gating for _, _, gating in members]
-        self.kind = None if gatings[0] is None else gatings[0].kind
-        self.weights = np.full(p, 1.0 / p) if self.kind is None else None
+            else:
+                filled[key] = r
+                for m, spec in enumerate(self.kernels[r]):
+                    self.grams[r, m] = gram(spec, Xn, Xn)
+                errors[key] = _gram_error(self.grams[r], self.weights)
+                if n * n * 8 > TRAIN_TILE_BYTES:
+                    self.symmetric &= all(np.array_equal(K.view(np.int64), K.T.view(np.int64)) for K in self.grams[r])
+            if errors[key] is not None:
+                failures.setdefault(k, ValueError(errors[key]))
         self.pair = None if self.kind is None else (np.stack([g.matrix for g in gatings]),
                                                      np.stack([g.vector for g in gatings]))
         self.H = None
         self.alpha = self.prev = None
         self.inner = np.zeros(b, dtype=np.int64)
         self.nonconverged = np.zeros(b, dtype=np.int64)
+        self.q_columns = np.zeros(b, dtype=np.int64)
         self.traces: list[list[float]] = [[] for _ in range(b)]
 
+    def gate(self, failures: dict) -> None:
+        """Evaluate a gated stack's gates for this round and check them (``_gate_errors``)."""
+        if self.kind is not None:
+            self.H = gate_stack(self.kind, self.Xn, *self.pair)
+            for r, message in _gate_errors(self.H).items():
+                failures.setdefault(self.jobs[r], ValueError(message))
+
     def compose(self, q: np.ndarray, tile: np.ndarray) -> None:
-        """Evaluate the gates and build every fit's Q in ``q`` (B, N, N), a
+        """Build every fit's Q in ``q`` (B, N, N) from this round's gates, a
         piece at a time, each piece's terms in the flat buffer ``tile``: chunks
         of whole fits while a fit fits in ``tile``, else tiles of one fit's
         rows (see ``TRAIN_TILE_BYTES``).  ``_combine`` computes every entry
         alike on any piece, so Q has the same bits as when composed whole."""
-        if self.kind is not None:
-            self.H = gate_stack(self.kind, self.Xn, *self.pair)
         b, n = q.shape[:2]
         fits = tile.size // (n * n)
         if fits:
@@ -370,13 +475,14 @@ class _Stack:
                 term = tile[: out.size].reshape(out.shape)
                 _combine(self.grams[r, :, s : s + rows], self.weights, H_X, H_Y, out, term)
 
-    def advance(self, t: int, sols, rows: slice, models: list, failures: dict) -> None:
-        """Take outer iteration ``t``'s duals (``rows`` of ``sols``), finish the
-        fits that stop, step the rest."""
+    def advance(self, t: int, sols, rows: slice, q_columns: np.ndarray, models: list, failures: dict) -> None:
+        """Take outer iteration ``t``'s duals (``rows`` of ``sols``) and the Q
+        columns composed for them, finish the fits that stop, step the rest."""
         c = self.config
         objective = -sols.objective[rows]  # the dual objective J(eta)
         self.inner += sols.iterations[rows]
         self.nonconverged += ~sols.converged[rows]
+        self.q_columns += q_columns
         for trace, value in zip(self.traces, objective.tolist()):
             trace.append(value)
         converged = np.zeros(len(self.jobs), dtype=bool)
@@ -412,7 +518,7 @@ class _Stack:
         for name in ("jobs", "nus", "norms", "kernels", "traces"):
             setattr(self, name, [getattr(self, name)[r] for r in keep])
         self.Xn, self.grams = _compact(self.Xn, keep), _compact(self.grams, keep)
-        self.inner, self.nonconverged = self.inner[keep], self.nonconverged[keep]
+        self.inner, self.nonconverged, self.q_columns = self.inner[keep], self.nonconverged[keep], self.q_columns[keep]
         if self.kind is not None:
             self.H = self.H[keep]
             self.pair = (self.pair[0][keep], self.pair[1][keep])
@@ -427,6 +533,7 @@ class _Stack:
             final_violation=sol.final_violation,
             inner_iterations=int(self.inner[r]),
             inner_nonconverged=int(self.nonconverged[r]),
+            q_columns=int(self.q_columns[r]),
         )
         return Model(
             family=self.family,
@@ -448,38 +555,60 @@ class _SolveGroup:
     """Stacks whose duals one ``solve_duals`` call solves each round: they
     share N and the inner-solver knobs.  The group owns one Q array, sized
     for its fits at round 0, and the composition tile
-    (``TRAIN_TILE_BYTES``); each round its stacks compose into
-    consecutive rows from row 0, one tiled ``check_duals`` pass validates
-    them, and the rows in use are solved as they are.  The stacks of a
-    batch share the round, so a group is all cold (t = 0, no warm start)
-    or all warm.
+    (``TRAIN_TILE_BYTES``); each round its gated stacks evaluate and
+    check their gates, its stacks compose into consecutive rows from row
+    0, and the rows in use are solved as they are.  The stacks of a batch
+    share the round, so a group is all cold (t = 0, no warm start) or all
+    warm.
+
+    A warm round is lazy when a fit's N x N does not fit in the tile
+    (N > 181), every dual runs in the scalar loop (fewer than
+    ``solver.LOCKSTEP_MIN_ROWS``) and every fit's Grams are bitwise
+    symmetric: Q is then composed column by column as the loop reads it
+    (``_LazyColumns``), and the columns that the group's last round
+    composed in a row are zeroed unless composed again.  Cold rounds,
+    fixed weights, small N, the lockstep and Grams that are not bitwise
+    symmetric compose every Q whole.
     """
 
     def __init__(self, stacks: list[_Stack]):
         self.stacks = stacks
         b, n = sum(len(stack.jobs) for stack in stacks), stacks[0].grams.shape[-1]
         self.q = np.empty((b, n, n))
-        self.tile = np.empty(max(TRAIN_TILE_BYTES // 8, n))  # at least one row
+        self.tile = np.empty(max(TRAIN_TILE_BYTES // 8, 2 * n))  # at least two columns or one row
+        self.composed = None  # per Q row, the columns composed in the last round; None: all
 
-    def compose(self, failures: dict) -> None:
-        """Build every stack's Q in its rows and validate them in one ``check_duals`` pass."""
-        jobs, self.nus, self.rows = [], [], []
+    def compose(self, t: int, failures: dict) -> None:
+        """Evaluate and check every stack's gates, and build each stack's Q in
+        its rows unless the round is lazy."""
+        self.nus, self.rows = [], []
+        b, n = sum(len(stack.jobs) for stack in self.stacks), self.q.shape[-1]
+        self.lazy = (t > 0 and n * n > self.tile.size and b < solver.LOCKSTEP_MIN_ROWS
+                     and all(stack.symmetric for stack in self.stacks))
         for stack in self.stacks:
-            rows = slice(len(jobs), len(jobs) + len(stack.jobs))
-            stack.compose(self.q[rows], self.tile)
-            jobs += stack.jobs
+            rows = slice(len(self.nus), len(self.nus) + len(stack.jobs))
+            stack.gate(failures)
+            if not self.lazy:
+                stack.compose(self.q[rows], self.tile)
             self.nus += stack.nus
             self.rows.append(rows)
-        for r, message in check_duals(self.q[: len(jobs)]).items():
-            failures.setdefault(jobs[r], ValueError(message))
 
     def solve(self, t: int, models: list, failures: dict) -> None:
         """Solve the composed duals and advance every stack; drop the stacks left without fits."""
         c = self.stacks[0].config
+        b, n = len(self.nus), self.q.shape[-1]
         alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in self.stacks])
-        sols = solve_duals(self.q[: len(self.nus)], self.nus, alpha0, c.inner_tol, c.inner_max_iter)
+        columns = None
+        if self.lazy:
+            stale = self.composed or [None] * b
+            columns = [_LazyColumns(self.q[k], stack.grams[r], stack.H[r], self.tile, stale[k])
+                       for stack, rows in zip(self.stacks, self.rows)
+                       for r, k in enumerate(range(rows.start, rows.stop))]
+        sols = solve_duals(self.q[:b], self.nus, alpha0, c.inner_tol, c.inner_max_iter, columns)
+        self.composed = None if columns is None else [list(cols) for cols in columns]
+        q_columns = np.full(b, n) if columns is None else np.array([len(cols) for cols in columns])
         for stack, rows in zip(self.stacks, self.rows):
-            stack.advance(t, sols, rows, models, failures)
+            stack.advance(t, sols, rows, q_columns[rows], models, failures)
         self.stacks = [stack for stack in self.stacks if stack.jobs]
 
 
@@ -492,8 +621,10 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
     share one).  A job whose set-up raises, the family rule
     (``check_family``), the memory check (``_check_memory``) and the nu
     rule of ``solve_duals`` on its N included, goes to ``failures``: each
-    fit's nu is checked here once, not every round.
+    fit's nu is checked here once, not every round.  ``memory_bound`` is
+    read once per batch.
     """
+    bound = memory_bound()
     prepared: dict[tuple, tuple] = {}
     groups: dict[tuple, dict[tuple, list]] = {}
     for k in batch:
@@ -503,7 +634,7 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
             check_family(family, specs)
             key = (id(train_targets), specs)
             if key not in prepared:
-                prepared[key] = _prepare(train_targets, specs)
+                prepared[key] = _prepare(train_targets, specs, bound)
             Xn = prepared[key][1]
             gating = _initial_gating(family, config, len(specs), Xn)
             reason = nu_out_of_range(config.nu) or infeasible_nu(config.nu, Xn.shape[0])
@@ -516,7 +647,7 @@ def _solve_groups(jobs: list[FitJob], batch: list[int], failures: dict) -> list[
         stack = (family, specs, Xn.shape, None if gating is None else gating.kind, knobs)
         solve = (Xn.shape[0], config.inner_tol, config.inner_max_iter)
         groups.setdefault(solve, {}).setdefault(stack, []).append((k, key, gating))
-    return [_SolveGroup([_Stack(jobs, members, prepared) for members in stacks.values()])
+    return [_SolveGroup([_Stack(jobs, members, prepared, failures) for members in stacks.values()])
             for stacks in groups.values()]
 
 
@@ -533,25 +664,44 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def _cgroup_limit_files() -> list[str]:
+    """The memory limit files of this process's cgroups (``PROC_CGROUP``) and
+    of every ancestor up to the root, for each version it names."""
+    try:
+        with open(PROC_CGROUP, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    files = []
+    for line in lines:
+        hierarchy, controllers, path = (line.split(":", 2) + ["", ""])[:3]
+        version = "v2" if hierarchy == "0" and not controllers else "v1" if "memory" in controllers.split(",") else None
+        if version is not None:
+            root, name = CGROUP_MEMORY[version]
+            parts = [part for part in path.split("/") if part]
+            files += [os.path.join(root, *parts[:depth], name) for depth in range(len(parts), -1, -1)]
+    return files
+
+
 def memory_bound() -> tuple[int, str] | None:
-    """The memory a fit may use and what bounds it: the smaller of physical
-    memory and the cgroup limit in the first of ``CGROUP_MEMORY_FILES`` that
-    holds an integer (``max`` is no limit); None where neither is known."""
+    """The memory a fit may use and what bounds it: the smallest of physical
+    memory and the cgroup limits set on this process's cgroups and their
+    ancestors (``_cgroup_limit_files``; ``max`` or a missing file is no
+    limit); None where none is known."""
     bounds = [] if (physical := physical_memory_bytes()) is None else [(physical, "physical memory")]
-    for path in CGROUP_MEMORY_FILES:
+    for path in _cgroup_limit_files():
         try:
             with open(path, encoding="ascii") as fh:
                 bounds.append((int(fh.read()), f"the cgroup memory limit ({path})"))
-            break
         except (OSError, ValueError):
             continue
     return min(bounds, default=None)
 
 
-def _check_memory(n: int, p: int) -> None:
+def _check_memory(n: int, p: int, bound: tuple[int, str] | None) -> None:
     """Refuse, before anything N x N is allocated, a fit whose training state
-    exceeds ``memory_bound``: it would end in a ``MemoryError`` or an OOM kill."""
-    need, bound = _fit_bytes(n, p), memory_bound()
+    exceeds ``bound`` (``memory_bound``): it would end in a ``MemoryError`` or an OOM kill."""
+    need = _fit_bytes(n, p)
     if bound is not None and need > bound[0]:
         raise ValueError(f"a fit on N={n} rows with {p} kernels needs ~{need / 2**30:.3g} GiB of "
                          f"training state, more than the {bound[0] / 2**30:.3g} GiB of {bound[1]}")
@@ -597,14 +747,17 @@ def fit_many(jobs) -> list[Model]:
     grouped into stacks (``_Stack``) that run each outer iteration (a
     round) as one array program, and the stacks that share N and the
     inner-solver knobs into solve groups (``_SolveGroup``), formed once
-    per batch, each with one Q array.  A round composes every group's
-    stacks into consecutive rows of its Q and validates them in one
-    ``check_duals`` pass; once every group has composed, each group's
+    per batch, each with one Q array.  Set-up checks each training
+    matrix's Grams once (``_gram_error``).  A round evaluates and checks
+    every group's gates (``_gate_errors``) and composes its stacks into
+    consecutive rows of its Q, or, in a lazy round, leaves Q to the
+    solver's column reads; once every group has composed, each group's
     duals are solved by one ``solve_duals`` call, then each stack takes
     the objective test, gradient and step.
 
     If any fit fails, training stops at the end of the round in which it
-    failed (a job whose set-up fails counts as failing in round 0), and
+    failed (a job whose set-up fails, its Gram check included, counts as
+    failing in round 0), and
     the error of the lowest failing job index of that round propagates:
     the error that job raises alone.  Batches run in job order, so of
     the jobs that fail it is the first batch's that decides.
@@ -617,7 +770,7 @@ def fit_many(jobs) -> list[Model]:
         t = 0
         while groups:
             for group in groups:
-                group.compose(failures)
+                group.compose(t, failures)
             if failures:
                 break
             for group in groups:
@@ -768,6 +921,7 @@ def save_model(model: Model, path) -> None:
         doc["sv_eta"] = model.sv_eta.tolist()
     if model.report is not None:
         doc["report"] = asdict(model.report)
+        del doc["report"]["q_columns"]  # a work count, not part of the model
         if not model.report.inner_nonconverged:  # left at its default, so a v1 file saves back byte for byte
             del doc["report"]["inner_nonconverged"]
     with open(path, "w", encoding="utf-8") as fh:
@@ -877,7 +1031,7 @@ class _ModelFile:
         report = self.get("report")
         if not isinstance(report, dict):
             raise self.error("report", "is not a training report")
-        known = {f.name for f in fields(TrainingReport)}
+        known = {f.name for f in fields(TrainingReport)} - {"q_columns"}  # never saved
         for key in report:
             if key not in known:
                 raise self.error(f"report.{key}", "is not a report field")

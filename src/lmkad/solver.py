@@ -23,7 +23,8 @@ al., Neural Computation 13(7), 2001).
 ``check_duals`` validates the matrices of a stack in one pass over Q,
 block by block in a buffer that stays in cache; the rejection rates are
 checked where they enter.  ``DualProblem`` is the one-problem case of
-both checks.
+both checks.  A caller may instead compose Q column by column as the
+scalar loop reads it (``solve_duals``' ``columns``).
 
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
@@ -105,11 +106,17 @@ def check_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
+#: the messages of ``check_duals``, in the order its checks run
+CHECK_MESSAGES = ("Q contains non-finite entries",
+                  "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)",
+                  "Q has a negative diagonal entry")
+
+
 def check_duals(Q: np.ndarray) -> dict[int, str]:
     """Why each invalid matrix of a stack is invalid: ``{row: message}``, empty if all are valid.
 
     ``Q`` is a (B, N, N) float array.  A row's message is that of its
-    first failing check, in this order: Q finite, symmetric
+    first failing check, in this order (``CHECK_MESSAGES``): Q finite, symmetric
     (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``, so the bound grows with a
     large Q's rounding), diagonal >= -1e-12.  The rejection rates are
     checked where they enter (``solve_duals``, the trainer's set-up).
@@ -128,11 +135,11 @@ def check_duals(Q: np.ndarray) -> dict[int, str]:
     errors = {}
     for r in np.flatnonzero(~finite | asym | negative).tolist():
         if not finite[r]:
-            errors[r] = "Q contains non-finite entries"
+            errors[r] = CHECK_MESSAGES[0]
         elif asym[r]:
-            errors[r] = "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"
+            errors[r] = CHECK_MESSAGES[1]
         else:
-            errors[r] = "Q has a negative diagonal entry"
+            errors[r] = CHECK_MESSAGES[2]
     return errors
 
 
@@ -238,18 +245,22 @@ class DualStack:
     """B duals of one size: their loop state while solving, then their solutions.
 
     Row k of every array is dual k: ``Q`` is (B, N, N), ``alpha`` and
-    ``g = Q @ alpha`` are (B, N); ``iterations``, ``gap`` and
+    ``g = Q @ alpha`` are (B, N), and ``columns`` is None or composes Q
+    on demand (see ``solve_duals``); ``iterations``, ``gap`` and
     ``converged`` hold each dual's step count, last KKT gap and whether
     it met the tolerance.  Once ``solve_duals`` returns, ``g`` is
     refreshed and ``objective``, ``support`` and ``margin`` (boolean
     masks) are set, and ``stack[k]`` is dual k's ``DualSolution``.
     """
 
-    def __init__(self, Q: np.ndarray, upper: np.ndarray, alpha0, max_iter):
+    def __init__(self, Q: np.ndarray, upper: np.ndarray, alpha0, max_iter, columns=None):
         b, n = Q.shape[0], Q.shape[2]
-        self.Q, self.upper = Q, upper
+        self.Q, self.upper, self.columns = Q, upper, columns
         self.max_iter = 100 * n * n if max_iter is None else max_iter
         self.alpha = _feasible_start(upper, alpha0, b, n)
+        if columns is not None:
+            for k, cols in enumerate(columns):
+                cols.start(self.alpha[k])
         self.g = self._matvec(self.alpha)
         self.iterations = np.zeros(b, dtype=np.int64)
         self.gap = np.full(b, math.inf)
@@ -313,13 +324,14 @@ def solve_duals(
     alpha0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
+    columns=None,
 ) -> DualStack:
     """Solve a stack of independent duals; each gets the iterates it would get alone.
 
     ``Q`` is one (B, N, N) ndarray, read and never copied but for the
     lockstep's one transposed copy; its content is the caller's to
-    check (``check_duals``, as the trainer does every round, or
-    ``DualProblem`` for ``solve_dual``).  ``nu`` holds the B rejection
+    check (``check_duals``, or ``DualProblem`` for ``solve_dual``; the
+    trainer checks what Q is composed from).  ``nu`` holds the B rejection
     rates in row order, each checked here (``nu_out_of_range``, then
     ``infeasible_nu``; the first bad row's message is raised).  ``tol``
     must pass ``check_tol``.  ``alpha0`` is None (every dual starts at uniform
@@ -336,6 +348,19 @@ def solve_duals(
     the pair rule, the step and its floating-point operations are those
     of the plain loop that rebuilds both masks every step, so every
     solution's iterates and step count equal its own.
+
+    ``columns``, when given, holds one object per dual that composes its
+    Q as the scalar loop reads it.  ``columns[k].start(alpha)`` composes
+    the whole diagonal and the columns where the start ``alpha`` is
+    nonzero, which is all that ``g = Q @ alpha`` reads; ``columns[k]``
+    then maps j to the column ``Q_k[:, j]``, composing it the first time
+    the loop reads it.  Every other entry of Q must be 0 once ``start``
+    returns: the products with alpha's zeros add nothing, so ``g`` has
+    the bits of the full Q's, and every step reads the two columns it
+    updates ``g`` with.  The
+    final alpha's support lies within the composed columns, so the
+    refreshed ``g`` is exact too.  The lockstep reads every column, so a
+    stack of ``LOCKSTEP_MIN_ROWS`` or more duals is refused with ``columns``.
     """
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -348,7 +373,9 @@ def solve_duals(
     errors = _nu_errors(nu, Q.shape[2])
     if errors:
         raise ValueError(errors[min(errors)])
-    stack = DualStack(Q, 1.0 / (rates * Q.shape[2]), alpha0, max_iter)
+    if columns is not None and len(Q) >= LOCKSTEP_MIN_ROWS:
+        raise ValueError(f"columns composed on demand need fewer than {LOCKSTEP_MIN_ROWS} duals, got {len(Q)}")
+    stack = DualStack(Q, 1.0 / (rates * Q.shape[2]), alpha0, max_iter, columns)
     if len(stack) >= LOCKSTEP_MIN_ROWS:
         _lockstep(stack, tol)
     for k in np.flatnonzero(~stack.converged).tolist():
@@ -366,7 +393,8 @@ def _scalar_loop(stack: DualStack, k: int, tol: float) -> None:
     # loop state (see the module docstring): Python floats, penalty masks, buffers
     alpha = stack.alpha[k].tolist()
     diag = Q.diagonal().tolist()
-    cols = Q.T  # cols[j] is the column Q[:, j], not the row Q[j]
+    # cols[j] is the column Q[:, j], not the row Q[j]; composed on demand with ``columns``
+    cols = Q.T if stack.columns is None else stack.columns[k]
     g = stack.g[k]  # a view: updated in place
     pen_dec = np.where(stack.alpha[k] > 0.0, 0.0, -np.inf)
     pen_inc = np.where(stack.alpha[k] < upper, 0.0, np.inf)

@@ -53,6 +53,9 @@ def test_fit_lmkad_end_to_end(tmp_path, iris_path, capsys):
                      printed, re.M)
     model = load_model(out)
     assert model.family == "lmkad"
+    # iris-sized rounds compose Q whole
+    rounds, n = model.report.iterations, model.n_train
+    assert re.search(rf"^Q columns composed: {rounds * n} of {rounds * n}$", printed, re.M)
 
 
 def test_fit_missing_file(tmp_path, capsys):

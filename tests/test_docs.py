@@ -67,3 +67,6 @@ def test_readme_training_tiles_are_the_trainers():
     assert int(limit) == math.isqrt(models.TRAIN_TILE_BYTES // 8)  # the largest N whose N x N fits a tile
     side = re.search(r"comparing (\d+) × (\d+) blocks with their transposed partners", readme).groups()
     assert side == (str(solver.CHECK_BLOCK),) * 2
+    lazy_n, rows = re.search(r"a warm round whose fits have N > (\d+) and whose group has fewer than "
+                             r"`LOCKSTEP_MIN_ROWS` = (\d+) duals", readme).groups()
+    assert int(lazy_n) == int(limit) and int(rows) == solver.LOCKSTEP_MIN_ROWS

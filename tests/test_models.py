@@ -614,7 +614,8 @@ def _pin_jobs():
 
 
 def _model_bytes(model):
-    """Every field of a model, arrays as (shape, dtype, bytes) and floats by repr."""
+    """Every field of a model, arrays as (shape, dtype, bytes) and floats by repr;
+    of the report, the fields it compares (not the ``q_columns`` work count)."""
     arrays = {
         "sv_features": model.sv_features,
         "sv_alpha": model.sv_alpha,
@@ -627,13 +628,14 @@ def _model_bytes(model):
         arrays.update({"gating.matrix": model.gating.matrix, "gating.vector": model.gating.vector})
     fields = {name: None if a is None else (a.shape, a.dtype.str, a.tobytes()) for name, a in arrays.items()}
     report = model.report
+    compared = [f.name for f in dataclasses.fields(report) if f.compare]
     fields.update(
         family=model.family,
         kernels=model.kernels,
         gating_kind=None if model.gating is None else model.gating.kind,
         scalars=(repr(model.rho), type(model.rho), repr(model.nu), model.n_train),
-        report=json.dumps(dataclasses.asdict(report)),
-        report_types=tuple(type(getattr(report, f.name)) for f in dataclasses.fields(report)),
+        report=json.dumps({name: getattr(report, name) for name in compared}),
+        report_types=tuple(type(getattr(report, name)) for name in compared),
     )
     return fields
 
@@ -676,6 +678,139 @@ def test_fit_many_composes_in_tiles_bit_for_bit(n):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
 
 
+def _spy_lazy_solves(monkeypatch) -> list[bool]:
+    """Per dual of every lazy solve, whether its final support holds a column
+    that its start's support did not: one composed on demand.  Also checks
+    that Q is 0 off the diagonal outside the composed columns."""
+    grew, starts = [], {}
+    start, solve = models_module._LazyColumns.start, models_module.solve_duals
+
+    def spy_start(columns, alpha):
+        starts[id(columns)] = alpha > 0
+        start(columns, alpha)
+
+    def spy_solve(Q, nu, alpha0, tol, max_iter, columns):
+        sols = solve(Q, nu, alpha0, tol, max_iter, columns)
+        for k, c in enumerate(columns or ()):
+            grew.append(bool((sols.support[k] & ~starts[id(c)]).any()))
+            rest = np.delete(Q[k], list(c), axis=1)
+            assert np.count_nonzero(rest) == Q.shape[1] - len(c)  # only the diagonal
+        return sols
+
+    monkeypatch.setattr(models_module._LazyColumns, "start", spy_start)
+    monkeypatch.setattr(models_module, "solve_duals", spy_solve)
+    return grew
+
+
+@pytest.mark.parametrize("n", [182, 500, 1000])
+def test_lazy_rounds_match_the_one_fit_loop_bit_for_bit(n, monkeypatch):
+    # above N = 181 the warm rounds of a group of fewer than LOCKSTEP_MIN_ROWS
+    # duals compose only the Q columns SMO reads; here one fit of each gating
+    # kind, each its own stack of one group of 3, some of whose rounds end with
+    # support where they did not start
+    grew = _spy_lazy_solves(monkeypatch)
+    X = np.random.default_rng([5, n]).standard_normal((n, 6))
+    jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=n))
+            for kind in ("sigmoid", "softmax", "rbf")]
+    got = fit_many(jobs)
+    for job, model in zip(jobs, got):
+        assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+        report = model.report
+        assert report.iterations > 2 and n < report.q_columns < report.iterations * n
+    assert len(grew) == sum(m.report.iterations - 1 for m in got) and any(grew)
+
+
+def test_a_three_fit_stack_runs_lazy_rounds_bit_for_bit(monkeypatch):
+    # one stack of 3 duals at N = 300: each runs in the scalar loop on its own Q columns
+    grew = _spy_lazy_solves(monkeypatch)
+    X = blob(51, 300, 5)
+    jobs = [FitJob("lmkad", X, "gpp", LmkadConfig(nu=nu, seed=i, max_outer=12)) for i, nu in enumerate((0.1, 0.2, 0.3))]
+    got = fit_many(jobs)
+    for job, model in zip(jobs, got):
+        assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+        assert model.report.q_columns < model.report.iterations * 300
+    assert len(grew) == sum(m.report.iterations - 1 for m in got) and any(grew)
+
+
+def test_rounds_composed_whole_count_every_column(monkeypatch):
+    # iris-sized fits compose whole fits at a time, and lockstep duals read every column
+    X = blob(52, 40, 4)
+    small = fit_many([FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.2, seed=i, max_outer=5)) for i in range(8)]
+                     + [FitJob("mkad", X, "gpl", LmkadConfig(nu=0.2))])
+    assert all(m.report.q_columns == m.report.iterations * 40 for m in small)
+    monkeypatch.setattr(solver_module, "LOCKSTEP_MIN_ROWS", 1)
+    job = FitJob("lmkad", blob(53, 200, 4), "gpl", LmkadConfig(nu=0.1, seed=3, max_outer=6))
+    model = fit_many([job])[0]
+    assert model.report.iterations > 1 and model.report.q_columns == model.report.iterations * 200
+    assert _model_bytes(model) == _model_bytes(reference_fit(*job))
+
+
+def test_grams_symmetric_only_within_the_bound_compose_whole(monkeypatch):
+    # a lazy round reads a column of K_m as its row, so it needs K_m == K_m.T bit
+    # for bit, as gram builds it; a Gram that passes check_duals' bound but not
+    # that takes the whole path, and keeps the one-fit loop's bits
+    import fit_reference
+
+    def skewed(spec, X, Y):
+        return gram(spec, X, Y) + np.triu(np.full((len(X), len(Y)), 1e-10), 1)
+
+    monkeypatch.setattr(models_module, "gram", skewed)
+    monkeypatch.setattr(fit_reference, "gram", skewed)
+    job = FitJob("lmkad", blob(56, 200, 4), "gpl", LmkadConfig(nu=0.1, seed=4, max_outer=6))
+    model = fit_many([job])[0]
+    assert model.report.iterations > 1 and model.report.q_columns == model.report.iterations * 200
+    assert _model_bytes(model) == _model_bytes(reference_fit(*job))
+
+
+def test_nan_gates_fail_a_lazy_round_in_that_round(monkeypatch):
+    # at N = 300 round 1 composes lazily; its gate check stops training before its solve
+    job = FitJob("lmkad", blob(54, 300, 4), "gpl", LmkadConfig(nu=0.1, seed=2, max_outer=4))
+    assert fit_many([job])[0].report.q_columns < 4 * 300
+    rounds, solved = [], []
+    gate_stack, solve = models_module.gate_stack, models_module.solve_duals
+
+    def gates(kind, *args):
+        H = gate_stack(kind, *args)
+        rounds.append(kind)
+        if len(rounds) == 2:
+            H[0, 7, 1] = np.nan
+        return H
+
+    monkeypatch.setattr(models_module, "gate_stack", gates)
+    monkeypatch.setattr(models_module, "solve_duals", lambda Q, *args: solved.append(args[-1]) or solve(Q, *args))
+    with pytest.raises(ValueError, match="^Q contains non-finite entries$"):
+        fit_many([job])
+    assert rounds == ["sigmoid", "sigmoid"] and solved == [None]  # round 0 solved whole, round 1 not at all
+
+
+def test_gram_error_is_the_first_check_any_gram_fails():
+    # a Q sums the Grams scaled by weights or gates in [0, 1]: the Grams decide its checks
+    eye = np.eye(3)
+    skew = eye + np.triu(np.ones((3, 3)), 1) * 1e-6
+    nan = eye.copy()
+    nan[0, 1] = np.nan
+    negative = -eye
+    assert models_module._gram_error(np.stack([eye, eye]), None) is None
+    assert models_module._gram_error(np.stack([skew, nan]), None) == "Q contains non-finite entries"
+    assert models_module._gram_error(np.stack([negative, skew]), None) == (
+        "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)")
+    assert models_module._gram_error(np.stack([eye, negative]), None) == "Q has a negative diagonal entry"
+    big = np.full((3, 3), 1e308)
+    assert models_module._gram_error(np.stack([big, big]), np.array([0.5, 0.5])) is None
+    assert models_module._gram_error(np.stack([big, big]), None) == (
+        "Q may overflow: the sum over kernels of max|K_m| is not finite")
+
+
+def test_a_gated_fit_whose_grams_could_overflow_fails_at_set_up():
+    # two rows z-scored in d = 99 have x.x = 99, so each poly q=154 Gram peaks at
+    # 100**154 = 1e308: MKAD halves each, gates in [0, 1] could sum two of them
+    X = blob(55, 2, 99)
+    poly = KernelSpec("polynomial", q=154)
+    assert np.isfinite(train_mkad(X, (poly, poly), nu=1.0).rho)
+    with pytest.raises(ValueError, match=r"^Q may overflow: the sum over kernels of max\|K_m\| is not finite$"):
+        train_lmkad(X, (poly, poly), LmkadConfig(nu=1.0, max_outer=3))
+
+
 def test_training_state_stays_within_the_batch_estimate(monkeypatch):
     # _fit_bytes counts every N x N array of a fit: its p Grams, Q and the
     # lockstep's transposed copy of Q (the lockstep is forced here for one
@@ -694,6 +829,22 @@ def test_training_state_stays_within_the_batch_estimate(monkeypatch):
         tracemalloc.stop()
     assert model.report.iterations == 3
     assert models_module._fit_bytes(n, p) == (p + 2) * n * n * 8
+    assert peak <= models_module._fit_bytes(n, p) + n * n * 8 // 2
+
+
+def test_lazy_rounds_stay_within_the_batch_estimate():
+    # the scalar loop composes the Q columns it reads in pieces of the
+    # composition tile; no N x N array beyond the estimate appears
+    n, p = 400, 3
+    X = blob(50, n, 6)
+    train_lmkad(X[:20], "gpl", LmkadConfig(nu=0.2, max_outer=2))  # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        model = train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.report.iterations == 3 and model.report.q_columns < 3 * n  # rounds 1 and 2 were lazy
     assert peak <= models_module._fit_bytes(n, p) + n * n * 8 // 2
 
 
@@ -733,14 +884,14 @@ def test_fit_many_raises_the_lowest_failing_job():
 ], ids=["out-of-range", "nu-n-below-1"])
 def test_fit_many_checks_nu_once_at_set_up(monkeypatch, nu, message):
     # a fit's nu is checked in its set-up, so a job whose nu is bad and whose
-    # Q would hold a NaN reports the nu, as solve_duals does for that nu,
-    # and no Q is checked; a bad-nu job still loses to a lower failing job
+    # Grams hold a NaN reports the nu, as solve_duals does for that nu,
+    # and no Gram is checked; a bad-nu job still loses to a lower failing job
     X = blob(42, 20)
     bad_q = X.copy()
     bad_q[3, 1] = np.nan
     checks = []
-    check = models_module.check_duals
-    monkeypatch.setattr(models_module, "check_duals", lambda Q: checks.append(len(Q)) or check(Q))
+    check = models_module._gram_error
+    monkeypatch.setattr(models_module, "_gram_error", lambda grams, w: checks.append(len(grams)) or check(grams, w))
     both = FitJob("lmkad", bad_q, "poly:q=2,linear", LmkadConfig(nu=nu))
     with pytest.raises(ValueError, match=message):
         fit_many([both])
@@ -755,12 +906,12 @@ def test_fit_many_checks_nu_once_at_set_up(monkeypatch, nu, message):
 
 
 def test_fit_many_checks_every_round_when_gates_turn_nan(monkeypatch):
-    # the other non-finite Q cases put the NaN in X, so they fail at round 0;
-    # here gates turn NaN at round 1, which only that round's Q check sees
+    # the other non-finite Q cases put the NaN in X, so they fail at set-up;
+    # here gates turn NaN at round 1, which only that round's gate check sees
     X = blob(46, 20)
     poisoned = {}  # gating kind -> the stack row whose gates turn NaN at round 1
     rounds, solved = collections.Counter(), []
-    gate_stack, check, solve = models_module.gate_stack, models_module.check_duals, models_module.solve_duals
+    gate_stack, check, solve = models_module.gate_stack, models_module._gate_errors, models_module.solve_duals
 
     def gates(kind, *args):
         H = gate_stack(kind, *args)
@@ -777,14 +928,16 @@ def test_fit_many_checks_every_round_when_gates_turn_nan(monkeypatch):
         fit_many(sigmoid)
     assert rounds == {"sigmoid": 2} and solved == [2]  # round 1 composed, then training stopped
 
-    # job 2's stack composes first, but job 1 (its own softmax stack) fails in
-    # the same round and is lower; each row's message is tagged to tell them apart
+    # job 2's stack is checked first, but job 1 (its own softmax stack) fails in
+    # the same round and is lower; each message is tagged with its stack row
+    # and size to tell them apart
     rounds.clear()
     solved.clear()
     poisoned["softmax"] = 0
-    monkeypatch.setattr(models_module, "check_duals", lambda Q: {r: f"{m} (row {r})" for r, m in check(Q).items()})
+    monkeypatch.setattr(models_module, "_gate_errors",
+                        lambda H: {r: f"{m} (row {r} of {len(H)})" for r, m in check(H).items()})
     softmax = FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.2, seed=1, gating_kind="softmax"))
-    with pytest.raises(ValueError, match=r"^Q contains non-finite entries \(row 2\)$"):
+    with pytest.raises(ValueError, match=r"^Q contains non-finite entries \(row 0 of 1\)$"):
         fit_many([sigmoid[0], softmax, sigmoid[1]])
     assert rounds == {"sigmoid": 2, "softmax": 2} and solved == [3]
 
@@ -803,19 +956,26 @@ def test_fit_many_reports_a_bad_kernel_token_in_job_order():
 def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, sizes):
     # three stacks (mkad, sigmoid and softmax lmkad) over two training
     # matrices; the stacks that share N are one solve group, whose rows
-    # are composed into one Q array, checked once and solved once a round
+    # are composed into one Q array and solved once a round.  Each stack's
+    # Grams are checked once per training matrix at set-up, and each gated
+    # stack's gates once a round
     calls = []
-    check, solve = models_module.check_duals, models_module.solve_duals
+    gram_check, gate_check, solve = models_module._gram_error, models_module._gate_errors, models_module.solve_duals
 
-    def spy_check(Q):
-        calls.append(("check", Q.shape, Q))
-        return check(Q)
+    def spy_gram_check(grams, weights):
+        calls.append(("grams", grams.shape, None))
+        return gram_check(grams, weights)
+
+    def spy_gate_check(H):
+        calls.append(("gates", H.shape, None))
+        return gate_check(H)
 
     def spy_solve(Q, nu, *args):
         calls.append(("solve", Q.shape, Q))
         return solve(Q, nu, *args)
 
-    monkeypatch.setattr(models_module, "check_duals", spy_check)
+    monkeypatch.setattr(models_module, "_gram_error", spy_gram_check)
+    monkeypatch.setattr(models_module, "_gate_errors", spy_gate_check)
     monkeypatch.setattr(models_module, "solve_duals", spy_solve)
     jobs = []
     for i, n in enumerate(sizes):
@@ -827,17 +987,23 @@ def test_fit_many_checks_and_solves_each_solve_group_once_a_round(monkeypatch, s
 
     rounds = max(m.report.iterations for m in got)
     assert rounds > 1
+    sizes_in_order = list(dict.fromkeys(sizes))
+    assert [kind for kind, _, _ in calls[:6]] == ["grams"] * 6  # 3 stacks x 2 matrices
     expected = []
     for t in range(rounds):
-        rows = {n: sum(len(job.train_targets) == n and t < m.report.iterations for job, m in zip(jobs, got))
-                for n in dict.fromkeys(sizes)}
-        shapes = [(b, n, n) for n, b in rows.items() if b]
-        expected += [("check", shape) for shape in shapes] + [("solve", shape) for shape in shapes]
-    assert [(kind, shape) for kind, shape, _ in calls] == expected
-    groups = len(set(sizes))
-    assert len(expected) == 2 * rounds * groups  # every group lives every round here
-    for (_, _, checked), (_, _, solved) in zip(calls[:groups], calls[groups : 2 * groups]):
-        assert np.shares_memory(checked, solved)  # the group's one Q array
+        def alive(n, kind=None):
+            return sum(len(job.train_targets) == n and t < m.report.iterations
+                       and (kind is None or job.config.gating_kind == kind and job.family == "lmkad")
+                       for job, m in zip(jobs, got))
+        for n in sizes_in_order:
+            expected += [("gates", (alive(n, kind), n, 3)) for kind in ("sigmoid", "softmax") if alive(n, kind)]
+        expected += [("solve", (alive(n), n, n)) for n in sizes_in_order if alive(n)]
+    assert [(kind, shape) for kind, shape, _ in calls[6:]] == expected
+    groups = len(sizes_in_order)
+    assert sum(kind == "solve" for kind, _ in expected) == rounds * groups  # every group lives every round here
+    solved = [q for kind, _, q in calls if kind == "solve"]
+    for g in range(groups):  # the group's one Q array, every round
+        assert all(np.shares_memory(solved[g], q) for q in solved[g::groups])
 
 
 @pytest.mark.parametrize("knob, message", [
@@ -897,9 +1063,9 @@ def test_memory_check_runs_before_any_n_by_n_product(monkeypatch):
 
 def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
     # job 1 fails in round 0 (a non-finite gradient), job 0 would fail in
-    # round 1's check; training stops after round 0, so job 1's error wins
+    # round 1's gate check; training stops after round 0, so job 1's error wins
     X = blob(43, 20)
-    gradient, check = models_module.gradient_stack, models_module.check_duals
+    gradient, check = models_module.gradient_stack, models_module._gate_errors
     checks = []
 
     def nan_row_1(*args):
@@ -907,12 +1073,12 @@ def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
         grad_vector[1] = np.nan
         return grad_matrix, grad_vector
 
-    def late_failure(Q):
-        checks.append(len(Q))
-        return {0: "round 1 failure"} if len(checks) == 2 else check(Q)
+    def late_failure(H):
+        checks.append(len(H))
+        return {0: "round 1 failure"} if len(checks) == 2 else check(H)
 
     monkeypatch.setattr(models_module, "gradient_stack", nan_row_1)
-    monkeypatch.setattr(models_module, "check_duals", late_failure)
+    monkeypatch.setattr(models_module, "_gate_errors", late_failure)
     jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=nu, seed=1)) for nu in (0.2, 0.3)]
     with pytest.raises(RuntimeError, match=r"^non-finite gating gradient at outer iteration 0 "):
         fit_many(jobs)
@@ -957,27 +1123,54 @@ def test_fit_beyond_physical_memory_fails_at_setup_in_job_order(monkeypatch):
         fit_many([bogus, big])
 
 
+def _cgroup_tree(tmp_path, monkeypatch, version, limits: dict) -> dict:
+    """A temp directory tree standing in for the cgroup mounts, with this
+    process in cgroup ``/a/b``; ``limits`` maps a cgroup path to its limit
+    file's content.  Returns the limit file of each path."""
+    roots = {v: tmp_path / v for v in models_module.CGROUP_MEMORY}
+    monkeypatch.setattr(models_module, "CGROUP_MEMORY", {v: (str(roots[v]), name) for v, (_, name)
+                                                         in models_module.CGROUP_MEMORY.items()})
+    line = "0::/a/b" if version == "v2" else "4:cpu,memory:/a/b"
+    proc = tmp_path / "cgroup"
+    proc.write_text(f"7:pids:/\n{line}\n")
+    monkeypatch.setattr(models_module, "PROC_CGROUP", str(proc))
+    files = {}
+    for path, content in limits.items():
+        directory = roots[version].joinpath(*path.split("/")[1:])
+        directory.mkdir(parents=True, exist_ok=True)
+        files[path] = directory / models_module.CGROUP_MEMORY[version][1]
+        files[path].write_text(content)
+    return files
+
+
 @pytest.mark.parametrize("content, applies", [("1048576\n", True), ("4194304", False), ("max\n", False),
                                               (None, False)], ids=["below", "above", "max", "absent"])
 @pytest.mark.parametrize("version", ["v2", "v1"])
 def test_memory_bound_is_the_smaller_of_a_cgroup_limit_and_physical_memory(tmp_path, monkeypatch, version,
                                                                           content, applies):
-    # a temp file stands in for the cgroup file; v1's is read where v2's is absent
-    limit = tmp_path / "limit"
-    if content is not None:
-        limit.write_text(content)
-    files = (str(limit), "/nonexistent/v1") if version == "v2" else (str(tmp_path / "no_v2"), str(limit))
-    monkeypatch.setattr(models_module, "CGROUP_MEMORY_FILES", files)
+    # a temp tree stands in for the cgroup mount; the limit sits on this process's own cgroup
+    files = _cgroup_tree(tmp_path, monkeypatch, version, {} if content is None else {"/a/b": content})
     monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**21)
-    expected = (2**20, f"the cgroup memory limit ({limit})") if applies else (2**21, "physical memory")
+    expected = (2**20, f"the cgroup memory limit ({files['/a/b']})") if applies else (2**21, "physical memory")
     assert models_module.memory_bound() == expected
+
+
+@pytest.mark.parametrize("version", ["v2", "v1"])
+def test_memory_bound_takes_the_smallest_limit_up_to_the_root(tmp_path, monkeypatch, version):
+    # a cgroup is bounded by every ancestor's limit too; the root files alone missed a limit on /a
+    files = _cgroup_tree(tmp_path, monkeypatch, version,
+                         {"/a/b": "max\n", "/a": "1048576\n", "": "1572864\n", "/c": "4096\n"})
+    monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**21)
+    assert models_module.memory_bound() == (2**20, f"the cgroup memory limit ({files['/a']})")
+    files["/a"].write_text("max\n")
+    assert models_module.memory_bound() == (1572864, f"the cgroup memory limit ({files['']})")
+    monkeypatch.setattr(models_module, "PROC_CGROUP", str(tmp_path / "absent"))
+    assert models_module.memory_bound() == (2**21, "physical memory")
 
 
 def test_fit_beyond_a_cgroup_limit_fails_at_setup_naming_it(tmp_path, monkeypatch):
     # 1.6 MB of training state fits 2 MiB of physical memory but not a 1 MiB cgroup limit
-    limit = tmp_path / "memory.max"
-    limit.write_text("1048576\n")
-    monkeypatch.setattr(models_module, "CGROUP_MEMORY_FILES", (str(limit),))
+    limit = _cgroup_tree(tmp_path, monkeypatch, "v2", {"/a/b": "1048576\n"})["/a/b"]
     monkeypatch.setattr(models_module, "physical_memory_bytes", lambda: 2**21)
     message = (r"^a fit on N=200 rows with 3 kernels needs ~0\.00149 GiB of training state, "
                rf"more than the 0\.000977 GiB of the cgroup memory limit \({re.escape(str(limit))}\)$")

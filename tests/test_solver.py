@@ -617,3 +617,39 @@ def test_solve_duals_refuses_a_tolerance_it_cannot_stop_at(tol):
         solve_duals(Q, [0.5], tol=tol)
     with pytest.raises(ValueError, match=rf"^tol must be finite and > 0, got {tol}$"):
         solve_dual(DualProblem(np.eye(4), 0.5), tol=tol)
+
+
+class _CopiedColumns(dict):
+    """A ``columns`` composer that copies each column of a full Q into a
+    zeroed one, the first time the solver reads it."""
+
+    def __init__(self, full, q):
+        super().__init__()
+        self.full, self.q = full, q
+
+    def start(self, alpha):
+        np.fill_diagonal(self.q, self.full.diagonal())
+        for j in np.flatnonzero(alpha).tolist():
+            self[j]
+
+    def __missing__(self, j):
+        self.q[:, j] = self.full[:, j]
+        column = self[j] = self.q.T[j]
+        return column
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "softmax"])
+def test_columns_composed_on_demand_give_the_full_q_iterates(iris, kind):
+    # a localized Q with a sparse warm start: the solver reads only the start's
+    # support and the columns its steps touch, and the solution keeps its bits
+    problem = _lmkad(iris, kind)
+    alpha0 = np.repeat([1 / 16, 0.0], [16, 24])[None]
+    full = solve_duals(problem.q[None], [0.2], alpha0)
+    q = np.zeros((1, 40, 40))
+    columns = [_CopiedColumns(problem.q, q[0])]
+    lazy = solve_duals(q, [0.2], alpha0, solver.DEFAULT_TOL, None, columns)
+    for name in ("alpha", "g", "objective", "iterations", "gap", "support"):
+        assert getattr(lazy, name).tobytes() == getattr(full, name).tobytes(), name
+    assert lazy[0].rho == full[0].rho and 16 < len(columns[0]) < 40
+    with pytest.raises(ValueError, match=r"^columns composed on demand need fewer than 6 duals, got 6$"):
+        solve_duals(np.zeros((6, 40, 40)), [0.2] * 6, None, solver.DEFAULT_TOL, None, [columns[0]] * 6)
