@@ -29,9 +29,11 @@ KERNEL_KINDS = ("linear", "polynomial", "gaussian")
 class KernelSpec:
     """One kernel family plus its parameters.
 
-    ``q`` is only meaningful for polynomial kernels, ``sigma_sq`` only for
-    gaussian ones.  ``sigma_sq=None`` marks an unresolved ("auto")
-    bandwidth; such a spec cannot be evaluated until resolved.
+    ``q`` is only meaningful for polynomial kernels, an ``int`` >= 1 (not a
+    bool), ``sigma_sq`` only for gaussian ones.  Only q in {2, 3}
+    round-trips through model files (``parse_kernel_spec``); a larger
+    degree stays programmatic.  ``sigma_sq=None`` marks an unresolved
+    ("auto") bandwidth; such a spec cannot be evaluated until resolved.
     """
 
     kind: str
@@ -42,8 +44,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial":
-            if self.q is None or int(self.q) < 1:
-                raise ValueError("polynomial kernel requires integer degree q >= 1")
+            if type(self.q) is not int or self.q < 1:
+                raise ValueError(f"polynomial kernel requires integer degree q >= 1, got q={self.q!r}")
         elif self.q is not None:
             raise ValueError(f"degree q is only valid for polynomial kernels, not {self.kind}")
         if self.kind == "gaussian":

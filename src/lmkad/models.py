@@ -17,9 +17,10 @@ that share N and the inner-solver knobs (``inner_tol``,
 round they compose into consecutive rows of it, in cache-sized pieces
 (``TRAIN_TILE_BYTES``), and one ``solver.solve_duals`` call solves
 them, so e.g. every fit of a benchmark worker's cells at N = 40 shares
-one lockstep.  A fit is validated once: its base Grams at set-up by
-``solver.check_duals``' rule (``_gram_error``), then each round only its
-gates, for finiteness (``_gate_errors``).  A warm round of a group small
+one lockstep.  A fit is validated once: its base Grams at set-up
+(``_gram_error``: finite, bitwise symmetric, no negative diagonal, no
+overflowing sum), then each round only its gates, for finiteness
+(``_gate_errors``).  A warm round of a group small
 enough for the scalar loop at N > 181 composes only the Q columns SMO
 reads (``_LazyColumns``).  Every fit
 keeps the iterates, and so the model, it gets when trained alone;
@@ -52,7 +53,7 @@ from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, g
 from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
                       row_sq_norms)
 from . import solver
-from .solver import CHECK_MESSAGES, DEFAULT_TOL, check_duals, check_tol, infeasible_nu, nu_out_of_range, solve_duals
+from .solver import CHECK_MESSAGES, DEFAULT_TOL, check_tol, infeasible_nu, nu_out_of_range, solve_duals
 
 MODEL_FORMAT = "lmkad-model"
 MODEL_VERSION = 1
@@ -70,11 +71,11 @@ TRAIN_TILE_BYTES = 256 * 2**10
 
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
 #: fit holds (p + 2) N x N float64 arrays: its p base Grams, its Q and the
-#: lockstep's transposed copy of Q; composition and the set-up check work in
-#: buffers of a few hundred KiB.  At 128 MiB one worker's share of the iris
-#: protocol under ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or
-#: 1,600 fits at N=40, 101 or 87 MB estimated) forms one batch, and a gpl
-#: fit at N=1000 (40 MB) runs alone.  A worker's peak RSS on that protocol
+#: lockstep's transposed copy of Q; composition works in a buffer of a few
+#: hundred KiB, and the set-up check in one N x N boolean.  At 128 MiB one
+#: worker's share of the iris protocol under ``lmkad benchmark --jobs 2`` (17
+#: or 16 cells, 1,700 or 1,600 fits at N=40, 101 or 87 MB estimated) forms
+#: one batch, and a gpl fit at N=1000 (40 MB) runs alone.  A worker's peak RSS on that protocol
 #: is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
 BATCH_BYTES = 128 * 2**20
 
@@ -311,22 +312,29 @@ def _compact(a: np.ndarray, keep: list[int]) -> np.ndarray:
 
 
 def _gram_error(grams: np.ndarray, weights: np.ndarray | None) -> str | None:
-    """Why a fit's base Grams (p, N, N) can make a Q that fails ``check_duals``, or None.
+    """Why a fit's base Grams (p, N, N) can make a Q that fails ``DualProblem``'s checks, or None.
 
     Run once per training matrix at set-up, in place of a check of every
     round's Q.  Q sums each Gram scaled entry by entry by its fixed weight
     or by gates in [0, 1] (``_combine``), so it can fail only where a Gram
-    does: the message is that of the first check (``CHECK_MESSAGES``) any
-    Gram fails.  Or a sum of finite terms overflows: the bound
-    sum_m w_m max|K_m| (w_m = 1 under gates), summed in Q's order, must
-    be finite.
+    does.  The message is that of the first check any Gram fails: finite
+    (read from max and min, which NaN and inf reach), equal to its
+    transpose bit for bit, as ``gram`` builds it (a lazy round reads a
+    Gram's rows as its columns), diagonal >= -1e-12.  Then a sum of finite
+    terms must not overflow: the bound sum_m w_m max|K_m| (w_m = 1 under
+    gates), summed in Q's order, must be finite.
     """
-    errors = check_duals(grams)
-    if errors:
-        return min(errors.values(), key=CHECK_MESSAGES.index)
-    bound = 0.0
+    extremes = [(float(K.max()), float(K.min())) for K in grams]
+    if not all(math.isfinite(hi) and math.isfinite(lo) for hi, lo in extremes):
+        return CHECK_MESSAGES[0]
     for m, K in enumerate(grams):
-        bound += (1.0 if weights is None else float(weights[m])) * max(float(K.max()), -float(K.min()))
+        if not np.array_equal(K.view(np.int64), K.T.view(np.int64)):
+            return f"Gram K_{m} is not equal to its transpose bit for bit"
+    if any(K.diagonal().min() < -1e-12 for K in grams):
+        return CHECK_MESSAGES[2]
+    bound = 0.0
+    for m, (hi, lo) in enumerate(extremes):
+        bound += (1.0 if weights is None else float(weights[m])) * max(hi, -lo)
     return None if math.isfinite(bound) else "Q may overflow: the sum over kernels of max|K_m| is not finite"
 
 
@@ -334,7 +342,7 @@ def _gate_errors(H: np.ndarray) -> dict[int, str]:
     """Why each fit of a (B, N, p) gate stack cannot be solved this round:
     ``{row: message}`` for the rows with a non-finite gate (an rbf gate can
     reach 0/0), which would make Q non-finite.  Finite gates lie in [0, 1],
-    so once ``_gram_error`` has passed they make a Q that passes ``check_duals``."""
+    so once ``_gram_error`` has passed they make a Q that passes ``DualProblem``'s checks."""
     return {r: CHECK_MESSAGES[0] for r in np.flatnonzero(~np.isfinite(H).all(axis=(1, 2))).tolist()}
 
 
@@ -397,9 +405,6 @@ class _Stack:
     ``_SolveGroup`` each round; fits that stop are compacted out of every
     array.  The Grams of each training matrix are computed and checked
     (``_gram_error``) once; a fit whose Grams fail goes to ``failures``.
-    Above N = 181, where lazy rounds run, ``symmetric`` tells whether
-    every Gram equals its transpose bit for bit, as ``gram`` builds them
-    (one symmetric product, elementwise maps).
     """
 
     def __init__(self, jobs, members, prepared, failures: dict):
@@ -420,7 +425,6 @@ class _Stack:
         self.weights = np.full(p, 1.0 / p) if self.kind is None else None
         filled: dict[tuple, int] = {}  # the Grams of a training matrix are computed and checked once
         errors: dict[tuple, str | None] = {}
-        self.symmetric = True
         for r, (k, key, _) in enumerate(members):
             Xn = prepared[key][1]
             self.Xn[r] = Xn
@@ -431,8 +435,6 @@ class _Stack:
                 for m, spec in enumerate(self.kernels[r]):
                     self.grams[r, m] = gram(spec, Xn, Xn)
                 errors[key] = _gram_error(self.grams[r], self.weights)
-                if n * n * 8 > TRAIN_TILE_BYTES:
-                    self.symmetric &= all(np.array_equal(K.view(np.int64), K.T.view(np.int64)) for K in self.grams[r])
             if errors[key] is not None:
                 failures.setdefault(k, ValueError(errors[key]))
         self.pair = None if self.kind is None else (np.stack([g.matrix for g in gatings]),
@@ -562,13 +564,11 @@ class _SolveGroup:
     warm.
 
     A warm round is lazy when a fit's N x N does not fit in the tile
-    (N > 181), every dual runs in the scalar loop (fewer than
-    ``solver.LOCKSTEP_MIN_ROWS``) and every fit's Grams are bitwise
-    symmetric: Q is then composed column by column as the loop reads it
-    (``_LazyColumns``), and the columns that the group's last round
-    composed in a row are zeroed unless composed again.  Cold rounds,
-    fixed weights, small N, the lockstep and Grams that are not bitwise
-    symmetric compose every Q whole.
+    (N > 181) and every dual runs in the scalar loop (fewer than
+    ``solver.LOCKSTEP_MIN_ROWS``): Q is then composed column by column as
+    the loop reads it (``_LazyColumns``), and the columns that the group's
+    last round composed in a row are zeroed unless composed again.  Cold
+    rounds, fixed weights, small N and the lockstep compose every Q whole.
     """
 
     def __init__(self, stacks: list[_Stack]):
@@ -583,8 +583,7 @@ class _SolveGroup:
         its rows unless the round is lazy."""
         self.nus, self.rows = [], []
         b, n = sum(len(stack.jobs) for stack in self.stacks), self.q.shape[-1]
-        self.lazy = (t > 0 and n * n > self.tile.size and b < solver.LOCKSTEP_MIN_ROWS
-                     and all(stack.symmetric for stack in self.stacks))
+        self.lazy = t > 0 and n * n > self.tile.size and b < solver.LOCKSTEP_MIN_ROWS
         for stack in self.stacks:
             rows = slice(len(self.nus), len(self.nus) + len(stack.jobs))
             stack.gate(failures)

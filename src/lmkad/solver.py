@@ -20,11 +20,10 @@ dual, when its ``DualSolution`` is read: the mean of ``g`` over the
 margin support vectors, or over all support vectors when no multiplier
 is strictly inside the box, as for the nu-one-class SVM (Schölkopf et
 al., Neural Computation 13(7), 2001).
-``check_duals`` validates the matrices of a stack in one pass over Q,
-block by block in a buffer that stays in cache; the rejection rates are
-checked where they enter.  ``DualProblem`` is the one-problem case of
-both checks.  A caller may instead compose Q column by column as the
-scalar loop reads it (``solve_duals``' ``columns``).
+``DualProblem`` validates one Q (``CHECK_MESSAGES``); a stack's content
+is its caller's to check, and its rejection rates are checked where they
+enter.  A caller may instead compose Q column by column as the scalar
+loop reads it (``solve_duals``' ``columns``).
 
 The loop's cost is numpy call overhead, not arithmetic (duals here are
 often N~40), so it makes few numpy calls per step.  The bound masks are
@@ -74,10 +73,6 @@ DEFAULT_TOL = 1e-6
 #: ~5x cheaper than a lockstep turn over a handful of rows
 LOCKSTEP_MIN_ROWS = 6
 
-#: side of the square blocks in which ``check_duals`` compares Q with its
-#: transpose: a 128 KiB buffer, which stays in cache
-CHECK_BLOCK = 128
-
 
 def infeasible_nu(nu: float, n: int) -> str | None:
     """Why ``nu`` is infeasible on ``n`` rows (box 1/(nu*N) < 1/N), or None."""
@@ -106,88 +101,20 @@ def check_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
-#: the messages of ``check_duals``, in the order its checks run
+#: the messages of ``DualProblem``'s checks of Q, in the order they run
 CHECK_MESSAGES = ("Q contains non-finite entries",
                   "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)",
                   "Q has a negative diagonal entry")
-
-
-def check_duals(Q: np.ndarray) -> dict[int, str]:
-    """Why each invalid matrix of a stack is invalid: ``{row: message}``, empty if all are valid.
-
-    ``Q`` is a (B, N, N) float array.  A row's message is that of its
-    first failing check, in this order (``CHECK_MESSAGES``): Q finite, symmetric
-    (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``, so the bound grows with a
-    large Q's rounding), diagonal >= -1e-12.  The rejection rates are
-    checked where they enter (``solve_duals``, the trainer's set-up).
-    ``max|Q - Q^T|`` comes from one pass over Q (``_asymmetry``), which
-    also finds every row with a non-finite entry: only those rows are
-    tested for finiteness entry by entry.
-    """
-    gap = _asymmetry(Q)
-    finite = np.isfinite(gap)
-    for r in np.flatnonzero(~finite).tolist():  # a non-finite entry, or a finite Q whose gap overflows
-        finite[r] = np.isfinite(Q[r]).all()
-    asym = finite & (gap > 1e-9)
-    for r in np.flatnonzero(asym).tolist():  # max|Q| is read only past the absolute bound
-        asym[r] = gap[r] > 1e-12 * np.abs(Q[r]).max()
-    negative = Q.diagonal(axis1=1, axis2=2).min(axis=1) < -1e-12
-    errors = {}
-    for r in np.flatnonzero(~finite | asym | negative).tolist():
-        if not finite[r]:
-            errors[r] = CHECK_MESSAGES[0]
-        elif asym[r]:
-            errors[r] = CHECK_MESSAGES[1]
-        else:
-            errors[r] = CHECK_MESSAGES[2]
-    return errors
-
-
-def _asymmetry(Q: np.ndarray) -> np.ndarray:
-    """``max|Q_k - Q_k^T|`` of every row k of a (B, N, N) stack; NaN or inf
-    where ``Q_k`` has a non-finite entry (a diagonal entry is compared with
-    itself, and inf - inf is NaN).
-
-    The differences are built in one buffer of ``CHECK_BLOCK**2`` entries
-    that stays in cache: chunks of whole rows while a row has at most that
-    many entries, else the upper-triangular pairs of square blocks
-    (``Q_k[I, J]`` against ``Q_k[J, I]^T``), which cover every entry
-    since ``|a - b| = |b - a|``.  Block maxima are combined by ``np.max``,
-    which keeps a NaN (Python's ``max(0.0, nan)`` is 0.0).
-    """
-    b, n = Q.shape[0], Q.shape[-1]
-    buf = np.empty(CHECK_BLOCK * CHECK_BLOCK, dtype=Q.dtype)
-    gap = np.empty(b, dtype=Q.dtype)
-    fits = buf.size // max(n * n, 1)
-    with np.errstate(invalid="ignore"):
-        if fits:
-            for s in range(0, b, fits):
-                chunk = Q[s : s + fits]
-                d = np.subtract(chunk, chunk.transpose(0, 2, 1), out=buf[: chunk.size].reshape(chunk.shape))
-                np.abs(d, out=d)
-                d.max(axis=(1, 2), out=gap[s : s + len(chunk)])
-            return gap
-        starts = range(0, n, CHECK_BLOCK)
-        for k in range(b):
-            maxima = []
-            for i in starts:
-                rows = slice(i, i + CHECK_BLOCK)
-                for j in starts[i // CHECK_BLOCK :]:
-                    cols = slice(j, j + CHECK_BLOCK)
-                    upper = Q[k, rows, cols]
-                    d = np.subtract(upper, Q[k, cols, rows].T, out=buf[: upper.size].reshape(upper.shape))
-                    np.abs(d, out=d)
-                    maxima.append(d.max())
-            gap[k] = np.max(maxima)
-    return gap
 
 
 @dataclass(frozen=True)
 class DualProblem:
     """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N).
 
-    Validated as the one-problem case of ``check_duals``, then its nu by
-    ``solve_duals``' rule.
+    Q must be square, then pass these checks in order (``CHECK_MESSAGES``):
+    finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``, so the
+    bound grows with a large Q's rounding), diagonal >= -1e-12.  Then nu
+    must pass ``solve_duals``' rule.
     """
 
     q: np.ndarray
@@ -197,7 +124,15 @@ class DualProblem:
         Q = np.asarray(self.q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
-        errors = check_duals(Q[None]) or _nu_errors([self.nu], Q.shape[0])
+        if not np.isfinite(Q).all():
+            raise ValueError(CHECK_MESSAGES[0])
+        with np.errstate(over="ignore"):  # a finite Q's asymmetry may overflow to inf
+            gap = np.abs(Q - Q.T).max()
+        if gap > 1e-9 and gap > 1e-12 * np.abs(Q).max():  # max|Q| is read only past the absolute bound
+            raise ValueError(CHECK_MESSAGES[1])
+        if Q.diagonal().min() < -1e-12:
+            raise ValueError(CHECK_MESSAGES[2])
+        errors = _nu_errors([self.nu], Q.shape[0])
         if errors:
             raise ValueError(errors[0])
         object.__setattr__(self, "q", Q)
@@ -330,8 +265,8 @@ def solve_duals(
 
     ``Q`` is one (B, N, N) ndarray, read and never copied but for the
     lockstep's one transposed copy; its content is the caller's to
-    check (``check_duals``, or ``DualProblem`` for ``solve_dual``; the
-    trainer checks what Q is composed from).  ``nu`` holds the B rejection
+    check (``DualProblem`` for ``solve_dual``; the trainer checks what Q
+    is composed from).  ``nu`` holds the B rejection
     rates in row order, each checked here (``nu_out_of_range``, then
     ``infeasible_nu``; the first bad row's message is raised).  ``tol``
     must pass ``check_tol``.  ``alpha0`` is None (every dual starts at uniform

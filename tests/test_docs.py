@@ -1,9 +1,11 @@
 """The README's examples run as written, and the sizes it states are the code's."""
 import argparse
+import dataclasses
 import math
 import re
 from pathlib import Path
 
+import lmkad
 from lmkad import cli, models, solver
 from lmkad.evaluation import ClassifierConfig
 
@@ -37,10 +39,18 @@ def test_readme_config_grammar_states_the_key_table():
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):
+    # its N = 200 fit runs lazy rounds, where a wrong Q makes SMO run on toward
+    # its default cap of 100 N^2 steps: here it is capped at ~2x the most any
+    # dual takes (623), which leaves its result as it is
     monkeypatch.chdir(REPO)
-    exec(_block("## Library use", "python"), {})
+    train = lmkad.train_lmkad
+    monkeypatch.setattr(lmkad, "train_lmkad", lambda X, kernels, config: train(
+        X, kernels, dataclasses.replace(config, inner_max_iter=1500)))
+    example = {}
+    exec(_block("## Library use", "python"), example)
     gmean, sv_pct = map(float, capsys.readouterr().out.split())
     assert 0.0 <= gmean <= 1.0 and 0.0 < sv_pct <= 100.0
+    assert example["model"].report.inner_nonconverged == 0
 
 
 def test_readme_scoring_sizes_are_the_models():
@@ -65,8 +75,6 @@ def test_readme_training_tiles_are_the_trainers():
                            r"\(`lmkad\.models\.TRAIN_TILE_BYTES`\)", readme).groups()
     assert int(kib) * 2**10 == models.TRAIN_TILE_BYTES
     assert int(limit) == math.isqrt(models.TRAIN_TILE_BYTES // 8)  # the largest N whose N x N fits a tile
-    side = re.search(r"comparing (\d+) × (\d+) blocks with their transposed partners", readme).groups()
-    assert side == (str(solver.CHECK_BLOCK),) * 2
     lazy_n, rows = re.search(r"a warm round whose fits have N > (\d+) and whose group has fewer than "
                              r"`LOCKSTEP_MIN_ROWS` = (\d+) duals", readme).groups()
     assert int(lazy_n) == int(limit) and int(rows) == solver.LOCKSTEP_MIN_ROWS

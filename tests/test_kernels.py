@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +51,50 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("linear", q=2)
     assert KernelSpec("gaussian").is_auto
+    assert KernelSpec("polynomial", q=154).q == 154  # programmatic only: no token round-trips it
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, True, "2", np.int64(2), 0, -1, None])
+def test_polynomial_degree_must_be_an_int(q):
+    # 2.0 trained and saved poly:q=2.0, which load_model refuses; 2.5 made NaN
+    # Grams; "2" failed later inside the map; a bool is not a degree here
+    with pytest.raises(ValueError, match=f"^{re.escape(f'polynomial kernel requires integer degree q >= 1, got q={q!r}')}$"):
+        KernelSpec("polynomial", q=q)
+
+
+#: the sizes around the trainer's whole-fit limit (N = 181) and the widths
+#: at which the training Grams of an iris view and of a wide input are built
+SYMMETRY_SIZES = [(n, d) for n in (2, 181, 182, 1000) for d in (1, 4, 99)]
+
+
+def asymmetric_grams() -> list[str]:
+    """The kernels and sizes at which ``gram(spec, X, X)`` is not equal to its
+    transpose bit for bit (the trainer refuses such a Gram at set-up)."""
+    bad = []
+    for n, d in SYMMETRY_SIZES:
+        X = np.random.default_rng([n, d]).standard_normal((n, d))
+        for spec in (LINEAR, POLY2, POLY3, KernelSpec("gaussian").resolved(X)):
+            K = gram(spec, X, X)
+            if not np.array_equal(K.view(np.int64), K.T.view(np.int64)):
+                bad.append(f"{format_kernel_spec(spec)} N={n} d={d}")
+    return bad
+
+
+def test_training_grams_are_bitwise_symmetric():
+    # numpy builds X @ X.T with one symmetric product (syrk) and the maps are
+    # elementwise, so every kernel's Gram equals its transpose bit for bit
+    assert asymmetric_grams() == []
+
+
+def test_training_grams_are_bitwise_symmetric_under_another_blas_kernel():
+    # OpenBLAS picks its kernel per CPU; a child forced onto its SSE3 kernel
+    # must build the same invariant (the variable is ignored by other BLAS)
+    tests, src = Path(__file__).parent, Path(__file__).parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
+    code = "import json, test_kernels; print(json.dumps(test_kernels.asymmetric_grams()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_linear_dot_product():

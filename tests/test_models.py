@@ -661,11 +661,12 @@ def _tile_jobs(n):
     composed in row tiles, at N = 300 of 109 rows, the last one of 82; below
     it in chunks of whole fits, at N = 40 of 20 fits, and 23 fits leave 3."""
     X = blob(48, n, 4)
-    if n * n * 8 > models_module.TRAIN_TILE_BYTES:
+    if n * n * 8 > models_module.TRAIN_TILE_BYTES:  # warm rounds are lazy: capped at ~2x the most steps, 2,856
         assert n % (models_module.TRAIN_TILE_BYTES // (8 * n))
-        return [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=i, max_outer=4))
+        return [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=i, max_outer=4,
+                                                      inner_max_iter=6000))
                 for i, kind in enumerate(("sigmoid", "softmax", "rbf"))] + [
-                FitJob("mkad", X, "gpp", LmkadConfig(nu=0.2))]
+                FitJob("mkad", X, "gpp", LmkadConfig(nu=0.2, inner_max_iter=6000))]
     jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1 + 0.02 * i, seed=i, max_outer=6)) for i in range(23)]
     assert len(jobs) % (models_module.TRAIN_TILE_BYTES // (8 * n * n))
     return jobs
@@ -676,6 +677,7 @@ def test_fit_many_composes_in_tiles_bit_for_bit(n):
     jobs = _tile_jobs(n)
     for job, model in zip(jobs, fit_many(jobs)):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+        assert model.report.inner_nonconverged == 0
 
 
 def _spy_lazy_solves(monkeypatch) -> list[bool]:
@@ -707,28 +709,33 @@ def test_lazy_rounds_match_the_one_fit_loop_bit_for_bit(n, monkeypatch):
     # above N = 181 the warm rounds of a group of fewer than LOCKSTEP_MIN_ROWS
     # duals compose only the Q columns SMO reads; here one fit of each gating
     # kind, each its own stack of one group of 3, some of whose rounds end with
-    # support where they did not start
+    # support where they did not start.  A wrong lazy Q makes SMO run on toward
+    # its cap, so the cap is ~2x the most steps any dual takes (1,282 at N = 1000)
     grew = _spy_lazy_solves(monkeypatch)
     X = np.random.default_rng([5, n]).standard_normal((n, 6))
-    jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=n))
+    jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=n, inner_max_iter=3000))
             for kind in ("sigmoid", "softmax", "rbf")]
     got = fit_many(jobs)
     for job, model in zip(jobs, got):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
         report = model.report
         assert report.iterations > 2 and n < report.q_columns < report.iterations * n
+        assert report.inner_nonconverged == 0
     assert len(grew) == sum(m.report.iterations - 1 for m in got) and any(grew)
 
 
 def test_a_three_fit_stack_runs_lazy_rounds_bit_for_bit(monkeypatch):
-    # one stack of 3 duals at N = 300: each runs in the scalar loop on its own Q columns
+    # one stack of 3 duals at N = 300: each runs in the scalar loop on its own Q
+    # columns, capped at ~2x the most steps any dual takes (415)
     grew = _spy_lazy_solves(monkeypatch)
     X = blob(51, 300, 5)
-    jobs = [FitJob("lmkad", X, "gpp", LmkadConfig(nu=nu, seed=i, max_outer=12)) for i, nu in enumerate((0.1, 0.2, 0.3))]
+    jobs = [FitJob("lmkad", X, "gpp", LmkadConfig(nu=nu, seed=i, max_outer=12, inner_max_iter=1000))
+            for i, nu in enumerate((0.1, 0.2, 0.3))]
     got = fit_many(jobs)
     for job, model in zip(jobs, got):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
         assert model.report.q_columns < model.report.iterations * 300
+        assert model.report.inner_nonconverged == 0
     assert len(grew) == sum(m.report.iterations - 1 for m in got) and any(grew)
 
 
@@ -745,27 +752,28 @@ def test_rounds_composed_whole_count_every_column(monkeypatch):
     assert _model_bytes(model) == _model_bytes(reference_fit(*job))
 
 
-def test_grams_symmetric_only_within_the_bound_compose_whole(monkeypatch):
-    # a lazy round reads a column of K_m as its row, so it needs K_m == K_m.T bit
-    # for bit, as gram builds it; a Gram that passes check_duals' bound but not
-    # that takes the whole path, and keeps the one-fit loop's bits
-    import fit_reference
-
+def test_a_gram_that_is_not_bitwise_symmetric_fails_at_set_up(monkeypatch):
+    # a lazy round reads a column of K_m as its row, so every training Gram
+    # must equal its transpose bit for bit, as gram builds it; one that is
+    # symmetric only within DualProblem's bound fails the fit by name
     def skewed(spec, X, Y):
-        return gram(spec, X, Y) + np.triu(np.full((len(X), len(Y)), 1e-10), 1)
+        K = gram(spec, X, Y)
+        return K + np.triu(np.full(K.shape, 1e-10), 1) if spec.kind == "polynomial" else K
 
     monkeypatch.setattr(models_module, "gram", skewed)
-    monkeypatch.setattr(fit_reference, "gram", skewed)
-    job = FitJob("lmkad", blob(56, 200, 4), "gpl", LmkadConfig(nu=0.1, seed=4, max_outer=6))
-    model = fit_many([job])[0]
-    assert model.report.iterations > 1 and model.report.q_columns == model.report.iterations * 200
-    assert _model_bytes(model) == _model_bytes(reference_fit(*job))
+    X = blob(56, 200, 4)
+    Q = skewed(KernelSpec("polynomial", q=2), X, X)
+    solver_module.DualProblem(Q, nu=0.1)  # within the bound
+    with pytest.raises(ValueError, match="^Gram K_1 is not equal to its transpose bit for bit$"):
+        fit_many([FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, seed=4, max_outer=6))])
 
 
 def test_nan_gates_fail_a_lazy_round_in_that_round(monkeypatch):
-    # at N = 300 round 1 composes lazily; its gate check stops training before its solve
-    job = FitJob("lmkad", blob(54, 300, 4), "gpl", LmkadConfig(nu=0.1, seed=2, max_outer=4))
-    assert fit_many([job])[0].report.q_columns < 4 * 300
+    # at N = 300 round 1 composes lazily; its gate check stops training before
+    # its solve.  The cap is ~2x the most steps any dual takes (503)
+    job = FitJob("lmkad", blob(54, 300, 4), "gpl", LmkadConfig(nu=0.1, seed=2, max_outer=4, inner_max_iter=1000))
+    report = fit_many([job])[0].report
+    assert report.q_columns < 4 * 300 and report.inner_nonconverged == 0
     rounds, solved = [], []
     gate_stack, solve = models_module.gate_stack, models_module.solve_duals
 
@@ -784,16 +792,23 @@ def test_nan_gates_fail_a_lazy_round_in_that_round(monkeypatch):
 
 
 def test_gram_error_is_the_first_check_any_gram_fails():
-    # a Q sums the Grams scaled by weights or gates in [0, 1]: the Grams decide its checks
+    # a Q sums the Grams scaled by weights or gates in [0, 1]: the Grams decide
+    # its checks, in order: finite, bitwise symmetric, diagonal, overflow
     eye = np.eye(3)
-    skew = eye + np.triu(np.ones((3, 3)), 1) * 1e-6
-    nan = eye.copy()
-    nan[0, 1] = np.nan
+    skew = eye.copy()
+    skew[0, 2] = np.nextafter(0.0, 1.0)  # the least asymmetry, and -0.0 against 0.0
+    signed = eye.copy()
+    signed[1, 2] = -0.0
     negative = -eye
     assert models_module._gram_error(np.stack([eye, eye]), None) is None
-    assert models_module._gram_error(np.stack([skew, nan]), None) == "Q contains non-finite entries"
+    for bad in (np.nan, np.inf, -np.inf):  # max and min reach each
+        nonfinite = eye.copy()
+        nonfinite[0, 1] = bad
+        assert models_module._gram_error(np.stack([skew, nonfinite]), None) == "Q contains non-finite entries"
     assert models_module._gram_error(np.stack([negative, skew]), None) == (
-        "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)")
+        "Gram K_1 is not equal to its transpose bit for bit")
+    assert models_module._gram_error(np.stack([signed, eye]), None) == (
+        "Gram K_0 is not equal to its transpose bit for bit")
     assert models_module._gram_error(np.stack([eye, negative]), None) == "Q has a negative diagonal entry"
     big = np.full((3, 3), 1e308)
     assert models_module._gram_error(np.stack([big, big]), np.array([0.5, 0.5])) is None
@@ -834,17 +849,19 @@ def test_training_state_stays_within_the_batch_estimate(monkeypatch):
 
 def test_lazy_rounds_stay_within_the_batch_estimate():
     # the scalar loop composes the Q columns it reads in pieces of the
-    # composition tile; no N x N array beyond the estimate appears
+    # composition tile; no N x N array beyond the estimate appears.  The cap
+    # is ~2x the most steps any dual takes (459)
     n, p = 400, 3
     X = blob(50, n, 6)
     train_lmkad(X[:20], "gpl", LmkadConfig(nu=0.2, max_outer=2))  # imports scipy outside the trace
     tracemalloc.start()
     try:
-        model = train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3))
+        model = train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3, inner_max_iter=1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert model.report.iterations == 3 and model.report.q_columns < 3 * n  # rounds 1 and 2 were lazy
+    assert model.report.inner_nonconverged == 0
     assert peak <= models_module._fit_bytes(n, p) + n * n * 8 // 2
 
 

@@ -13,7 +13,6 @@ from lmkad.solver import DualProblem, solve_dual, solve_duals
 from oracles import kkt_violation
 from qp_oracle import brute_force_qp, random_psd_gram
 from smo_reference import reference_solve_dual
-from check_reference import reference_check_duals
 
 
 def sym2(k):
@@ -68,69 +67,74 @@ def test_problem_validation():
         DualProblem(bad, nu=1.0)
 
 
+#: DualProblem's messages, in the order its checks run, as exact patterns
+_CHECK = {"non-finite": r"^Q contains non-finite entries$",
+          "asymmetric": r"^Q is not symmetric within max\(1e-9, 1e-12 \* max\|Q\|\)$",
+          "negative": r"^Q has a negative diagonal entry$"}
+
+
+def _sym(n=5, scale=1.0):
+    A = np.random.default_rng(n).normal(size=(n, n))
+    return (A + A.T) * scale  # exactly symmetric
+
+
 def test_symmetry_bound_scales_with_q():
     # |Q - Q^T| may reach 1e-12 * max|Q| (rounding in a large Q), but never
     # less than the absolute 1e-9 a small Q is held to
     Q = np.array([[1e6, 1.0], [1.0, 1e6]])
     Q[0, 1] += 5e-7
-    assert solver.check_duals(Q[None]) == {}
+    DualProblem(Q, nu=1.0)
     Q[0, 1] += 1e-6
-    assert "symmetric" in solver.check_duals(Q[None])[0]
-    small = np.array([[1.0, 0.0], [2e-9, 1.0]])
-    assert "symmetric" in solver.check_duals(small[None])[0]
+    with pytest.raises(ValueError, match=_CHECK["asymmetric"]):
+        DualProblem(Q, nu=1.0)
+    with pytest.raises(ValueError, match=_CHECK["asymmetric"]):
+        DualProblem(np.array([[1.0, 0.0], [2e-9, 1.0]]), nu=1.0)
 
 
-#: sizes around CHECK_BLOCK (one block per fit vs block pairs) and the
-#: trainer's whole-fit composition limit (181), 300 with a ragged last block
-CHECK_SIZES = (1, 2, 3, 40, 128, 129, 181, 182, 300)
-FAULTS = ("nan", "inf", "-inf", "asym", "negative-diagonal")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(1, 3), (3, 1), (2, 2)], ids=["upper", "lower", "diagonal"])
+def test_dual_problem_refuses_a_non_finite_entry(value, where):
+    # checked first: a NaN would also be asymmetric, an inf diagonal too
+    Q = _sym()
+    Q[0, 0] = -1.0  # a negative diagonal is checked after finiteness
+    Q[where] = value
+    with pytest.raises(ValueError, match=_CHECK["non-finite"]):
+        DualProblem(Q, nu=1.0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_check_duals_matches_the_whole_stack_check(data):
-    n = data.draw(st.sampled_from(CHECK_SIZES), label="n")
-    b = data.draw(st.integers(1, 3 if n > solver.CHECK_BLOCK else 25), label="b")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    A = rng.normal(size=(b, n, n))
-    Q = (A + A.transpose(0, 2, 1)) * data.draw(st.sampled_from([1.0, 1e6]), label="scale")  # exactly symmetric
-    for r in range(b):
-        for fault in data.draw(st.lists(st.sampled_from(FAULTS), max_size=2), label=f"faults of row {r}"):
-            i = data.draw(st.integers(0, n - 1))
-            j = data.draw(st.sampled_from(["upper", "lower", "diagonal"]))
-            j = i if j == "diagonal" else rng.integers(i, n) if j == "upper" else rng.integers(0, i + 1)
-            if fault == "asym":  # just above or below the absolute and the relative bound
-                bound = max(1e-9, 1e-12 * np.abs(Q[r]).max())
-                with np.errstate(invalid="ignore"):  # the bound is inf after an inf fault
-                    Q[r, i, j] += data.draw(st.sampled_from([0.5, 0.99, 1.01, 2.0])) * bound
-            elif fault == "negative-diagonal":
-                Q[r, i, i] = -data.draw(st.sampled_from([1e-13, 1e-11, 1.0]))
-            else:
-                Q[r, i, j] = float(fault)
-    assert solver.check_duals(Q) == reference_check_duals(Q)
-    finite = np.isfinite(Q).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        exact = np.abs(Q - Q.transpose(0, 2, 1)).max(axis=(1, 2))
-    assert np.array_equal(solver._asymmetry(Q)[finite], exact[finite])
-    assert not np.isfinite(solver._asymmetry(Q)[~finite]).any()
+@pytest.mark.parametrize("scale", [1.0, 1e6], ids=["absolute", "relative"])
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+def test_dual_problem_holds_asymmetry_to_its_bound(scale, factor):
+    # just below or above max(1e-9, 1e-12 * max|Q|): the absolute bound
+    # decides at scale 1, the relative one at scale 1e6
+    Q = _sym(scale=scale)
+    Q[0, 0] = -1.0  # a negative diagonal is checked after symmetry
+    bound = max(1e-9, 1e-12 * np.abs(Q).max())
+    assert (bound == 1e-9) == (scale == 1.0)
+    Q[1, 3] += factor * bound
+    with pytest.raises(ValueError, match=_CHECK["asymmetric" if factor > 1 else "negative"]):
+        DualProblem(Q, nu=1.0)
 
 
-def test_check_duals_keeps_a_nan_block_behind_finite_ones():
-    # a NaN in a block pair that is not the first: Python's max(0.0, nan)
-    # is 0.0, so the block maxima must be combined by np.max
-    n = 3 * solver.CHECK_BLOCK
-    Q = np.zeros((1, n, n))
-    Q[0, n - 1, n - 2] = math.nan
-    assert solver.check_duals(Q) == {0: "Q contains non-finite entries"}
+@pytest.mark.parametrize("entry, fails", [(-1e-13, False), (-1e-11, True), (-1.0, True)])
+def test_dual_problem_refuses_a_negative_diagonal(entry, fails):
+    Q = np.eye(3)
+    Q[1, 1] = entry
+    if fails:
+        with pytest.raises(ValueError, match=_CHECK["negative"]):
+            DualProblem(Q, nu=1.0)
+    else:
+        DualProblem(Q, nu=1.0)  # within -1e-12
 
 
-def test_check_duals_names_a_finite_q_whose_asymmetry_overflows():
+def test_dual_problem_names_a_finite_q_whose_asymmetry_overflows():
     # every entry is finite, but 1e308 - (-1e308) overflows to inf
-    Q = np.eye(3)[None].copy()
-    Q[0, 0, 2], Q[0, 2, 0] = 1e308, -1e308
-    with np.errstate(over="ignore"):
-        assert solver.check_duals(Q) == reference_check_duals(Q) == {
-            0: "Q is not symmetric within max(1e-9, 1e-12 * max|Q|)"}
+    Q = np.eye(3)
+    Q[0, 2], Q[2, 0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_CHECK["asymmetric"]):
+            DualProblem(Q, nu=1.0)
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "softmax", "rbf"])
@@ -605,7 +609,7 @@ def test_solve_duals_refuses_nu_it_cannot_solve(nu, message):
             solve_duals(Q, [0.5, nu, 2.0 if nu != 2.0 else 0.5])
         with pytest.raises(ValueError, match=message):
             DualProblem(np.eye(4), nu)
-    assert solver.check_duals(Q) == {}  # the matrices are fine
+    DualProblem(np.eye(4), 0.5)  # the matrices are fine
     assert list(solver._nu_errors([0.25, nu], 4)) == [1]  # nu*N = 1 is feasible
 
 
