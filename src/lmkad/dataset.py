@@ -44,19 +44,6 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    def class_counts(self) -> tuple[int, int]:
-        """(#targets, #outliers)."""
-        n_t = int(np.sum(self.labels == 1))
-        return n_t, self.labels.size - n_t
-
 
 @dataclass(frozen=True)
 class Normalizer:

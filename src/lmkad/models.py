@@ -22,7 +22,8 @@ one lockstep.  A fit is validated once: its base Grams at set-up
 overflowing sum), then each round only its gates, for finiteness
 (``_gate_errors``).  A warm round of a group small
 enough for the scalar loop at N > 181 composes only the Q columns SMO
-reads (``_LazyColumns``).  Every fit
+reads (``_LazyColumns``) and leaves Q's other entries, which are finite,
+as an earlier round left them.  Every fit
 keeps the iterates, and so the model, it gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
@@ -350,23 +351,17 @@ class _LazyColumns(dict):
     """One fit's Q (N, N) in a warm round, composed from its bitwise-symmetric
     Grams (p, N, N) and gates H (N, p) only where the scalar loop reads it
     (``solver.solve_duals``' ``columns``): key j holds the column ``q[:, j]``
-    once composed, and a missing key is composed on first read.  ``stale``
-    lists the columns of ``q`` composed in the last round (None: all of
-    them); ``start`` zeroes those it does not compose again, so ``q``
-    holds zeros off the composed columns and the diagonal."""
+    once composed, and a missing key is composed on first read.  Every
+    other entry of ``q`` keeps what an earlier round left there, which is
+    finite (see ``_SolveGroup``)."""
 
-    def __init__(self, q, grams, H, tile, stale):
+    def __init__(self, q, grams, H, tile):
         super().__init__()
-        self.q, self.grams, self.H, self.tile, self.stale = q, grams, H, tile, stale
+        self.q, self.grams, self.H, self.tile = q, grams, H, tile
 
     def start(self, alpha: np.ndarray) -> None:
-        """Zero the stale columns, compose the whole diagonal, then the columns
-        where ``alpha`` is nonzero."""
+        """Compose the whole diagonal, then the columns where ``alpha`` is nonzero."""
         n, js = self.q.shape[0], np.flatnonzero(alpha)
-        if self.stale is None:
-            self.q.fill(0.0)
-        else:
-            self.q[:, np.setdiff1d(self.stale, js, assume_unique=True)] = 0.0
         diag, term = self.tile[:n].reshape(n, 1, 1), self.tile[n : 2 * n].reshape(n, 1, 1)
         H = self.H[:, None]  # each diagonal entry as a 1 x 1 block
         _combine((K.diagonal()[:, None, None] for K in self.grams), None, H, H, diag, term)
@@ -566,9 +561,14 @@ class _SolveGroup:
     A warm round is lazy when a fit's N x N does not fit in the tile
     (N > 181) and every dual runs in the scalar loop (fewer than
     ``solver.LOCKSTEP_MIN_ROWS``): Q is then composed column by column as
-    the loop reads it (``_LazyColumns``), and the columns that the group's
-    last round composed in a row are zeroed unless composed again.  Cold
-    rounds, fixed weights, small N and the lockstep compose every Q whole.
+    the loop reads it (``_LazyColumns``).  Cold rounds, fixed weights,
+    small N and the lockstep compose every Q whole.
+
+    A lazy round leaves the rest of each Q row as an earlier round left
+    it, which ``solve_duals`` allows because every such entry is finite:
+    round 0 is never lazy, so every row the group lends is first composed
+    whole, from checked Grams and finite gates, and a later round only
+    overwrites entries with other such values.
     """
 
     def __init__(self, stacks: list[_Stack]):
@@ -576,7 +576,6 @@ class _SolveGroup:
         b, n = sum(len(stack.jobs) for stack in stacks), stacks[0].grams.shape[-1]
         self.q = np.empty((b, n, n))
         self.tile = np.empty(max(TRAIN_TILE_BYTES // 8, 2 * n))  # at least two columns or one row
-        self.composed = None  # per Q row, the columns composed in the last round; None: all
 
     def compose(self, t: int, failures: dict) -> None:
         """Evaluate and check every stack's gates, and build each stack's Q in
@@ -599,12 +598,10 @@ class _SolveGroup:
         alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in self.stacks])
         columns = None
         if self.lazy:
-            stale = self.composed or [None] * b
-            columns = [_LazyColumns(self.q[k], stack.grams[r], stack.H[r], self.tile, stale[k])
+            columns = [_LazyColumns(self.q[k], stack.grams[r], stack.H[r], self.tile)
                        for stack, rows in zip(self.stacks, self.rows)
                        for r, k in enumerate(range(rows.start, rows.stop))]
         sols = solve_duals(self.q[:b], self.nus, alpha0, c.inner_tol, c.inner_max_iter, columns)
-        self.composed = None if columns is None else [list(cols) for cols in columns]
         q_columns = np.full(b, n) if columns is None else np.array([len(cols) for cols in columns])
         for stack, rows in zip(self.stacks, self.rows):
             stack.advance(t, sols, rows, q_columns[rows], models, failures)

@@ -111,10 +111,10 @@ CHECK_MESSAGES = ("Q contains non-finite entries",
 class DualProblem:
     """Dual QP data: Gram matrix Q, rejection rate nu, box bound 1/(nu*N).
 
-    Q must be square, then pass these checks in order (``CHECK_MESSAGES``):
-    finite, symmetric (``|Q - Q^T| <= max(1e-9, 1e-12 * max|Q|)``, so the
-    bound grows with a large Q's rounding), diagonal >= -1e-12.  Then nu
-    must pass ``solve_duals``' rule.
+    Q must be square and non-empty, then pass these checks in order
+    (``CHECK_MESSAGES``): finite, symmetric (``|Q - Q^T| <= max(1e-9,
+    1e-12 * max|Q|)``, so the bound grows with a large Q's rounding),
+    diagonal >= -1e-12.  Then nu must pass ``solve_duals``' rule.
     """
 
     q: np.ndarray
@@ -122,8 +122,8 @@ class DualProblem:
 
     def __post_init__(self):
         Q = np.asarray(self.q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError(f"Q must be square, got shape {Q.shape}")
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
+            raise ValueError(f"Q must be square and non-empty, got shape {Q.shape}")
         if not np.isfinite(Q).all():
             raise ValueError(CHECK_MESSAGES[0])
         with np.errstate(over="ignore"):  # a finite Q's asymmetry may overflow to inf
@@ -289,11 +289,11 @@ def solve_duals(
     the whole diagonal and the columns where the start ``alpha`` is
     nonzero, which is all that ``g = Q @ alpha`` reads; ``columns[k]``
     then maps j to the column ``Q_k[:, j]``, composing it the first time
-    the loop reads it.  Every other entry of Q must be 0 once ``start``
-    returns: the products with alpha's zeros add nothing, so ``g`` has
-    the bits of the full Q's, and every step reads the two columns it
-    updates ``g`` with.  The
-    final alpha's support lies within the composed columns, so the
+    the loop reads it.  Every other entry of Q must be finite: ``g``
+    reads such an entry only times a zero of alpha, and the ±0 that
+    adds leaves the sum as it is, so ``g`` has the bits of the full
+    Q's, and every step reads the two columns it updates ``g`` with.
+    The final alpha's support lies within the composed columns, so the
     refreshed ``g`` is exact too.  The lockstep reads every column, so a
     stack of ``LOCKSTEP_MIN_ROWS`` or more duals is refused with ``columns``.
     """

@@ -28,8 +28,7 @@ def write(tmp_path, text, name="data.csv"):
 
 
 def test_load_iris_counts(iris):
-    n_t, n_o = iris.class_counts()
-    assert (n_t, n_o, iris.n_features, iris.n_samples) == (50, 100, 4, 150)
+    assert iris.features.shape == (150, 4) and np.count_nonzero(iris.labels == 1) == 50
     # row order preserved: the file lists all setosa rows first
     assert np.all(iris.labels[:50] == 1) and np.all(iris.labels[50:] == -1)
 
@@ -37,7 +36,7 @@ def test_load_iris_counts(iris):
 def test_load_single_row(tmp_path):
     p = write(tmp_path, "1.5,2.5,yes\n")
     ds = load_csv(p, label_column=2, target_label="yes")
-    assert ds.n_samples == 1 and list(ds.labels) == [1]
+    assert list(ds.labels) == [1]
     assert ds.features.tolist() == [[1.5, 2.5]]
 
 
@@ -435,8 +434,8 @@ def test_plan_zero_outliers_allowed():
 def test_split_iris_sizes(iris, iris_plan):
     train_targets, validation, test = split_for_occ(iris, iris_plan, 0, 0)
     assert train_targets.shape == (40, 4)
-    assert test.n_samples == 30 and test.class_counts() == (10, 20)
-    assert validation.n_samples == 120 and validation.class_counts() == (40, 80)
+    assert test.features.shape[0] == 30 and np.count_nonzero(test.labels == 1) == 10
+    assert validation.features.shape[0] == 120 and np.count_nonzero(validation.labels == 1) == 40
 
 
 def test_split_disjoint_by_index(iris, iris_plan):
@@ -445,9 +444,9 @@ def test_split_disjoint_by_index(iris, iris_plan):
     for fold in range(5):
         _, validation, test = split_for_occ(iris, iris_plan, 1, fold)
         mask = iris_plan.assignments[1] == fold
-        assert test.n_samples == int(mask.sum())
-        assert validation.n_samples == int((~mask).sum())
-        assert validation.n_samples + test.n_samples == iris.n_samples
+        assert test.features.shape[0] == int(mask.sum())
+        assert validation.features.shape[0] == int((~mask).sum())
+        assert validation.features.shape[0] + test.features.shape[0] == iris.features.shape[0]
 
 
 def test_split_disjoint_by_value():
@@ -469,7 +468,7 @@ def test_split_zero_outliers_flaggable():
     plan = plan_folds(ds, n_folds=2, n_runs=1, seed=1)
     train_targets, validation, test = split_for_occ(ds, plan, 0, 0)
     assert np.all(validation.labels == 1)
-    assert train_targets.shape[0] == validation.n_samples
+    assert train_targets.shape[0] == validation.features.shape[0]
 
 
 def test_split_out_of_range(iris, iris_plan):

@@ -78,3 +78,7 @@ def test_readme_training_tiles_are_the_trainers():
     lazy_n, rows = re.search(r"a warm round whose fits have N > (\d+) and whose group has fewer than "
                              r"`LOCKSTEP_MIN_ROWS` = (\d+) duals", readme).groups()
     assert int(lazy_n) == int(limit) and int(rows) == solver.LOCKSTEP_MIN_ROWS
+    # what a lazy round composes, and that it writes nothing else into Q
+    assert ("it composes the diagonal and the columns of the start's support, then each column as SMO first "
+            "reads it, by the same arithmetic, and leaves Q's other entries as an earlier round left them, "
+            "finite values that meet only zero multipliers") in readme

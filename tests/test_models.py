@@ -682,21 +682,20 @@ def test_fit_many_composes_in_tiles_bit_for_bit(n):
 
 def _spy_lazy_solves(monkeypatch) -> list[bool]:
     """Per dual of every lazy solve, whether its final support holds a column
-    that its start's support did not: one composed on demand.  Also checks
-    that Q is 0 off the diagonal outside the composed columns."""
+    that its start's support did not: one composed on demand.  Each lazy
+    dual's Q is filled with 1e300 before ``start``, so an entry outside the
+    composed columns holds a large finite value, as ``solve_duals`` allows."""
     grew, starts = [], {}
     start, solve = models_module._LazyColumns.start, models_module.solve_duals
 
     def spy_start(columns, alpha):
         starts[id(columns)] = alpha > 0
+        columns.q.fill(1e300)
         start(columns, alpha)
 
     def spy_solve(Q, nu, alpha0, tol, max_iter, columns):
         sols = solve(Q, nu, alpha0, tol, max_iter, columns)
-        for k, c in enumerate(columns or ()):
-            grew.append(bool((sols.support[k] & ~starts[id(c)]).any()))
-            rest = np.delete(Q[k], list(c), axis=1)
-            assert np.count_nonzero(rest) == Q.shape[1] - len(c)  # only the diagonal
+        grew.extend(bool((sols.support[k] & ~starts[id(c)]).any()) for k, c in enumerate(columns or ()))
         return sols
 
     monkeypatch.setattr(models_module._LazyColumns, "start", spy_start)

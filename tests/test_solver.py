@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -53,6 +54,9 @@ def test_matches_brute_force_oracle():
 
 
 def test_problem_validation():
+    for shape in [(0, 0), (2, 3), (4,)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'Q must be square and non-empty, got shape {shape}')}$"):
+            DualProblem(np.zeros(shape), nu=1.0)
     with pytest.raises(ValueError, match="infeasible nu"):
         DualProblem(np.eye(3), nu=0.0)
     with pytest.raises(ValueError, match="infeasible nu"):
@@ -624,8 +628,8 @@ def test_solve_duals_refuses_a_tolerance_it_cannot_stop_at(tol):
 
 
 class _CopiedColumns(dict):
-    """A ``columns`` composer that copies each column of a full Q into a
-    zeroed one, the first time the solver reads it."""
+    """A ``columns`` composer that copies each column of a full Q into any
+    finite one, the first time the solver reads it."""
 
     def __init__(self, full, q):
         super().__init__()
@@ -642,14 +646,16 @@ class _CopiedColumns(dict):
         return column
 
 
-@pytest.mark.parametrize("kind", ["sigmoid", "softmax"])
-def test_columns_composed_on_demand_give_the_full_q_iterates(iris, kind):
+@pytest.mark.parametrize("kind, fill", [pytest.param(kind, fill, id=f"{kind}-{fill:g}" if fill else kind)
+                                        for kind in ("sigmoid", "softmax") for fill in (0.0, 1e300, -1e300)])
+def test_columns_composed_on_demand_give_the_full_q_iterates(iris, kind, fill):
     # a localized Q with a sparse warm start: the solver reads only the start's
     # support and the columns its steps touch, and the solution keeps its bits
+    # whatever finite value Q holds outside them
     problem = _lmkad(iris, kind)
     alpha0 = np.repeat([1 / 16, 0.0], [16, 24])[None]
     full = solve_duals(problem.q[None], [0.2], alpha0)
-    q = np.zeros((1, 40, 40))
+    q = np.full((1, 40, 40), fill)
     columns = [_CopiedColumns(problem.q, q[0])]
     lazy = solve_duals(q, [0.2], alpha0, solver.DEFAULT_TOL, None, columns)
     for name in ("alpha", "g", "objective", "iterations", "gap", "support"):
