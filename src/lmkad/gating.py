@@ -26,7 +26,12 @@ A sigmoid gate is scipy's ``expit``, which ``prepare_kind`` imports the
 first time a process needs it: constructing a sigmoid ``GatingParams``
 does, so the import lands before a fit's Grams or a scoring run's
 blocks are allocated, and no other gating kind or detector loads
-scipy.  ``1 / (1 + np.exp(-x))`` is not a substitute: numpy's own SIMD
+scipy.  The import of ``scipy.special`` takes ~0.15-0.2 s (0.154 s
+cumulative under ``python -X importtime``) and adds ~22.5 MiB (~24 MB) of
+RSS, read from ``VmRSS`` before and after it; on the ``score_100k``
+benchmark that is, after the ~31 MB of the interpreter, numpy and
+lmkad, the largest part of the peak RSS outside the fit.
+``1 / (1 + np.exp(-x))`` is still not a substitute: numpy's own SIMD
 ``exp`` differs from ``expit`` in the last bit on ~2 % of inputs, and
 the benchmark CSVs would move.
 """

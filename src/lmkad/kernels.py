@@ -14,7 +14,11 @@ Every kernel is an elementwise map of the product ``G = X @ Y.T``
 (:func:`kernel_map`; a gaussian also reads the squared row norms), so
 one product serves any number of kernels, and the map of any rows of G
 gives those rows of the Gram bit for bit.  :func:`gram` is the product
-plus the map, so training and scoring share one formula.
+plus the map, so training and scoring share one formula; it writes the
+product into its result and maps it there in place, ``TRAIN_TILE_BYTES``
+of rows at a time, so a Gram costs one N x M array and one tile of
+scratch, and a training Gram can be built straight into its slot of the
+trainer's stack (``out``).
 """
 from __future__ import annotations
 
@@ -23,6 +27,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 KERNEL_KINDS = ("linear", "polynomial", "gaussian")
+
+#: bytes of the buffer in which a training round composes Q (``models._Stack.compose``):
+#: chunks of whole fits while a fit's N x N float64 fit in it (N <= 181), else
+#: tiles of one fit's rows, 32 rows at N = 1000; like a scoring tile, it stays
+#: in cache.  Above N = 181 a lazy round composes columns in it (``models._LazyColumns``).
+#: ``gram`` and ``gaussian_bandwidth`` map their product in place in tiles of rows of this size.
+TRAIN_TILE_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -143,17 +154,37 @@ def kernel_map(spec: KernelSpec, G, xx=None, yy=None, out=None, scratch=None) ->
     return np.exp(d2, out=d2)
 
 
-def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gram matrix with entries K(X_i, Y_j): the product and ``kernel_map``."""
+def _map_rows(G: np.ndarray, xx: np.ndarray, step) -> np.ndarray:
+    """Write ``step(g, xx_g, tile)`` over each tile of rows ``g`` of G, with
+    ``xx_g`` those rows of ``xx`` (R, 1) and ``tile`` one tile of scratch
+    (``TRAIN_TILE_BYTES``), so a map needs no second array shaped like G."""
+    rows = max(1, TRAIN_TILE_BYTES // (8 * max(G.shape[1], 1)))
+    tile = np.empty((min(rows, G.shape[0]), G.shape[1]))
+    for s in range(0, G.shape[0], rows):
+        g = G[s : s + rows]
+        g[...] = step(g, xx[s : s + rows], tile[: len(g)])
+    return G
+
+
+def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix with entries K(X_i, Y_j): the product and ``kernel_map``.
+
+    The product is written into ``out`` (R, S) float64, a fresh array when
+    not given, and mapped there in place, a tile of rows at a time: a
+    gaussian through one tile of scratch (``_map_rows``).  Every entry goes
+    through ``kernel_map``'s operations, so the bits are those of a map of
+    the whole product.
+    """
     _check_resolved(spec)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]} columns")
-    G = product(X, Y)  # mapped in place: one N x M array besides the gaussian's result
+    G = product(X, Y, out)
     if spec.kind != "gaussian":
         return kernel_map(spec, G, out=G)
-    return kernel_map(spec, G, row_sq_norms(X)[:, None], row_sq_norms(Y), scratch=G)
+    yy = row_sq_norms(Y)
+    return _map_rows(G, row_sq_norms(X)[:, None], lambda g, xx, tile: kernel_map(spec, g, xx, yy, tile, g))
 
 
 def gaussian_bandwidth(X: np.ndarray) -> float:
@@ -161,15 +192,15 @@ def gaussian_bandwidth(X: np.ndarray) -> float:
 
     Self-pairs are excluded; with fewer than two points the heuristic is
     undefined, and if all points coincide the degenerate mean is replaced
-    by 1 so the kernel stays usable.
+    by 1 so the kernel stays usable.  The squared distances are mapped
+    from the product in place (``_map_rows``) and summed as one C-order array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if n < 2:
         raise ValueError("bandwidth heuristic needs at least 2 points")
     sq = row_sq_norms(X)
-    G = product(X, X)
-    d2 = _sq_dists(G, sq[:, None], sq, scratch=G)
+    d2 = _map_rows(product(X, X), sq[:, None], lambda g, xx, tile: _sq_dists(g, xx, sq, tile, g))
     mean = float(np.sum(d2) / (n * (n - 1)))
     if mean < 1e-12:
         return 1.0

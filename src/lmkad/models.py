@@ -51,8 +51,8 @@ import numpy as np
 from .dataset import BLOCK_ROWS, Normalizer, fit_normalizer, apply_normalizer
 from .gating import (GATING_KINDS, PAIR_FIELDS, GatingParams, gate_eval_batch, gate_stack, gradient_stack,
                      init_gating, step_stack)
-from .kernels import (KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec, product,
-                      row_sq_norms)
+from .kernels import (TRAIN_TILE_BYTES, KernelSpec, format_kernel_spec, gram, kernel_map, parse_kernel_spec,
+                      product, row_sq_norms)
 from . import solver
 from .solver import CHECK_MESSAGES, DEFAULT_TOL, check_tol, infeasible_nu, nu_out_of_range, solve_duals
 
@@ -64,20 +64,17 @@ FAMILIES = ("ocsvm", "mkad", "lmkad")
 #: buffers (p + 2 of TILE_ROWS x SVs) stay in cache for ~100 support vectors
 TILE_ROWS = 256
 
-#: bytes of the buffer in which a training round composes Q (``_Stack.compose``):
-#: chunks of whole fits while a fit's N x N float64 fit in it (N <= 181), else
-#: tiles of one fit's rows, 32 rows at N = 1000; like a scoring tile, it stays
-#: in cache.  Above N = 181 a lazy round composes columns in it (``_LazyColumns``).
-TRAIN_TILE_BYTES = 256 * 2**10
-
 #: estimated bytes of N x N training state that ``fit_many`` trains at once.  A
-#: fit holds (p + 2) N x N float64 arrays: its p base Grams, its Q and the
-#: lockstep's transposed copy of Q; composition works in a buffer of a few
-#: hundred KiB, and the set-up check in one N x N boolean.  At 128 MiB one
-#: worker's share of the iris protocol under ``lmkad benchmark --jobs 2`` (17
-#: or 16 cells, 1,700 or 1,600 fits at N=40, 101 or 87 MB estimated) forms
-#: one batch, and a gpl fit at N=1000 (40 MB) runs alone.  A worker's peak RSS on that protocol
-#: is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
+#: fit holds (p + 2) N x N float64 arrays: its p base Grams, and as the + 2 its
+#: Q and the lockstep's transposed copy of Q.  Set-up builds each Gram in its
+#: slot of the stack (``gram(..., out=)``) and allocates nothing N x N beyond
+#: the Grams, so a fit outside the lockstep peaks at (p + 1) N x N: traced, a
+#: gpl fit at N = 1000 peaks at 31.1 MiB, 4.08 N x N float64.  Composition
+#: works in a buffer of a few hundred KiB, and the set-up check in one N x N
+#: boolean.  At 128 MiB one worker's share of the iris protocol under
+#: ``lmkad benchmark --jobs 2`` (17 or 16 cells, 1,700 or 1,600 fits at N=40,
+#: 101 or 87 MB estimated) forms one batch, and a gpl fit at N=1000 (40 MB)
+#: runs alone.  A worker's peak RSS on that protocol is ~180 MB (~54 MB at 32 MiB, which admitted ~4 cells a batch).
 BATCH_BYTES = 128 * 2**20
 
 #: the file naming this process's cgroups, one ``hierarchy:controllers:path`` line each
@@ -398,8 +395,9 @@ class _Stack:
     base Grams (B, p, N, N), the gating pair (B, p, d) and (B, p), gates
     ``H`` (B, N, p) and warm starts (B, N).  Its Q rows are lent by its
     ``_SolveGroup`` each round; fits that stop are compacted out of every
-    array.  The Grams of each training matrix are computed and checked
-    (``_gram_error``) once; a fit whose Grams fail goes to ``failures``.
+    array.  The Grams of each training matrix are computed, in place in
+    their slots, and checked (``_gram_error``) once; a fit whose Grams
+    fail goes to ``failures``.
     """
 
     def __init__(self, jobs, members, prepared, failures: dict):
@@ -428,7 +426,7 @@ class _Stack:
             else:
                 filled[key] = r
                 for m, spec in enumerate(self.kernels[r]):
-                    self.grams[r, m] = gram(spec, Xn, Xn)
+                    gram(spec, Xn, Xn, out=self.grams[r, m])
                 errors[key] = _gram_error(self.grams[r], self.weights)
             if errors[key] is not None:
                 failures.setdefault(k, ValueError(errors[key]))

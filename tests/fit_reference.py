@@ -1,20 +1,23 @@
 """Reference one-fit trainer for bit-for-bit checks of ``lmkad.models.fit_many``.
 
 The trainer loop as it ran one fit at a time before fits were stacked,
-kept as an oracle: per-fit normalizer, kernels and Grams, then per outer
+kept as an oracle: per-fit normalizer, kernels and Grams (the whole-array
+forms of ``gram_reference``), then per outer
 iteration ``gate_eval_batch``, ``reference_combine`` (whole arrays, not
 the trainer's tiles), a validated ``DualProblem``, ``solve_dual``
 (warm-started), the stopping test, ``gate_gradient`` and ``step_stack``.  ``fit_many`` must return the same model, array bytes and
 report included, for every job of any batch.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from lmkad.dataset import apply_normalizer, fit_normalizer
 from lmkad.gating import GatingParams, gate_eval_batch, gate_gradient, init_gating, step_stack
-from lmkad.kernels import gram
 from lmkad.models import Model, TrainingReport, resolve_kernels
 from lmkad.solver import DualProblem, solve_dual
 from combine_reference import reference_combine
+from gram_reference import reference_bandwidth, reference_gram
 
 
 def reference_fit(family, train_targets, kernels, config) -> Model:
@@ -23,9 +26,10 @@ def reference_fit(family, train_targets, kernels, config) -> Model:
         raise ValueError("need at least one training row")
     norm = fit_normalizer(X)
     Xn = apply_normalizer(norm, X)
-    kernels = tuple(k.resolved(Xn) for k in resolve_kernels(kernels))
+    kernels = tuple(replace(k, sigma_sq=reference_bandwidth(Xn)) if k.is_auto else k
+                    for k in resolve_kernels(kernels))
     p = len(kernels)
-    grams = [gram(k, Xn, Xn) for k in kernels]
+    grams = [reference_gram(k, Xn, Xn) for k in kernels]
 
     weights = gating = H = None
     if family != "lmkad":

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmkad.kernels import (
+    TRAIN_TILE_BYTES,
     KernelSpec,
     format_kernel_spec,
     gaussian_bandwidth,
@@ -21,6 +23,7 @@ from lmkad.kernels import (
     row_sq_norms,
 )
 from decision_reference import reference_gram
+from gram_reference import reference_bandwidth, reference_gram as whole_gram
 from oracles import kernel_eval
 
 LINEAR = KernelSpec("linear")
@@ -28,6 +31,9 @@ POLY2 = KernelSpec("polynomial", q=2)
 POLY3 = KernelSpec("polynomial", q=3)
 GAUSS = KernelSpec("gaussian", sigma_sq=2.0)
 ALL_SPECS = [LINEAR, POLY2, POLY3, GAUSS]
+
+#: a bandwidth whose reciprocal is inexact, so a multiply cannot stand in for the divide
+MAP_SPECS = ALL_SPECS + [KernelSpec("gaussian", sigma_sq=1.7)]
 
 vectors = st.lists(st.floats(-10, 10), min_size=1, max_size=5)
 
@@ -86,15 +92,96 @@ def test_training_grams_are_bitwise_symmetric():
     assert asymmetric_grams() == []
 
 
-def test_training_grams_are_bitwise_symmetric_under_another_blas_kernel():
-    # OpenBLAS picks its kernel per CPU; a child forced onto its SSE3 kernel
-    # must build the same invariant (the variable is ignored by other BLAS)
+def under_prescott(name: str):
+    """``test_kernels.<name>()`` run in a child forced onto OpenBLAS's SSE3
+    kernel (the variable is ignored by other BLAS), its result read back as JSON."""
     tests, src = Path(__file__).parent, Path(__file__).parents[1] / "src"
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
                PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
-    code = "import json, test_kernels; print(json.dumps(test_kernels.asymmetric_grams()))"
+    code = f"import json, test_kernels; print(json.dumps(test_kernels.{name}()))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def test_training_grams_are_bitwise_symmetric_under_another_blas_kernel():
+    # OpenBLAS picks its kernel per CPU; a child forced onto its SSE3 kernel
+    # must build the same invariant
+    assert under_prescott("asymmetric_grams") == []
+
+
+#: one tile of rows (N <= 181 at N columns), several, and a partial last tile
+#: (182, 1000, 1001); a rectangular Gram has ``WIDE`` columns
+TILE_SIZES = (1, 2, 40, 181, 182, 1000, 1001)
+WIDE = 300
+
+
+def grams_off_the_whole_array_form() -> list[str]:
+    """The kernels, sizes and shapes at which ``gram`` (into ``out``, a slot of
+    a 4-D stack, when square) or ``gaussian_bandwidth`` differs by a bit from
+    the whole-array form of ``gram_reference``."""
+    bad = []
+    for n in TILE_SIZES:
+        X = np.random.default_rng([n, 5]).standard_normal((n, 5))
+        Y = np.random.default_rng([n, 6]).standard_normal((WIDE, 5))
+        specs = MAP_SPECS + ([KernelSpec("gaussian").resolved(X)] if n >= 2 else [])
+        stack = np.zeros((2, len(specs), n, n))
+        for m, spec in enumerate(specs):
+            out = stack[1, m]
+            square = gram(spec, X, X, out=out)
+            if square is not out or out.tobytes() != whole_gram(spec, X, X).tobytes():
+                bad.append(f"{format_kernel_spec(spec)} N={n} into a stack slot")
+            for A, B, shape in ((X, Y, f"{n}x{WIDE}"), (Y, X, f"{WIDE}x{n}")):
+                if gram(spec, A, B).tobytes() != whole_gram(spec, A, B).tobytes():
+                    bad.append(f"{format_kernel_spec(spec)} {shape}")
+        if n >= 2 and gaussian_bandwidth(X) != reference_bandwidth(X):
+            bad.append(f"bandwidth N={n}")
+    return bad
+
+
+def test_grams_equal_the_whole_array_form_bit_for_bit():
+    # gram maps its product in place a tile of rows at a time; every entry
+    # goes through the same operations, so the bytes are those of one map of
+    # the whole array, and the bandwidth sums the same C-order array
+    assert grams_off_the_whole_array_form() == []
+
+
+def test_grams_equal_the_whole_array_form_under_another_blas_kernel():
+    assert under_prescott("grams_off_the_whole_array_form") == []
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: numpy's ufunc buffers, which a broadcast add such as ``xx + yy`` allocates
+#: for the call whatever its size: two of ``np.getbufsize()`` float64
+UFUNC_BUFFERS = 2 * 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS, ids=format_kernel_spec)
+def test_a_gram_into_out_allocates_one_tile_at_most(spec):
+    # the product is written into out and mapped there: nothing N x N is
+    # allocated, only a gaussian's tile of scratch and its row norms
+    n = 600
+    X = np.random.default_rng(7).standard_normal((n, 6))
+    out = np.empty((n, n))
+    gram(spec, X, X, out=out)  # numpy's first-call allocations stay outside the trace
+    peak = traced_peak(lambda: gram(spec, X, X, out=out))
+    assert peak <= TRAIN_TILE_BYTES + UFUNC_BUFFERS + 2 * 8 * n
+
+
+def test_bandwidth_holds_one_product_and_one_tile():
+    # the squared distances are mapped in place in the product and summed there
+    n = 600
+    X = np.random.default_rng(8).standard_normal((n, 6))
+    gaussian_bandwidth(X)
+    peak = traced_peak(lambda: gaussian_bandwidth(X))
+    assert peak <= n * n * 8 + TRAIN_TILE_BYTES + UFUNC_BUFFERS + 8 * n
 
 
 def test_linear_dot_product():
@@ -199,10 +286,6 @@ def test_gaussian_gram_unit_diagonal():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(6, 4))
     assert np.array_equal(np.diagonal(gram(GAUSS, X, X)), np.ones(6))
-
-
-#: a bandwidth whose reciprocal is inexact, so a multiply cannot stand in for the divide
-MAP_SPECS = ALL_SPECS + [KernelSpec("gaussian", sigma_sq=1.7)]
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)

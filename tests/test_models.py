@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lmkad.dataset import apply_normalizer, split_for_occ
-from lmkad.gating import PAIR_FIELDS, GatingParams, gate_eval_batch
+from lmkad.gating import PAIR_FIELDS, GatingParams, gate_eval_batch, prepare_kind
 from lmkad.kernels import KernelSpec, gram, kernel_map, product
 from lmkad.models import (
     BLOCK_ROWS,
@@ -398,8 +398,8 @@ def test_combine_matches_reference_bit_for_bit(p, rows, cols):
 def test_training_and_scoring_leave_base_grams_alone(family, monkeypatch):
     built = []
 
-    def spy(kernel, X, Y):
-        K = gram(kernel, X, Y)
+    def spy(kernel, X, Y, out=None):  # K is a training Gram's own slot of the stack
+        K = gram(kernel, X, Y, out=out)
         built.append((K, K.copy()))
         return K
 
@@ -755,9 +755,11 @@ def test_a_gram_that_is_not_bitwise_symmetric_fails_at_set_up(monkeypatch):
     # a lazy round reads a column of K_m as its row, so every training Gram
     # must equal its transpose bit for bit, as gram builds it; one that is
     # symmetric only within DualProblem's bound fails the fit by name
-    def skewed(spec, X, Y):
-        K = gram(spec, X, Y)
-        return K + np.triu(np.full(K.shape, 1e-10), 1) if spec.kind == "polynomial" else K
+    def skewed(spec, X, Y, out=None):
+        K = gram(spec, X, Y, out=out)
+        if spec.kind == "polynomial":
+            K += np.triu(np.full(K.shape, 1e-10), 1)
+        return K
 
     monkeypatch.setattr(models_module, "gram", skewed)
     X = blob(56, 200, 4)
@@ -828,9 +830,9 @@ def test_a_gated_fit_whose_grams_could_overflow_fails_at_set_up():
 def test_training_state_stays_within_the_batch_estimate(monkeypatch):
     # _fit_bytes counts every N x N array of a fit: its p Grams, Q and the
     # lockstep's transposed copy of Q (the lockstep is forced here for one
-    # fit).  Set-up holds the Grams and a gaussian Gram build's two N x N
-    # temporaries, as many arrays.  An N x N array that the estimate does
-    # not count, such as a scratch for Q, would exceed the slack of half of one
+    # fit).  Set-up builds the Grams in place, in no N x N beyond them.  An
+    # N x N array that the estimate does not count, such as a scratch for
+    # Q, would exceed the slack of half of one
     n, p = 400, 3
     X = blob(50, n, 6)
     train_lmkad(X[:20], "gpl", LmkadConfig(nu=0.2, max_outer=2))  # imports scipy outside the trace
@@ -844,6 +846,25 @@ def test_training_state_stays_within_the_batch_estimate(monkeypatch):
     assert model.report.iterations == 3
     assert models_module._fit_bytes(n, p) == (p + 2) * n * n * 8
     assert peak <= models_module._fit_bytes(n, p) + n * n * 8 // 2
+
+
+def test_a_fit_outside_the_lockstep_holds_its_grams_and_q_and_no_more():
+    # the p Grams and Q are a fit's only N x N state: set-up builds each Gram
+    # in its slot of the stack (the product mapped in place a tile of rows at
+    # a time), and the bandwidth maps its one product in place.  A second
+    # N x N array at any point would exceed the 1 MiB of slack, which covers
+    # the set-up check's N x N boolean and the composition tile
+    n, p = 600, 3
+    X = blob(57, n, 6)
+    prepare_kind("sigmoid")  # scipy's import stays outside the trace
+    tracemalloc.start()
+    try:
+        model = train_lmkad(X, "gpl", LmkadConfig(nu=0.2, seed=1, max_outer=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.report.iterations == 3
+    assert peak <= (p + 1) * n * n * 8 + 2**20
 
 
 def test_lazy_rounds_stay_within_the_batch_estimate():
@@ -867,9 +888,9 @@ def test_lazy_rounds_stay_within_the_batch_estimate():
 def test_fit_many_shares_set_up_per_training_matrix(monkeypatch):
     built = []
 
-    def spy(kernel, X, Y):
+    def spy(kernel, X, Y, out=None):
         built.append(kernel)
-        return gram(kernel, X, Y)
+        return gram(kernel, X, Y, out=out)
 
     monkeypatch.setattr(models_module, "gram", spy)
     X = blob(41, 20)
