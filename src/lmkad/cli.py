@@ -1,13 +1,16 @@
 """Command-line interface: fit, predict, benchmark, stats.
 
 ``predict`` reads and writes its input in blocks of ``BLOCK_ROWS`` rows.
-An input of one block is scored in this process.  A longer one is scored
-in one forked worker process where that pays (``_worker_pays``: at least
-two usable CPUs and the ``fork`` start method), which scores block k
-while this process reads block k + 1 and writes block k - 1, so at most
-two blocks are in flight; elsewhere in this process, block by block.
-Either way the output bytes and error texts are those of scoring each
-block before reading the next.
+The width is checked once the first block is read, before the second is
+read and before any worker starts; it is the only way a block can fail
+to score (the model is checked on load, NaN features score -1, every
+block is as wide as the first).  An input of one block is scored in this
+process.  A longer one is scored in one forked worker process where that
+pays (``_worker_pays``: at least two usable CPUs and the ``fork`` start
+method), which scores block k while this process reads block k + 1 and
+writes block k - 1, so at most two blocks are in flight; elsewhere in
+this process, block by block.  Either way the output bytes and error
+texts are those of scoring each block before reading the next.
 
 ``benchmark`` consumes a JSON experiment config (schema documented in the
 README) and writes results/ranks/friedman CSVs plus the raw Gmean matrix.
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .dataset import BLOCK_ROWS, fit_normalizer, iter_feature_blocks, load_csv, plan_folds
+from .dataset import BLOCK_ROWS, apply_normalizer, fit_normalizer, iter_feature_blocks, load_csv, plan_folds
 from .evaluation import ClassifierConfig, CvCell, cross_validate_many
 from .gating import GATING_KINDS, prepare_kind
 from .models import FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model, save_model, sv_count
@@ -133,28 +136,26 @@ def _worker_pays() -> bool:
 def _scored_blocks(model, blocks):
     """Yield the decision values of each of ``blocks``, in order.
 
-    One block is scored here.  From a second block on, where
-    ``_worker_pays``, one worker process (``_start_scorer``) scores block k
-    while this process reads block k + 1 and the caller writes block
-    k - 1; at most two blocks are in flight.  Elsewhere every block is
-    scored here, in one ``ScoreBuffers``.  Of a read error and the scoring
-    errors of the blocks before it, the earliest block's is raised, as
-    when each block is scored before the next is read.
+    The first block's width is checked against the model's as soon as it
+    is read, before the second block is read and before any worker
+    starts: that is the one way a block can fail to score, since
+    ``load_model`` has checked every model field, NaN features score -1
+    and every block is as wide as the first.  So the errors are those of
+    scoring each block before reading the next, however the two overlap.
+    From a second block on, where ``_worker_pays``, one worker process
+    (``_start_scorer``) scores block k while this process reads block
+    k + 1 and the caller writes block k - 1; at most two blocks are in
+    flight.  Otherwise every block is scored here, in one ``ScoreBuffers``
+    sized to the first block.
     """
     first = next(blocks, None)
     if first is None:
         return
-    try:
-        X = next(blocks, None)
-    except Exception:
-        decision_values(model, first)  # the first block's scoring error comes first
-        raise
-    if X is None:
-        yield decision_values(model, first)
-        return
-    if not _worker_pays():
-        buffers = ScoreBuffers(model)
-        for block in chain((first, X), blocks):
+    apply_normalizer(model.normalizer, first[:0])  # decision_values's width error, raised now
+    X = next(blocks, None)
+    if X is None or not _worker_pays():
+        buffers = ScoreBuffers(model, len(first))
+        for block in chain((first,) if X is None else (first, X), blocks):
             yield decision_values(model, block, buffers)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a multi-block predict pays for this import
@@ -164,12 +165,7 @@ def _scored_blocks(model, blocks):
         pending = [pool.submit(_score_block, first)]
         while X is not None:
             pending.append(pool.submit(_score_block, X))
-            try:
-                X = next(blocks, None)
-            except Exception:
-                for future in pending:
-                    future.result()  # an earlier block's scoring error comes first
-                raise
+            X = next(blocks, None)
             yield pending.pop(0).result()
         while pending:
             yield pending.pop(0).result()
@@ -182,11 +178,14 @@ def cmd_predict(args) -> int:
 
     Each block of ``BLOCK_ROWS`` rows is read (``iter_feature_blocks``),
     scored by one ``decision_values`` call and written with one ``write``
-    call (``_format_block``).  An input of one block is scored in this
-    process; a longer one in one worker process where that pays,
-    overlapped with reading and writing (``_scored_blocks``).  Either way
-    the output bytes and the error texts are the same, and no process or
-    temp file outlives the call.
+    call (``_format_block``).  The width is checked once the first block
+    is read, before the second is read and before any worker starts: a
+    model that loaded scores any row of the right width, NaN features
+    included.  An input of one block is scored in this process; a longer
+    one in one worker process where that pays, overlapped with reading
+    and writing (``_scored_blocks``).  Either way the output bytes and the
+    error texts are the same, and no process or temp file outlives the
+    call.
     """
     model = load_model(args.model)
     label_column = _parse_label_column(args.label_column) if args.label_column else None

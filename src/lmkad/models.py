@@ -492,20 +492,18 @@ class _Stack:
         self._keep(keep)
         if not keep:
             return
-        alpha, objective = sols.alpha[rows][keep], objective[keep]
+        alpha = sols.alpha[rows][keep]
         grad = gradient_stack(self.kind, *self.pair, alpha, self.Xn, self.grams, self.H)
         finite = np.isfinite(grad[0]).all(axis=(1, 2)) & np.isfinite(grad[1]).all(axis=1)
-        if not finite.all():
+        if not finite.all():  # fit_many raises at the end of this round: no fit here steps
             for r in np.flatnonzero(~finite).tolist():
                 failures.setdefault(self.jobs[r], RuntimeError(
                     f"non-finite gating gradient at outer iteration {t} "
                     f"(kind={self.kind}, nu={self.nus[r]})"
                 ))
-            keep = np.flatnonzero(finite).tolist()
-            self._keep(keep)
-            alpha, objective, grad = alpha[keep], objective[keep], (grad[0][keep], grad[1][keep])
+            return
         self.pair = step_stack(self.kind, *self.pair, *grad, c.learning_rate * c.lr_decay**t)
-        self.alpha, self.prev = alpha, objective
+        self.alpha, self.prev = alpha, objective[keep]
 
     def _keep(self, keep: list[int]) -> None:
         if len(keep) == len(self.jobs):

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +13,14 @@ IRIS_CSV = REPO / "data" / "iris.csv"
 
 #: fold-plan seed shared by the protocol-level tests
 PROTOCOL_SEED = 20240811
+
+
+def child_env(*paths) -> dict:
+    """This process's environment for a child interpreter, with ``src`` and
+    ``paths`` put first on its ``PYTHONPATH``, so the child imports this
+    checkout's lmkad whether or not it is installed."""
+    entries = [str(REPO / "src"), *map(str, paths), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, entries)))
 
 
 @pytest.fixture(scope="session")

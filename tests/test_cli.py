@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import IRIS_CSV
+from conftest import IRIS_CSV, child_env
 from lmkad import cli
 from lmkad.cli import main
 from lmkad.dataset import load_features_csv
@@ -19,8 +19,6 @@ from lmkad.evaluation import ClassifierConfig, CvResult
 from lmkad.gating import GATING_KINDS
 from lmkad.models import (BLOCK_ROWS, FAMILIES, LmkadConfig, ScoreBuffers, decision_values, load_model,
                           predict_batch)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -259,13 +257,62 @@ def block_rows_csv(path, n_rows, width=4, bad_row=None):
 
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_predict_first_scoring_error_beats_a_later_bad_row(tmp_path, fitted_model, capsys, worker_path, blocks):
-    # three columns for a four-feature model: block 1 fails to score; the
-    # reader fails in the last block, after a worker started for 3 blocks
+    # three columns for a four-feature model: block 0 fails the width check;
+    # the reader would fail in the last block
     bad_row = (blocks - 1) * BLOCK_ROWS + 3
     data = block_rows_csv(tmp_path / "bad.csv", blocks * BLOCK_ROWS, width=3, bad_row=bad_row)
     assert_failed_predict_leaves_out_alone(tmp_path, fitted_model, data, capsys,
                                            "error: normalizer fitted on 4 columns, got 3\n")
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "no-worker"])
+def test_predict_checks_the_width_before_reading_a_second_block(tmp_path, fitted_model, monkeypatch, capsys,
+                                                               request, worker):
+    import concurrent.futures
+
+    read, pools = [], []
+    real_blocks = cli.iter_feature_blocks
+
+    def blocks(*args, **kwargs):
+        for k, X in enumerate(real_blocks(*args, **kwargs)):
+            read.append(k)
+            yield X
+
+    if worker:
+        request.getfixturevalue("worker_path")
+    else:
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "iter_feature_blocks", blocks)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs))
+    # three columns for a four-feature model, and a bad row in block 2
+    data = block_rows_csv(tmp_path / "bad.csv", 3 * BLOCK_ROWS, width=3, bad_row=2 * BLOCK_ROWS + 3)
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", tmp_path / "p.csv"]) == 1
+    assert capsys.readouterr().err == "error: normalizer fitted on 4 columns, got 3\n"
+    assert read == [0] and pools == [] and multiprocessing.active_children() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "model.json"]  # no output, no temp file
+
+
+@pytest.mark.parametrize("rows", [1, 100, BLOCK_ROWS])
+def test_predict_of_one_block_allocates_one_score_buffers_of_its_size(tmp_path, fitted_model, monkeypatch, rows):
+    allocated = []
+
+    class CountedBuffers(ScoreBuffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            allocated.append(self)
+
+    def no_worker_check():
+        raise AssertionError("a one-block predict asked whether a worker pays")
+
+    monkeypatch.setattr(cli, "ScoreBuffers", CountedBuffers)
+    monkeypatch.setattr(cli, "_worker_pays", no_worker_check)
+    data = block_rows_csv(tmp_path / "rows.csv", rows)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", fitted_model, "--data", data, "--out", out]) == 0
+    assert [buffers.K.shape[0] for buffers in allocated] == [rows]
+    values = decision_values(load_model(fitted_model), load_features_csv(data))
+    assert out.read_bytes() == csv_writer_predictions(values.tolist())
 
 
 def test_predict_leaves_no_process_or_temp_file(tmp_path, fitted_model, capsys, worker_path):
@@ -348,8 +395,7 @@ def test_predict_scores_sigmoid_gates_in_the_parent_when_spawned(tmp_path):
     argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "spawned.csv")]
     code = (f"import multiprocessing, sys\nfrom lmkad import cli\nmultiprocessing.set_start_method('spawn')\n"
             f"assert cli.main({argv!r}) == 0\nassert 'concurrent.futures.process' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120, check=True)
+    subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=120, check=True)
     values = decision_values(load_model(model), load_features_csv(data))
     assert (tmp_path / "spawned.csv").read_bytes() == csv_writer_predictions(values.tolist())
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
+
 V1_DIR = Path(__file__).parent / "data"
 
 #: printed last by every probe: the loaded modules these tests care about
@@ -31,8 +32,7 @@ train_lmkad(X, "gpl", LmkadConfig(nu=0.3, gating_kind="{kind}", max_outer=3))
 
 
 def loaded_by(code: str) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code + REPORT], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code + REPORT], env=child_env(), capture_output=True, text=True,
                          timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 

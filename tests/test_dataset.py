@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import child_env
 from lmkad import dataset as dataset_module
 from lmkad.dataset import (
     Dataset,
@@ -490,8 +491,8 @@ def test_plan_deterministic_across_processes(tmp_path, iris_path):
         "print(hashlib.sha256(plan.assignments.tobytes()).hexdigest())"
     )
     digests = {
-        subprocess.run([sys.executable, "-c", snippet], capture_output=True,
-                       text=True, check=True).stdout.strip()
+        subprocess.run([sys.executable, "-c", snippet], env=child_env(), capture_output=True,
+                       text=True, timeout=120, check=True).stdout.strip()
         for _ in range(2)
     }
     assert len(digests) == 1

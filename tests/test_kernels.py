@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -22,6 +21,7 @@ from lmkad.kernels import (
     product,
     row_sq_norms,
 )
+from conftest import child_env
 from decision_reference import reference_gram
 from gram_reference import reference_bandwidth, reference_gram as whole_gram
 from oracles import kernel_eval
@@ -95,9 +95,7 @@ def test_training_grams_are_bitwise_symmetric():
 def under_prescott(name: str):
     """``test_kernels.<name>()`` run in a child forced onto OpenBLAS's SSE3
     kernel (the variable is ignored by other BLAS), its result read back as JSON."""
-    tests, src = Path(__file__).parent, Path(__file__).parents[1] / "src"
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
+    env = dict(child_env(Path(__file__).parent), OPENBLAS_CORETYPE="Prescott")
     code = f"import json, test_kernels; print(json.dumps(test_kernels.{name}()))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout)

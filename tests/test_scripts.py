@@ -2,19 +2,16 @@
 interpreter, with its output under ``tmp_path``, and must exit 0 with the
 files and lines its docstring promises."""
 import csv
-import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, child_env
 
 
 def _run(script, *args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, str(REPO / "scripts" / script), *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, str(REPO / "scripts" / script), *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=300)
 
 
