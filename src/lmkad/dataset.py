@@ -306,6 +306,14 @@ def iter_feature_blocks(path, block_rows: int, has_header: bool = False, label_c
             yield np.asarray(block, dtype=float)
 
 
+def check_seed(seed) -> None:
+    """The seed rule of a fold plan and of a benchmark cell's base seed (an
+    ``LmkadConfig`` keeps the same one): numpy refuses a negative seed
+    without naming it, so it is refused here by name."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """Per-run, per-sample fold indices, stratified by class.
@@ -325,8 +333,10 @@ def plan_folds(dataset: Dataset, n_folds: int, n_runs: int, seed: int) -> FoldPl
 
     Each class present in the data must have at least ``n_folds`` members
     so every fold sees every class; a class that is entirely absent (e.g.
-    a one-class view with no outliers) is allowed.
+    a one-class view with no outliers) is allowed.  The seed must pass
+    ``check_seed``.
     """
+    check_seed(seed)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_runs < 1:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, FoldPlan, _data_rows, _open, _parse_rows, split_for_occ
+from .dataset import Dataset, FoldPlan, _data_rows, _open, _parse_rows, check_seed, split_for_occ
 from .models import (
     FitJob,
     LmkadConfig,
@@ -214,6 +214,7 @@ def _plan_cell(cell: CvCell, jobs: list[FitJob]) -> list[tuple]:
     """
     dataset, config, nu_grid, plan, base_seed = cell
     nu_grid = check_nu_grid(nu_grid)
+    check_seed(base_seed)
     folds = []
     for run in range(plan.n_runs):
         for fold in range(plan.n_folds):

@@ -28,10 +28,11 @@ import numpy as np
 
 KERNEL_KINDS = ("linear", "polynomial", "gaussian")
 
-#: bytes of the buffer in which a training round composes Q (``models._Stack.compose``):
-#: chunks of whole fits while a fit's N x N float64 fit in it (N <= 181), else
-#: tiles of one fit's rows, 32 rows at N = 1000; like a scoring tile, it stays
-#: in cache.  Above N = 181 a lazy round composes columns in it (``models._LazyColumns``).
+#: bytes of the buffer in which a training round composes Q (``models._Stack.compose``),
+#: one loop over pieces of whole fits by rows: as many whole fits as their N x N
+#: float64 fit in it (N <= 181), else one fit's rows, 32 rows at N = 1000; like
+#: a scoring tile, it stays in cache.  Above N = 181 a lazy round composes columns
+#: in it (``models._LazyColumns``).
 #: ``gram`` and ``gaussian_bandwidth`` map their product in place in tiles of rows of this size.
 TRAIN_TILE_BYTES = 256 * 2**10
 

@@ -13,18 +13,20 @@ each outer iteration of a stack is a fixed sequence of numpy calls on
 combination, the duals (lockstep SMO with a scalar tail), the per-fit
 stopping test, and the stacked gating gradient and step.  The stacks
 that share N and the inner-solver knobs (``inner_tol``,
-``inner_max_iter``) form a solve group, which owns one Q array: each
-round they compose into consecutive rows of it, in cache-sized pieces
-(``TRAIN_TILE_BYTES``), and one ``solver.solve_duals`` call solves
-them, so e.g. every fit of a benchmark worker's cells at N = 40 shares
-one lockstep.  A fit is validated once: its base Grams at set-up
-(``_gram_error``: finite, bitwise symmetric, no negative diagonal, no
-overflowing sum), then each round only its gates, for finiteness
-(``_gate_errors``).  A warm round of a group small
-enough for the scalar loop at N > 181 composes only the Q columns SMO
-reads (``_LazyColumns``) and leaves Q's other entries, which are finite,
-as an earlier round left them.  Every fit
-keeps the iterates, and so the model, it gets when trained alone;
+``inner_max_iter``) form a solve group, which owns one Q array.  A round
+first evaluates and checks the gates of every stack of the batch; then
+one call per group (``_SolveGroup.solve``) composes its stacks into
+consecutive rows of its Q, one loop over cache-sized pieces of whole
+fits by rows (``TRAIN_TILE_BYTES``), solves them with one
+``solver.solve_duals`` call and advances them, so e.g. every fit of a
+benchmark worker's cells at N = 40 shares one lockstep.  A fit is
+validated once: its base Grams at set-up (``_gram_error``: finite,
+bitwise symmetric, no negative diagonal, no overflowing sum), then each
+round only its gates, for finiteness (``_gate_errors``).  A warm round
+of a group small enough for the scalar loop at N > 181 composes only the
+Q columns SMO reads (``_LazyColumns``) and leaves Q's other entries,
+which are finite, as an earlier round left them.  Every fit keeps the
+iterates, and so the model, it gets when trained alone;
 ``tests/fit_reference.py`` keeps the one-fit loop that pins this.
 ``train_ocsvm``, ``train_mkad`` and ``train_lmkad`` are one-fit calls of
 ``fit_many``, and every fit's family and kernels pass ``check_family``.
@@ -39,6 +41,7 @@ container (exact float round-trip).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -162,8 +165,10 @@ class LmkadConfig:
     ``initial_gating`` overrides the seeded random init when given.
     A setting that cannot work is refused by name: e.g. a float setting
     that is not a real number (a bool is not one), an integer setting that
-    is not an integer, a ``learning_rate`` that is negative or not finite,
-    or an ``inner_tol`` that fails ``solver.check_tol``.
+    is not an integer, an integer setting below its minimum (1 for
+    ``max_outer`` and ``inner_max_iter``, 0 for ``seed``, whatever the
+    family), a ``learning_rate`` that is negative or not finite, or an
+    ``inner_tol`` that fails ``solver.check_tol``.
     """
 
     nu: float
@@ -182,11 +187,13 @@ class LmkadConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        for name in ("max_outer", "inner_max_iter", "seed"):
+        for name, least in (("max_outer", 1), ("inner_max_iter", 1), ("seed", 0)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)) and not (
                     name == "inner_max_iter" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.gating_kind not in GATING_KINDS:
             raise ValueError(f"unknown gating kind {self.gating_kind!r}")
         if not (self.learning_rate >= 0 and math.isfinite(self.learning_rate)):
@@ -195,10 +202,6 @@ class LmkadConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if not self.outer_tol > 0:
             raise ValueError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.inner_max_iter is not None and self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be >= 1")
         check_tol(self.inner_tol, "inner_tol")
 
 
@@ -447,28 +450,21 @@ class _Stack:
                 failures.setdefault(self.jobs[r], ValueError(message))
 
     def compose(self, q: np.ndarray, tile: np.ndarray) -> None:
-        """Build every fit's Q in ``q`` (B, N, N) from this round's gates, a
-        piece at a time, each piece's terms in the flat buffer ``tile``: chunks
-        of whole fits while a fit fits in ``tile``, else tiles of one fit's
-        rows (see ``TRAIN_TILE_BYTES``).  ``_combine`` computes every entry
-        alike on any piece, so Q has the same bits as when composed whole."""
+        """Build every fit's Q in ``q`` (B, N, N) from this round's gates, one
+        piece of ``fits`` whole fits by ``rows`` rows at a time, each piece's
+        terms in the flat buffer ``tile``: as many whole fits as ``tile``
+        holds, else as many of one fit's rows as it holds (see
+        ``TRAIN_TILE_BYTES``).  ``_combine`` computes every entry alike on
+        any piece, so Q has the same bits as when composed whole."""
         b, n = q.shape[:2]
-        fits = tile.size // (n * n)
-        if fits:
-            for s in range(0, b, fits):
-                out = q[s : s + fits]
-                H = None if self.H is None else self.H[s : s + fits]
-                term = tile[: out.size].reshape(out.shape)
-                _combine(self.grams[s : s + fits].swapaxes(0, 1), self.weights, H, H, out, term)
-            return
-        rows = tile.size // n
-        for r in range(b):
-            gates = None if self.H is None else np.ascontiguousarray(self.H[r].T)  # gate m's N values contiguous
-            for s in range(0, n, rows):
-                out = q[r, s : s + rows]
-                H_X, H_Y = (None, None) if gates is None else (gates[:, s : s + rows].T, gates.T)
-                term = tile[: out.size].reshape(out.shape)
-                _combine(self.grams[r, :, s : s + rows], self.weights, H_X, H_Y, out, term)
+        fits = max(1, tile.size // (n * n))
+        rows = min(n, tile.size // (fits * n))
+        for f, s in itertools.product(range(0, b, fits), range(0, n, rows)):
+            out = q[f : f + fits, s : s + rows]
+            H = None if self.H is None else self.H[f : f + fits]
+            term = tile[: out.size].reshape(out.shape)
+            _combine(self.grams[f : f + fits, :, s : s + rows].swapaxes(0, 1), self.weights,
+                     None if H is None else H[:, s : s + rows], H, out, term)
 
     def advance(self, t: int, sols, rows: slice, q_columns: np.ndarray, models: list, failures: dict) -> None:
         """Take outer iteration ``t``'s duals (``rows`` of ``sols``) and the Q
@@ -548,11 +544,11 @@ class _SolveGroup:
     """Stacks whose duals one ``solve_duals`` call solves each round: they
     share N and the inner-solver knobs.  The group owns one Q array, sized
     for its fits at round 0, and the composition tile
-    (``TRAIN_TILE_BYTES``); each round its gated stacks evaluate and
-    check their gates, its stacks compose into consecutive rows from row
-    0, and the rows in use are solved as they are.  The stacks of a batch
-    share the round, so a group is all cold (t = 0, no warm start) or all
-    warm.
+    (``TRAIN_TILE_BYTES``); each round, once ``fit_many`` has checked
+    every gate of the batch, one ``solve`` call composes its stacks into
+    consecutive rows from row 0 and solves the rows in use as they are.
+    The stacks of a batch share the round, so a group is all cold (t = 0,
+    no warm start) or all warm.
 
     A warm round is lazy when a fit's N x N does not fit in the tile
     (N > 181) and every dual runs in the scalar loop (fewer than
@@ -573,33 +569,27 @@ class _SolveGroup:
         self.q = np.empty((b, n, n))
         self.tile = np.empty(max(TRAIN_TILE_BYTES // 8, 2 * n))  # at least two columns or one row
 
-    def compose(self, t: int, failures: dict) -> None:
-        """Evaluate and check every stack's gates, and build each stack's Q in
-        its rows unless the round is lazy."""
-        self.nus, self.rows = [], []
-        b, n = sum(len(stack.jobs) for stack in self.stacks), self.q.shape[-1]
-        self.lazy = t > 0 and n * n > self.tile.size and b < solver.LOCKSTEP_MIN_ROWS
-        for stack in self.stacks:
-            rows = slice(len(self.nus), len(self.nus) + len(stack.jobs))
-            stack.gate(failures)
-            if not self.lazy:
-                stack.compose(self.q[rows], self.tile)
-            self.nus += stack.nus
-            self.rows.append(rows)
-
     def solve(self, t: int, models: list, failures: dict) -> None:
-        """Solve the composed duals and advance every stack; drop the stacks left without fits."""
-        c = self.stacks[0].config
-        b, n = len(self.nus), self.q.shape[-1]
+        """Round ``t`` of the group, once every gate has passed its check:
+        build each stack's Q in its rows (in a lazy round, one ``_LazyColumns``
+        per fit instead), solve every dual in one ``solve_duals`` call and
+        advance every stack; drop the stacks left without fits."""
+        c, n = self.stacks[0].config, self.q.shape[-1]
+        ends = np.cumsum([len(stack.jobs) for stack in self.stacks]).tolist()
+        spans = [slice(end - len(stack.jobs), end) for stack, end in zip(self.stacks, ends)]
+        lazy = t > 0 and n * n > self.tile.size and ends[-1] < solver.LOCKSTEP_MIN_ROWS
+        columns = [] if lazy else None
+        for stack, rows in zip(self.stacks, spans):
+            if lazy:
+                columns += [_LazyColumns(self.q[rows.start + r], grams, H, self.tile)
+                            for r, (grams, H) in enumerate(zip(stack.grams, stack.H))]
+            else:
+                stack.compose(self.q[rows], self.tile)
         alpha0 = None if t == 0 else np.concatenate([stack.alpha for stack in self.stacks])
-        columns = None
-        if self.lazy:
-            columns = [_LazyColumns(self.q[k], stack.grams[r], stack.H[r], self.tile)
-                       for stack, rows in zip(self.stacks, self.rows)
-                       for r, k in enumerate(range(rows.start, rows.stop))]
-        sols = solve_duals(self.q[:b], self.nus, alpha0, c.inner_tol, c.inner_max_iter, columns)
-        q_columns = np.full(b, n) if columns is None else np.array([len(cols) for cols in columns])
-        for stack, rows in zip(self.stacks, self.rows):
+        nus = [nu for stack in self.stacks for nu in stack.nus]
+        sols = solve_duals(self.q[: ends[-1]], nus, alpha0, c.inner_tol, c.inner_max_iter, columns)
+        q_columns = np.full(ends[-1], n) if columns is None else np.array([len(cols) for cols in columns])
+        for stack, rows in zip(self.stacks, spans):
             stack.advance(t, sols, rows, q_columns[rows], models, failures)
         self.stacks = [stack for stack in self.stacks if stack.jobs]
 
@@ -740,19 +730,24 @@ def fit_many(jobs) -> list[Model]:
     round) as one array program, and the stacks that share N and the
     inner-solver knobs into solve groups (``_SolveGroup``), formed once
     per batch, each with one Q array.  Set-up checks each training
-    matrix's Grams once (``_gram_error``).  A round evaluates and checks
-    every group's gates (``_gate_errors``) and composes its stacks into
-    consecutive rows of its Q, or, in a lazy round, leaves Q to the
-    solver's column reads; once every group has composed, each group's
-    duals are solved by one ``solve_duals`` call, then each stack takes
-    the objective test, gradient and step.
+    matrix's Grams once (``_gram_error``).  A round first evaluates and
+    checks the gates of every stack of the batch (``_gate_errors``);
+    then one ``_SolveGroup.solve`` call per group composes its stacks
+    into consecutive rows of its Q, or, in a lazy round, leaves Q to the
+    solver's column reads, solves the group's duals with one
+    ``solve_duals`` call, and gives each stack the objective test,
+    gradient check and step.
 
-    If any fit fails, training stops at the end of the round in which it
-    failed (a job whose set-up fails, its Gram check included, counts as
-    failing in round 0), and
-    the error of the lowest failing job index of that round propagates:
-    the error that job raises alone.  Batches run in job order, so of
-    the jobs that fail it is the first batch's that decides.
+    A batch's checks run in a fixed sequence: set-up (the family, memory,
+    nu and Gram checks) together with round 0's gate check, then round
+    0's gradient check, round 1's gate check, round 1's gradient check,
+    and so on.  Training stops after the first check that any fit fails,
+    and the error of the lowest failing job index of that check
+    propagates: the error that job raises alone.  So a fit whose gates
+    fail in round t wins over a lower-indexed fit whose gradient would
+    fail in the same round, as every gate check comes before any solve.
+    Batches run in job order, so of the jobs that fail it is the first
+    batch's that decides.
     """
     jobs = list(jobs)
     models: list[Model | None] = [None] * len(jobs)
@@ -762,7 +757,8 @@ def fit_many(jobs) -> list[Model]:
         t = 0
         while groups:
             for group in groups:
-                group.compose(t, failures)
+                for stack in group.stacks:
+                    stack.gate(failures)
             if failures:
                 break
             for group in groups:

@@ -807,6 +807,26 @@ def test_benchmark_requires_seed(tmp_path, iris_path, monkeypatch, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_refuses_a_negative_seed_by_name(tmp_path, iris_path, capsys, family):
+    # numpy refused it as "expected non-negative integer", naming no setting,
+    # and a fixed-weight fit, which draws nothing, trained as if it were fine
+    out = tmp_path / "m.json"
+    assert run(["fit", "--data", iris_path, "--label-column", "species", "--target-label", "setosa", "--header",
+                "--family", family, "--kernels", "gpl" if family != "ocsvm" else "gauss:auto", "--nu", "0.1",
+                "--seed", "-1", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_benchmark_refuses_a_negative_seed_by_name(tmp_path, iris_path, capsys):
+    config = benchmark_config(tmp_path, iris_path, [{"family": "ocsvm"}])
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), seed=-3)))
+    assert run(["benchmark", "--config", config, "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "results" / "results.csv").exists()
+
+
 def test_benchmark_iris_lmkad_beats_mkad(tmp_path, iris_path):
     from conftest import PROTOCOL_SEED
 

@@ -412,6 +412,13 @@ def test_plan_deterministic():
     assert not np.array_equal(a.assignments, c.assignments)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_plan_refuses_a_negative_seed_by_name(seed):
+    ds = Dataset(features=np.arange(20)[:, None] * 1.0, labels=[1] * 12 + [-1] * 8)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        plan_folds(ds, 4, 3, seed=seed)
+
+
 def test_plan_iris_fold_counts(iris, iris_plan):
     for run in range(iris_plan.n_runs):
         for fold in range(5):

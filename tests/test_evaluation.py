@@ -173,6 +173,15 @@ def test_cross_validate_refuses_a_grid_point_that_is_not_a_rate(monkeypatch, gri
         cross_validate(ds, OCSVM_G, grid, plan_folds(ds, 5, 1, seed=3), base_seed=1)
 
 
+def test_cross_validate_refuses_a_negative_base_seed_by_name(monkeypatch):
+    # refused before any fold is split or trained, as numpy would refuse it unnamed
+    ds = tiny_dataset()
+    plan = plan_folds(ds, 5, 1, seed=3)
+    monkeypatch.setattr(evaluation, "split_for_occ", None)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        evaluation.cross_validate_many([CvCell(ds, OCSVM_G, [0.5], plan, -1)])
+
+
 def test_cross_validate_training_error_propagates(monkeypatch):
     # only an infeasible nu skips a candidate; any other failure is loud
     def broken(jobs):

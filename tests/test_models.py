@@ -656,17 +656,19 @@ def test_fit_many_matches_the_one_fit_loop_bit_for_bit(batch_bytes, n_batches, m
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
 
 
-def _tile_jobs(n):
+def _tile_jobs(n, cap=6000):
     """Above the whole-fit limit of TRAIN_TILE_BYTES (N = 181) each fit is
     composed in row tiles, at N = 300 of 109 rows, the last one of 82; below
-    it in chunks of whole fits, at N = 40 of 20 fits, and 23 fits leave 3."""
+    it in chunks of whole fits, at N = 40 of 20 fits, and 23 fits leave 3,
+    at N = 181 of one.  From N = 181 the jobs are three gated fits and an
+    MKAD one, each dual capped at ``cap`` steps."""
     X = blob(48, n, 4)
-    if n * n * 8 > models_module.TRAIN_TILE_BYTES:  # warm rounds are lazy: capped at ~2x the most steps, 2,856
-        assert n % (models_module.TRAIN_TILE_BYTES // (8 * n))
+    if n >= 181:  # above 181 warm rounds are lazy: at N = 300 capped at ~2x the most steps, 2,856
+        assert n == 181 or n % (models_module.TRAIN_TILE_BYTES // (8 * n))
         return [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1, gating_kind=kind, seed=i, max_outer=4,
-                                                      inner_max_iter=6000))
+                                                      inner_max_iter=cap))
                 for i, kind in enumerate(("sigmoid", "softmax", "rbf"))] + [
-                FitJob("mkad", X, "gpp", LmkadConfig(nu=0.2, inner_max_iter=6000))]
+                FitJob("mkad", X, "gpp", LmkadConfig(nu=0.2, inner_max_iter=cap))]
     jobs = [FitJob("lmkad", X, "gpl", LmkadConfig(nu=0.1 + 0.02 * i, seed=i, max_outer=6)) for i in range(23)]
     assert len(jobs) % (models_module.TRAIN_TILE_BYTES // (8 * n * n))
     return jobs
@@ -678,6 +680,37 @@ def test_fit_many_composes_in_tiles_bit_for_bit(n):
     for job, model in zip(jobs, fit_many(jobs)):
         assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
         assert model.report.inner_nonconverged == 0
+
+
+@pytest.mark.parametrize("n, grid, pieces", [
+    (181, None, {(181, 181)}),
+    (182, None, {(180, 182), (2, 182)}),
+    (182, (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), {(180, 182), (2, 182)}),
+], ids=["n181-whole-fit", "n182-rows-180-and-2", "n182-nu-grid-lockstep"])
+def test_fit_many_composes_the_tile_edges_bit_for_bit(n, grid, pieces, monkeypatch):
+    # the last N whose pieces are one whole fit, and the first whose pieces
+    # are a fit's rows (``pieces``: their rows by columns); a six-fit nu
+    # grid at N = 182 runs in the lockstep, so its Q is composed whole every
+    # round, not lazily.  Each dual is capped at ~2x the most steps any dual
+    # of the case takes (348, 399 and 416), so a wrong Q fails at the cap
+    # rather than spinning toward 100 N^2
+    shapes, combine = [], models_module._combine
+
+    def spy_combine(grams, weights, H_X, H_Y, out=None, scratch=None):
+        shapes.append(out.shape)
+        return combine(grams, weights, H_X, H_Y, out, scratch)
+
+    monkeypatch.setattr(models_module, "_combine", spy_combine)
+    jobs = _tile_jobs(n, cap=800) if grid is None else [
+        FitJob("lmkad", blob(48, n, 4), "gpl", LmkadConfig(nu=nu, seed=1, max_outer=4, inner_max_iter=800))
+        for nu in grid]
+    got = fit_many(jobs)
+    assert {shape[-2:] for shape in shapes if shape[-1] == n} == pieces  # a lazy round's columns are narrower
+    for job, model in zip(jobs, got):
+        assert _model_bytes(model) == _model_bytes(reference_fit(*job)), job
+        assert model.report.inner_nonconverged == 0
+    if grid is not None:
+        assert [m.report.q_columns for m in got] == [4 * n] * len(grid)  # four rounds, each composed whole
 
 
 def _spy_lazy_solves(monkeypatch) -> list[bool]:
@@ -1076,6 +1109,16 @@ def test_lmkad_config_names_each_rejected_setting(knob, message):
             train_mkad(blob(29, 10), "gpl", 0.5, tol=knob["inner_tol"])
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_lmkad_config_refuses_a_negative_seed(seed):
+    # numpy's gating init refused it without naming it, and a fixed-weight
+    # fit, which draws nothing, took it; the config serves every family
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        LmkadConfig(nu=0.5, seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        dataclasses.replace(LmkadConfig(nu=0.5), seed=seed)  # as a benchmark candidate's seed is set
+
+
 def test_lmkad_config_takes_numpy_numbers():
     config = LmkadConfig(nu=np.float64(0.5), max_outer=np.int64(3), seed=np.uint32(7), learning_rate=np.int64(2))
     assert train_lmkad(blob(29, 10), "gpl", config).report.iterations <= 3
@@ -1120,6 +1163,40 @@ def test_fit_many_raises_the_earliest_failing_round(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^non-finite gating gradient at outer iteration 0 "):
         fit_many(jobs)
     assert checks == [2]
+
+
+def test_fit_many_raises_the_first_failing_check_of_a_round(monkeypatch):
+    # job 0 (N = 20) has a NaN gradient in round 1, job 1 (N = 25) NaN gates
+    # in round 1.  Round 1 checks every fit's gates before any group solves,
+    # so job 1's gate check fails first and its error wins over job 0's
+    gates, gradient = models_module.gate_stack, models_module.gradient_stack
+    calls = collections.Counter()
+
+    def nan_gates(kind, Xn, *pair):
+        H = gates(kind, Xn, *pair)
+        calls["gates", Xn.shape[1]] += 1
+        if Xn.shape[1] == 25 and calls["gates", 25] == 2:
+            H[:] = np.nan
+        return H
+
+    def nan_gradient(kind, matrix, vector, alpha, Xn, *rest):
+        grad_matrix, grad_vector = gradient(kind, matrix, vector, alpha, Xn, *rest)
+        calls["gradient", Xn.shape[1]] += 1
+        if Xn.shape[1] == 20 and calls["gradient", 20] == 2:
+            grad_vector[:] = np.nan
+        return grad_matrix, grad_vector
+
+    monkeypatch.setattr(models_module, "gate_stack", nan_gates)
+    monkeypatch.setattr(models_module, "gradient_stack", nan_gradient)
+    jobs = [FitJob("lmkad", blob(49 + i, n), "gpl", LmkadConfig(nu=0.2, seed=1, outer_tol=1e-12))
+            for i, n in enumerate((20, 25))]
+    for batch, error, message in [([jobs[0]], RuntimeError, r"^non-finite gating gradient at outer iteration 1 "),
+                                  ([jobs[1]], ValueError, r"^Q contains non-finite entries$"),
+                                  (jobs, ValueError, r"^Q contains non-finite entries$")]:
+        calls.clear()
+        with pytest.raises(error, match=message):
+            fit_many(batch)
+    assert calls == {("gates", 20): 2, ("gates", 25): 2, ("gradient", 20): 1, ("gradient", 25): 1}
 
 
 def test_inner_nonconvergence_is_counted_alike_stacked_and_alone():
